@@ -323,9 +323,9 @@ def run_precondition(config, seed, jobs, out: Path):
     f_star = problem.value(solve_erm(problem))
     gap_tol = config.get("gap_tol", 1e-6)
     run_p = precond_bgd(problem, phi, iters=config.get("iters", 200),
-                        f_star=f_star, gap_tol=gap_tol, workers=max(jobs, 1))
+                        f_star=f_star, gap_tol=gap_tol)
     run_g = vanilla_gd(problem, iters=config.get("gd_iters", 200_000),
-                       f_star=f_star, gap_tol=gap_tol, workers=max(jobs, 1))
+                       f_star=f_star, gap_tol=gap_tol)
     rows = []
     for method, run in (("precond_bgd", run_p), ("vanilla_gd", run_g)):
         for t, gap in enumerate(run.gaps):

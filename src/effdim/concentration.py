@@ -1,11 +1,23 @@
-"""Monte-Carlo estimation of uniform deviation suprema and bound curves.
+"""Estimation of uniform deviation suprema and bound curves.
 
-Suprema over products of unit balls are *estimated from below* by
-multistart projected gradient ascent (exact maximization is NP-hard for
-three or more factors) and cross-checked against a sphere-net oracle at
-low dimension in the tests.  Reference expectations come either from the
-Isserlis closed form (identity nonlinearities, Gaussian data) or from a
-large independent Monte-Carlo sample.
+What each route returns:
+
+- Identity factors depend on the data only through the deviation tensor
+  D = E_n[a^{⊗r}] - E[a^{⊗r}] (just E_n[a^{⊗r}] when uncentered), and the
+  supremum is its operator norm (:func:`linalg.tensor_opnorm`).  For r = 2
+  that is one d x d eigensolve, so the value is *exact*.  For r >= 3 it is
+  a *lower estimate* by multilinear block ascent on the d**r tensor (exact
+  maximization is NP-hard for three or more factors).  D is stored densely,
+  so d**r is capped at 2**25 entries (:class:`linalg.DimTooLarge`).  The
+  reference is the exact Gaussian moment tensor (a
+  :class:`CovarianceSpectrum`) or an independent sample (a Monte-Carlo
+  reference, reported with stderr 1/sqrt(N)).
+- Nonlinear factors (relu, clip) give a *lower estimate* by multistart
+  projected gradient ascent over the n rows, against an independent
+  Monte-Carlo reference sample, plus its stderr 1/sqrt(N).
+
+Both routes are cross-checked against a sphere-net oracle at low
+dimension in the tests.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._parallel import parallel_map
-from .linalg import rank1_tensor, sym_tensor, tensor_opnorm
+from .linalg import DimTooLarge, tensor_opnorm
 from .rng import RngStream
 from .spectrum import CovarianceSpectrum, SampleMatrix, effective_dimension, \
     max_norm_bound, sample_gaussian
@@ -25,10 +37,6 @@ from .spectrum import CovarianceSpectrum, SampleMatrix, effective_dimension, \
 
 class RefUnavailable(Exception):
     """Centered mode requested without a usable reference-expectation source."""
-
-
-class UnsupportedOrder(Exception):
-    """Exact Gaussian moments are implemented for tensor order p <= 4 only."""
 
 
 @dataclass(frozen=True)
@@ -69,7 +77,9 @@ class SearchConfig:
 
     restarts: int = 32
     iters: int = 200
-    step: float | None = None  # default 0.1 / sigma1**r, or 0.1 on raw data
+    # Projected-ascent step (nonlinear factors only); by default 0.1 / s**r
+    # with s**2 = d * mean(a_ij**2) over the data.
+    step: float | None = None
 
 
 @dataclass(frozen=True)
@@ -82,40 +92,6 @@ class DeviationEstimate:
     seed: tuple[int, int]
     search: dict = field(default_factory=dict)
     stderr: float = 0.0
-
-
-def _gaussian_product_moment(cov: np.ndarray, xs: list[np.ndarray]) -> float:
-    """Isserlis closed form E[prod_k a^T x_k] for Gaussian a ~ N(0, cov)."""
-    r = len(xs)
-    if r % 2 == 1:
-        return 0.0
-    total = 0.0
-    for matching in _pairings(list(range(r))):
-        prod = 1.0
-        for i, j in matching:
-            prod *= float(xs[i] @ cov @ xs[j])
-        total += prod
-    return total
-
-
-def _gaussian_product_moment_grad(cov: np.ndarray, xs: list[np.ndarray],
-                                  k: int) -> np.ndarray:
-    """Gradient of the Isserlis moment with respect to x_k."""
-    r = len(xs)
-    grad = np.zeros_like(xs[k])
-    if r % 2 == 1:
-        return grad
-    for matching in _pairings(list(range(r))):
-        for i, j in matching:
-            if k not in (i, j):
-                continue
-            other = j if i == k else i
-            prod = 1.0
-            for a, b in matching:
-                if (a, b) != (i, j):
-                    prod *= float(xs[a] @ cov @ xs[b])
-            grad += prod * (cov @ xs[other])
-    return grad
 
 
 def _pairings(items: list[int]):
@@ -138,40 +114,44 @@ def empirical_sup_deviation(
     search: SearchConfig = SearchConfig(),
     rng: RngStream = RngStream(0),
 ) -> DeviationEstimate:
-    """Lower estimate of the supremum of the empirical (centered) product mean.
+    """Supremum over unit x_1..x_r of the empirical (centered) product mean.
 
     ``ref`` supplies the expectation terms for centered mode: a
-    :class:`CovarianceSpectrum` triggers the exact Gaussian closed form
+    :class:`CovarianceSpectrum` gives the exact Gaussian moment tensor
     (identity nonlinearities only), a :class:`SampleMatrix` of independent
     draws gives a Monte-Carlo reference, and ``None`` raises
-    :class:`RefUnavailable`.
+    :class:`RefUnavailable`.  Identity factors are exact at r = 2 and a
+    block-ascent lower estimate on the d**r deviation tensor at r >= 3;
+    nonlinear factors are a projected-ascent lower estimate (see the module
+    docstring).
     """
     if r < 2:
         raise ValueError("r must be >= 2")
     if len(fs) != r:
         raise ValueError("need one nonlinearity per factor")
+    if centered and not isinstance(ref, (CovarianceSpectrum, SampleMatrix)):
+        raise RefUnavailable("centered mode needs a reference source")
+    ref_rows = ref.rows if centered and isinstance(ref, SampleMatrix) else None
+    stderr = 0.0 if ref_rows is None else float(1.0 / math.sqrt(len(ref_rows)))
+    mode = "centered" if centered else "uncentered"
     A = samples.rows
     n, d = A.shape
-    sigma1 = None
 
-    exact_cov = None
-    ref_rows = None
-    if centered:
-        if isinstance(ref, CovarianceSpectrum):
-            if any(f.kind != "identity" for f in fs):
-                raise RefUnavailable(
-                    "closed-form reference requires identity nonlinearities; "
-                    "pass an independent SampleMatrix instead"
-                )
-            exact_cov = ref.covariance()
-            sigma1 = float(ref.sigmas[0])
-        elif isinstance(ref, SampleMatrix):
-            ref_rows = ref.rows
-        else:
-            raise RefUnavailable("centered mode needs a reference source")
-    if sigma1 is None:
-        sigma1 = math.sqrt(max(float(np.mean(A**2) * d), 1e-30))
+    if all(f.kind == "identity" for f in fs):
+        dev = _deviation_tensor(A, r, ref if centered else None)
+        value = tensor_opnorm(dev, restarts=search.restarts, iters=search.iters, rng=rng)
+        return DeviationEstimate(
+            value=value, mode=mode, n=n, d=d, order=r, seed=samples.seed,
+            search={"restarts": search.restarts, "iters": search.iters},
+            stderr=stderr,
+        )
+    if centered and ref_rows is None:
+        raise RefUnavailable(
+            "closed-form reference requires identity nonlinearities; "
+            "pass an independent SampleMatrix instead"
+        )
 
+    sigma1 = math.sqrt(max(float(np.mean(A**2) * d), 1e-30))
     step = search.step if search.step is not None else 0.1 / sigma1**r
     gen = rng.generator()
     R = search.restarts
@@ -193,13 +173,7 @@ def empirical_sup_deviation(
             others = np.prod(np.delete(F, k, axis=1), axis=1)  # (n, R)
             w = others * Fp[:, k, :]
             grads[:, k, :] = (A.T @ w).T / n
-        if exact_cov is not None:
-            for j in range(R):
-                xs = [X[j, k] for k in range(r)]
-                vals[j] -= _gaussian_product_moment(exact_cov, xs)
-                for k in range(r):
-                    grads[j, k] -= _gaussian_product_moment_grad(exact_cov, xs, k)
-        elif ref_rows is not None:
+        if ref_rows is not None:
             Uref = np.einsum("nd,krd->nkr", ref_rows, np.swapaxes(X, 0, 1))
             Fref = np.empty_like(Uref)
             Fpref = np.empty_like(Uref)
@@ -214,39 +188,21 @@ def empirical_sup_deviation(
                 grads[:, k, :] -= (ref_rows.T @ w).T / len(ref_rows)
         return vals, grads
 
-    # With identity factors the objective is multilinear, so maximizing
-    # over one block at a time has the closed form x_k = g_k / ||g_k||
-    # (block value equals ||g_k||); cycling blocks is the multilinear
-    # analogue of power iteration and converges far faster than fixed
-    # gradient steps.  Nonlinear factors fall back to projected ascent.
-    multilinear = all(f.kind == "identity" for f in fs)
     vals, _ = value_and_grads(X)
     best = float(vals.max())
     for _ in range(search.iters):
-        if multilinear:
-            for k in range(r):
-                _, grads = value_and_grads(X)
-                g = grads[:, k, :]
-                norms = np.linalg.norm(g, axis=1, keepdims=True)
-                X[:, k, :] = np.where(norms > 1e-300, g / np.maximum(norms, 1e-300),
-                                      X[:, k, :])
-        else:
-            vals, grads = value_and_grads(X)
-            best = max(best, float(vals.max()))
-            X = X + step * grads
-            norms = np.linalg.norm(X, axis=2, keepdims=True)
-            X = np.where(norms > 1.0, X / norms, X)
+        vals, grads = value_and_grads(X)
+        best = max(best, float(vals.max()))
+        X = X + step * grads
+        norms = np.linalg.norm(X, axis=2, keepdims=True)
+        X = np.where(norms > 1.0, X / norms, X)
     vals, _ = value_and_grads(X)
     best = max(best, float(vals.max()))
 
     if centered:
         best = max(best, 0.0)
-    stderr = 0.0
-    if ref_rows is not None:
-        stderr = float(1.0 / math.sqrt(len(ref_rows)))
     return DeviationEstimate(
-        value=best, mode="centered" if centered else "uncentered",
-        n=n, d=d, order=r, seed=samples.seed,
+        value=best, mode=mode, n=n, d=d, order=r, seed=samples.seed,
         search={"restarts": search.restarts, "iters": search.iters, "step": step},
         stderr=stderr,
     )
@@ -256,67 +212,109 @@ def net_sup_deviation(samples: SampleMatrix, fs, r, centered, ref,
                       net: np.ndarray) -> float:
     """Brute-force supremum over all r-tuples of net points (oracle, d <= 3)."""
     A = samples.rows
-    U = A @ net.T  # (n, N)
-    F = [f(U) for f in fs]
-    exact_cov = None
+    F = [f(A @ net.T) for f in fs]  # (n, N) each
+    ref_mean = None  # reference expectation at every r-tuple of net points
     Fref = None
     if centered:
         if isinstance(ref, CovarianceSpectrum):
-            exact_cov = ref.covariance()
+            ref_mean = gaussian_moment_tensor(ref, r)
+            for _ in range(r):
+                ref_mean = np.tensordot(ref_mean, net, axes=([0], [1]))
         elif isinstance(ref, SampleMatrix):
-            Ur = ref.rows @ net.T
-            Fref = [f(Ur) for f in fs]
+            Fref = [f(ref.rows @ net.T) for f in fs]
         else:
             raise RefUnavailable("centered net oracle needs a reference")
     best = -np.inf
     N = net.shape[0]
-    for combo in itertools.product(range(N), repeat=r):
-        val = float(np.mean(np.prod([F[k][:, c] for k, c in enumerate(combo)], axis=0)))
-        if exact_cov is not None:
-            val -= _gaussian_product_moment(exact_cov, [net[c] for c in combo])
+    # The last factor is vectorized: one (n,) @ (n, N) product per head tuple.
+    for head in itertools.product(range(N), repeat=r - 1):
+        w = np.prod([F[k][:, c] for k, c in enumerate(head)], axis=0)
+        vals = w @ F[-1] / len(A)
+        if ref_mean is not None:
+            vals = vals - ref_mean[head]
         elif Fref is not None:
-            val -= float(np.mean(np.prod([Fref[k][:, c] for k, c in enumerate(combo)], axis=0)))
-        best = max(best, val)
+            wref = np.prod([Fref[k][:, c] for k, c in enumerate(head)], axis=0)
+            vals = vals - wref @ Fref[-1] / len(Fref[-1])
+        best = max(best, float(vals.max()))
     if centered:
         best = max(best, 0.0)
     return best
 
 
-def _empirical_mean_tensor(A: np.ndarray, p: int, chunk: int = 100_000):
-    """Mean and entrywise MC variance of a_i^{⊗p}, accumulated in chunks."""
+# Dense d**p tensors are capped at 2**25 float64 entries (256 MiB each).
+_MAX_TENSOR_ENTRIES = 2**25
+# Rows per chunk of the moment engine keep each Khatri-Rao block near 2**20 entries.
+_CHUNK_ENTRIES = 2**20
+
+
+def _check_tensor_size(d: int, p: int) -> None:
+    if d**p > _MAX_TENSOR_ENTRIES:
+        raise DimTooLarge(
+            f"an order-{p} tensor in dimension {d} has {d**p} entries, "
+            f"above the dense limit of {_MAX_TENSOR_ENTRIES}"
+        )
+
+
+def _khatri_rao_power(B: np.ndarray, m: int) -> np.ndarray:
+    """Row-wise m-fold Kronecker power: row i is b_i^{⊗m} flattened, (rows, d**m)."""
+    out = B
+    for _ in range(m - 1):
+        out = (out[:, :, None] * B[:, None, :]).reshape(len(B), -1)
+    return out
+
+
+def _moment_tensor(A: np.ndarray, p: int) -> np.ndarray:
+    """E_n[a^{⊗p}] as (a^{⊗ceil(p/2)})^T (a^{⊗floor(p/2)}) / n.
+
+    One matmul per row chunk; no (n, d**p) block is ever formed.
+    """
     n, d = A.shape
-    shape = (d,) * p
-    mean = np.zeros(shape)
-    meansq = np.zeros(shape)
-    letters = "abcdefgh"[:p]
-    spec = ",".join(f"n{c}" for c in letters) + "->n" + letters
+    _check_tensor_size(d, p)
+    hi, lo = (p + 1) // 2, p // 2
+    chunk = max(1, _CHUNK_ENTRIES // d**hi)
+    out = np.zeros((d**hi, d**lo))
     for i in range(0, n, chunk):
         block = A[i:i + chunk]
-        outer = np.einsum(spec, *([block] * p), optimize=True)
-        mean += outer.sum(axis=0)
-        meansq += (outer**2).sum(axis=0)
-    mean /= n
-    meansq /= n
-    var = np.maximum(meansq - mean**2, 0.0)
+        out += _khatri_rao_power(block, hi).T @ _khatri_rao_power(block, lo)
+    return (out / n).reshape((d,) * p)
+
+
+def _empirical_mean_tensor(A: np.ndarray, p: int):
+    """Mean and entrywise MC variance of a_i^{⊗p}; (a^{⊗p})**2 is (a**2)^{⊗p}."""
+    mean = _moment_tensor(A, p)
+    var = np.maximum(_moment_tensor(A**2, p) - mean**2, 0.0)
     return mean, var
 
 
 def gaussian_moment_tensor(s: CovarianceSpectrum, p: int) -> np.ndarray:
-    """Exact E[a^{⊗p}] for a ~ N(0, Sigma): Sigma, 0, or the Wick pairing sum."""
-    cov = s.covariance()
+    """Exact E[a^{⊗p}] for a ~ N(0, Sigma): zero for odd p, else the Wick sum
+    over all pairings of the p axes of products of Sigma entries."""
     d = s.dim
-    if p == 2:
-        return cov
-    if p == 3:
-        return np.zeros((d, d, d))
-    if p == 4:
-        t = (
-            np.einsum("ij,kl->ijkl", cov, cov)
-            + np.einsum("ik,jl->ijkl", cov, cov)
-            + np.einsum("il,jk->ijkl", cov, cov)
-        )
-        return t
-    raise UnsupportedOrder(f"exact Gaussian mean implemented for p <= 4, got {p}")
+    _check_tensor_size(d, p)
+    out = np.zeros((d,) * p)
+    if p % 2:
+        return out
+    cov = s.covariance()
+    for pairing in _pairings(list(range(p))):
+        operands = []
+        for i, j in pairing:
+            operands += [cov, [i, j]]
+        out += np.einsum(*operands, list(range(p)))
+    return out
+
+
+def _deviation_tensor(A: np.ndarray, p: int, ref) -> np.ndarray:
+    """E_n[a^{⊗p}] minus the reference mean tensor.
+
+    ``ref`` is a :class:`CovarianceSpectrum` (exact Gaussian moments), a
+    :class:`SampleMatrix` (its empirical moments) or ``None`` (no centering).
+    """
+    dev = _moment_tensor(A, p)
+    if isinstance(ref, CovarianceSpectrum):
+        dev -= gaussian_moment_tensor(ref, p)
+    elif isinstance(ref, SampleMatrix):
+        dev -= _moment_tensor(ref.rows, p)
+    return dev
 
 
 def tensor_deviation(
@@ -327,26 +325,23 @@ def tensor_deviation(
     search: SearchConfig = SearchConfig(restarts=16, iters=200),
     rng: RngStream = RngStream(0),
 ) -> DeviationEstimate:
-    """||T - E T||_op estimate for the empirical rank-one tensor mean.
+    """||T - E T||_op for the empirical rank-one tensor mean T = E_n[a^{⊗p}].
 
-    ``mean="exact"`` uses the Gaussian moment formulas (requires
+    ``mean="exact"`` uses the Gaussian moment tensor (requires
     ``spectrum``); a :class:`SampleMatrix` uses an independent MC mean.
+    Exact at p = 2, a block-ascent lower estimate at p >= 3.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
-    A = samples.rows
-    emp, _ = _empirical_mean_tensor(A, p)
     if isinstance(mean, SampleMatrix):
-        ref_mean, _ = _empirical_mean_tensor(mean.rows, p)
+        ref = mean
     elif mean == "exact":
         if spectrum is None:
             raise RefUnavailable("exact mean requires the sampling spectrum")
-        if p > 4:
-            raise UnsupportedOrder(f"exact Gaussian mean implemented for p <= 4, got {p}")
-        ref_mean = gaussian_moment_tensor(spectrum, p)
+        ref = spectrum
     else:
         raise RefUnavailable(f"unknown mean source {mean!r}")
-    dev = sym_tensor(emp - ref_mean)
+    dev = _deviation_tensor(samples.rows, p, ref)
     value = tensor_opnorm(dev, restarts=search.restarts, iters=search.iters, rng=rng)
     return DeviationEstimate(
         value=value, mode="tensor", n=samples.n, d=samples.d, order=p,

@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import DimTooLarge
 from .rng import RngStream
 from .spectrum import CovarianceSpectrum, effective_dimension
-
-
-class DimTooLarge(Exception):
-    """Constructive covering is capped at d <= 5."""
 
 
 class CoverTooLarge(Exception):
@@ -107,8 +104,9 @@ def eps_entropy_bound(s: CovarianceSpectrum, eps: float, r: int = 1,
     """Entropy bound for covering the unit sphere in the Sigma-metric.
 
     Returns the minimum of the exact per-axis sum form and the closed-form
-    d_eff(r) bound, each plus the shared c-bracket.  Also asserts the
-    companion inequality m_eps <= 1 + (d_eff(r) - 1) * eps^{-2/r}.
+    d_eff(r) bound, each plus the shared c-bracket.  Also checks the
+    companion inequality m_eps <= 1 + (d_eff(r) - 1) * eps^{-2/r} and raises
+    ArithmeticError if it fails.
     """
     if not (0 < eps <= 1):
         raise ValueError("eps must lie in (0, 1]")
@@ -117,7 +115,9 @@ def eps_entropy_bound(s: CovarianceSpectrum, eps: float, r: int = 1,
     d = s.dim
     me = m_eps(s, eps)
     deff = effective_dimension(s, r)
-    assert me <= 1 + (deff - 1) * eps ** (-2.0 / r) + 1e-9, "m_eps inequality violated"
+    cap = 1 + (deff - 1) * eps ** (-2.0 / r)
+    if not me <= cap + 1e-9:
+        raise ArithmeticError(f"m_eps inequality violated: {me} > {cap}")
     ln_inv_eps = math.log(1.0 / eps)
     ln_d = math.log(d)
     bracket = ln_d + math.sqrt(max(ln_inv_eps, 0.0) * ln_d * me)

@@ -305,8 +305,9 @@ class GradientServer:
 
     Each call to :meth:`full_gradient` is one communication round: every
     worker returns the gradient of its shard at the broadcast point and
-    the server averages them.  Results match the monolithic gradient
-    exactly regardless of the number of workers.
+    the server averages them.  Results match the monolithic gradient up
+    to floating-point summation order, which depends on the number of
+    workers, so callers that must be reproducible keep it fixed.
     """
 
     def __init__(self, problem: ErmProblem, workers: int = 1):
@@ -385,7 +386,6 @@ def precond_bgd(
     iters: int = 50,
     f_star: float | None = None,
     gap_tol: float | None = None,
-    workers: int = 1,
 ) -> PrecondRun:
     """Bregman proximal gradient descent x_{t+1} = argmin <grad F(x_t), x>
     + (1/eta) D_phi(x, x_t), inner problems solved by damped Newton.
@@ -394,7 +394,7 @@ def precond_bgd(
     early when f_star and gap_tol are given and the gap falls below tol.
     """
     x = np.zeros(problem.d) if x0 is None else np.asarray(x0, dtype=float).copy()
-    server = GradientServer(problem, workers)
+    server = GradientServer(problem)
     xs = [x.copy()]
     values = [problem.value(x)]
     gaps = [] if f_star is None else [values[0] - f_star]
@@ -423,13 +423,12 @@ def vanilla_gd(
     iters: int = 10_000,
     f_star: float | None = None,
     gap_tol: float | None = None,
-    workers: int = 1,
 ) -> PrecondRun:
     """Plain gradient descent with step 1/L, same round accounting."""
     x = np.zeros(problem.d) if x0 is None else np.asarray(x0, dtype=float).copy()
     if step is None:
         step = 1.0 / problem.smoothness()
-    server = GradientServer(problem, workers)
+    server = GradientServer(problem)
     xs = [x.copy()]
     values = [problem.value(x)]
     gaps = [] if f_star is None else [values[0] - f_star]

@@ -114,12 +114,15 @@ def test_smooth_deterministic_across_jobs(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+PRECOND_CFG = {
+    "spectrum": {"kind": "power_law", "d": 6, "sigma1": 1.0, "alpha": 1.0},
+    "n": 200, "loss": "logistic", "lam": 0.01,
+    "iters": 50, "probes": 10, "gap_tol": 1e-6,
+}
+
+
 def test_precondition_summary(tmp_path):
-    cfg = write_config(tmp_path, "c.json", {
-        "spectrum": {"kind": "power_law", "d": 6, "sigma1": 1.0, "alpha": 1.0},
-        "n": 200, "loss": "logistic", "lam": 0.01,
-        "iters": 50, "probes": 10, "gap_tol": 1e-6,
-    })
+    cfg = write_config(tmp_path, "c.json", PRECOND_CFG)
     out = tmp_path / "o"
     assert main(["precondition", "--config", cfg, "--out", str(out),
                  "--seed", "4"]) == 0
@@ -128,3 +131,14 @@ def test_precondition_summary(tmp_path):
     assert summary["sigma_rel"] >= 1.0 / summary["kappa"] - 1e-9
     assert summary["reached_precond"]
     assert summary["rounds_precond"] < summary["rounds_gd"]
+
+
+def test_precondition_deterministic_across_jobs(tmp_path):
+    cfg = write_config(tmp_path, "c.json", PRECOND_CFG)
+    blobs = []
+    for name, jobs in [("a", "1"), ("b", "2")]:
+        out = tmp_path / name
+        assert main(["precondition", "--config", cfg, "--out", str(out),
+                     "--seed", "4", "--jobs", jobs]) == 0
+        blobs.append((out / "precondition.csv").read_bytes())
+    assert blobs[0] == blobs[1]

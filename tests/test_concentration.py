@@ -6,7 +6,6 @@ from effdim.concentration import (
     Nonlinearity,
     RefUnavailable,
     SearchConfig,
-    UnsupportedOrder,
     bound_curve,
     empirical_sup_deviation,
     gaussian_moment_tensor,
@@ -15,12 +14,12 @@ from effdim.concentration import (
     scaling_experiment,
     tensor_deviation,
     tightness_probe,
-    _gaussian_product_moment,
     _loglog_slope,
 )
-from effdim.linalg import sphere_net
+from effdim.linalg import DimTooLarge, sphere_net
 from effdim.rng import RngStream
-from effdim.spectrum import SampleMatrix, make_spectrum, sample_gaussian
+from effdim.spectrum import CovarianceSpectrum, SampleMatrix, make_spectrum, \
+    sample_gaussian
 
 
 SP5 = make_spectrum("isotropic", d=5, sigma1=1.0)
@@ -37,7 +36,8 @@ def test_nonlinearities_are_lipschitz_and_zero_at_zero():
 
 
 def test_isserlis_moment_matches_wick_by_hand():
-    cov = np.diag([4.0, 1.0])
+    sp = make_spectrum("custom", values=[2.0, 1.0])
+    cov = sp.covariance()
     x = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
          np.array([1.0, 1.0]), np.array([1.0, -1.0])]
     # E[(a x1)(a x2)(a x3)(a x4)] = s12 s34 + s13 s24 + s14 s23
@@ -45,8 +45,9 @@ def test_isserlis_moment_matches_wick_by_hand():
         return u @ cov @ v
     expected = s(x[0], x[1]) * s(x[2], x[3]) + s(x[0], x[2]) * s(x[1], x[3]) \
         + s(x[0], x[3]) * s(x[1], x[2])
-    assert _gaussian_product_moment(cov, x) == pytest.approx(expected, abs=1e-14)
-    assert _gaussian_product_moment(cov, x[:3]) == 0.0
+    moment = np.einsum("ijkl,i,j,k,l->", gaussian_moment_tensor(sp, 4), *x)
+    assert moment == pytest.approx(expected, abs=1e-14)
+    assert np.einsum("ijk,i,j,k->", gaussian_moment_tensor(sp, 3), *x[:3]) == 0.0
 
 
 def test_centered_r2_matches_operator_norm():
@@ -112,8 +113,50 @@ def test_gaussian_moment_tensor_values():
     t4 = gaussian_moment_tensor(sp, 4)
     assert t4[0, 0, 0, 0] == pytest.approx(3 * cov[0, 0] ** 2)
     assert t4[0, 0, 1, 1] == pytest.approx(cov[0, 0] * cov[1, 1])
-    with pytest.raises(UnsupportedOrder):
-        gaussian_moment_tensor(sp, 5)
+    t5 = gaussian_moment_tensor(sp, 5)
+    assert t5.shape == (2,) * 5 and not np.any(t5)
+
+
+def test_gaussian_moment_tensor_order6_wick_sum():
+    # A rotated basis makes Sigma non-diagonal, so every Wick term counts.
+    c, s_ = np.cos(0.3), np.sin(0.3)
+    sp = CovarianceSpectrum(np.array([2.0, 0.5]), np.array([[c, -s_], [s_, c]]))
+    S = sp.covariance()
+    t6 = gaussian_moment_tensor(sp, 6)
+    # diagonal: E[(a_i)^6] = 15 Sigma_ii^3, i.e. 15 sigma^6 for the marginal
+    for i in range(2):
+        assert t6[(i,) * 6] == pytest.approx(15 * S[i, i] ** 3, rel=1e-13)
+    diag = gaussian_moment_tensor(make_spectrum("custom", values=[2.0, 1.0]), 6)
+    assert diag[(0,) * 6] == pytest.approx(15 * 2.0**6, rel=1e-14)
+    # E[a0^5 a1]: a1 pairs with one of five a0 (5 ways), the rest in 3 ways
+    assert t6[0, 0, 0, 0, 0, 1] == pytest.approx(15 * S[0, 0] ** 2 * S[0, 1], rel=1e-13)
+    # E[a0^3 a1^3]: 3! all-cross pairings, or 3 x 3 with one same-index pair each
+    assert t6[0, 0, 0, 1, 1, 1] == pytest.approx(
+        6 * S[0, 1] ** 3 + 9 * S[0, 0] * S[1, 1] * S[0, 1], rel=1e-13)
+    # E[a0^2 a1^4] = Sigma_00 * 3 Sigma_11^2 + 8 pairings with two cross terms
+    assert t6[0, 1, 1, 0, 1, 1] == pytest.approx(
+        3 * S[0, 0] * S[1, 1] ** 2 + 12 * S[0, 1] ** 2 * S[1, 1], rel=1e-13)
+
+
+@pytest.mark.parametrize("r,res", [(3, 0.1), (4, 0.15)])
+def test_identity_block_ascent_agrees_with_net_oracle(r, res):
+    sp = make_spectrum("custom", values=[1.5, 0.5])
+    sm = sample_gaussian(sp, 100, RngStream(14))
+    oracle = net_sup_deviation(sm, identity_fs(r), r, True, sp, sphere_net(2, res))
+    est = empirical_sup_deviation(sm, identity_fs(r), r, centered=True, ref=sp,
+                                  search=SearchConfig(restarts=8, iters=50),
+                                  rng=RngStream(15))
+    # The multilinear form moves by at most ||D|| * sum_k ||x_k - y_k||, so
+    # the net value is within a factor (1 - r * res) of the supremum.
+    assert oracle - 1e-12 <= est.value <= oracle / (1 - r * res)
+
+
+def test_moment_tensor_dimension_limit():
+    sm = SampleMatrix(np.ones((3, 2)))
+    with pytest.raises(DimTooLarge):  # 2**26 entries
+        empirical_sup_deviation(sm, identity_fs(26), 26, centered=False)
+    with pytest.raises(DimTooLarge):
+        gaussian_moment_tensor(make_spectrum("isotropic", d=2, sigma1=1.0), 26)
 
 
 def test_tensor_deviation_p2_matches_matrix_route():

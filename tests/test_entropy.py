@@ -66,6 +66,16 @@ def test_eps_entropy_bound_monotone_and_meps_inequality():
             assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
+def test_eps_entropy_bound_raises_when_meps_inequality_fails(monkeypatch):
+    # The inequality is a theorem; force a failure by under-reporting d_eff.
+    import effdim.entropy
+
+    monkeypatch.setattr(effdim.entropy, "effective_dimension", lambda s, r: 1.0)
+    s = make_spectrum("custom", values=[2.0, 1.0, 0.5])
+    with pytest.raises(ArithmeticError):
+        eps_entropy_bound(s, 0.1)
+
+
 def test_eps_entropy_bound_warns_at_dim_one():
     s = make_spectrum("isotropic", d=1, sigma1=1.0)
     with pytest.warns(UserWarning):
@@ -111,6 +121,9 @@ def test_build_cover_validity_and_negative_control():
 
 
 def test_build_cover_dim_cap():
+    import effdim.linalg
+
+    assert DimTooLarge is effdim.linalg.DimTooLarge  # one declared-limit class
     with pytest.raises(DimTooLarge):
         build_cover(EllipsoidAxes(np.ones(6)), 0.5, RngStream(0))
 

@@ -105,6 +105,15 @@ def test_tensor_opnorm_order3_against_fine_net():
     assert got <= oracle * 1.05 + 0.1
 
 
+def test_tensor_opnorm_non_decreasing_in_iters():
+    gen = RngStream(17).generator()
+    for shape in ((4, 4, 4), (3, 3, 3, 3)):
+        t = sym_tensor(gen.standard_normal(shape))
+        vals = [tensor_opnorm(t, restarts=3, iters=k, rng=RngStream(4))
+                for k in range(25)]
+        assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
 def test_tensor_opnorm_zero_tensor():
     assert tensor_opnorm(np.zeros((3, 3, 3))) == 0.0
 
