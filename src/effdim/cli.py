@@ -7,7 +7,8 @@ through counter-based streams keyed by the master seed, and results are
 reduced in a canonical order, so outputs are byte-identical for any
 ``--jobs`` value.
 
-Exit codes: 0 success, 2 invalid config, 3 runtime failure.
+Exit codes: 0 success, 2 invalid config, 3 declared computational limit
+(``DECLARED_LIMITS``), 1 any other error, with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -26,11 +28,13 @@ import jsonschema
 
 from . import __version__
 from ._parallel import parallel_map
-from .entropy import EllipsoidAxes, build_cover, eps_entropy_bound, kb_mb, \
-    m_eps, verify_cover
+from .entropy import BallCover, CoverTooLarge, EllipsoidAxes, \
+    TruncationInsufficient, build_cover, eps_entropy_bound, kb_mb, m_eps, \
+    verify_cover
 from .concentration import Nonlinearity, SearchConfig, scaling_experiment
-from .precond import ErmProblem, Loss, Preconditioner, precond_bgd, \
-    relative_condition, solve_erm, tune_mu, vanilla_gd
+from .linalg import DimTooLarge, NonConvergence
+from .precond import ErmProblem, InnerSolveFailure, Loss, Preconditioner, \
+    SingularPhi, precond_bgd, relative_condition, solve_erm, tune_mu, vanilla_gd
 from .rng import RngStream
 from .smoothing import SmoothingConfig, iters_to_gap, rs_optimize
 from .spectrum import CovarianceSpectrum, effective_dimension, make_spectrum, \
@@ -39,6 +43,12 @@ from .spectrum import CovarianceSpectrum, effective_dimension, make_spectrum, \
 
 class ConfigInvalid(Exception):
     pass
+
+
+# Limits the library declares and raises on purpose (exit 3); any other
+# exception escaping a runner is a bug (exit 1).
+DECLARED_LIMITS = (DimTooLarge, CoverTooLarge, TruncationInsufficient,
+                   InnerSolveFailure, SingularPhi, NonConvergence)
 
 
 _SPECTRUM_SCHEMA = {
@@ -225,7 +235,7 @@ def run_cover(config, seed, jobs, out: Path):
     axes = EllipsoidAxes(np.asarray(config["axes"], dtype=float))
     eps = config["eps"]
     root = RngStream(seed)
-    cover = build_cover(axes, eps, root.child(0))
+    cover = build_cover(axes, eps)
     report = verify_cover(cover, axes, config["n_samples"], root.child(1))
     rows = [{
         "seed": seed, "trial": 0, "size": cover.size,
@@ -239,7 +249,6 @@ def run_cover(config, seed, jobs, out: Path):
         # control removes a contiguous extreme region instead.
         keep = max(1, int(round(cover.size * (1.0 - frac))))
         order = np.argsort(cover.centers[:, 0])[:keep]
-        from .entropy import BallCover
         damaged = BallCover(eps, cover.centers[np.sort(order)], cover.grid_spacing)
         bad = verify_cover(damaged, axes, config["n_samples"], root.child(1))
         rows.append({
@@ -469,9 +478,12 @@ def main(argv=None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # runtime failure: report and signal via exit code
+    except DECLARED_LIMITS as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        traceback.print_exc()
+        return 1
     print(json.dumps({"out": str(out), "summary": summary}, sort_keys=True))
     return 0
 

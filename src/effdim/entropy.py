@@ -200,15 +200,13 @@ def infinite_ellipsoid_stats(b_seq, truncation: int,
     return kb, mb, Mb
 
 
-def build_cover(e: EllipsoidAxes, eps: float, rng: RngStream = RngStream(0),
-                max_cells: int = 10**7) -> BallCover:
+def build_cover(e: EllipsoidAxes, eps: float, max_cells: int = 10**7) -> BallCover:
     """Constructive eps-cover of the ellipsoid by an axis-aligned grid.
 
     Grid spacing eps/sqrt(d); a center is kept iff its grid cell intersects
     the ellipsoid (separable exact test), so every ellipsoid point is within
     half a cell diagonal (= eps/2) of a kept center.  The cover property is
-    guaranteed by this geometry; ``rng`` is accepted for interface parity
-    and unused.
+    guaranteed by this geometry; nothing is random.
     """
     if e.dim > 5:
         raise DimTooLarge(f"build_cover supports d <= 5, got {e.dim}")
@@ -232,39 +230,32 @@ def build_cover(e: EllipsoidAxes, eps: float, rng: RngStream = RngStream(0),
 
 
 def sample_ellipsoid(e: EllipsoidAxes, n: int, rng: RngStream) -> np.ndarray:
-    """Uniform samples from the ellipsoid.
+    """Uniform samples from the ellipsoid, shape ``(n, d)``.
 
-    Rejection from the bounding box; falls back to the normalized-Gaussian
-    radial method when box acceptance is below 1e-4.
+    Exact radial law at every d: a uniform direction z/||z|| from a standard
+    Gaussian z, a radius u^{1/d} from a uniform u, then scaled by the axes.
+    Draws n*d normals and n uniforms from ``rng.generator()``.
     """
     if n < 1:
         raise ValueError("n_samples must be >= 1")
     gen = rng.generator()
-    d = e.dim
-    out = np.empty((n, d))
-    got = 0
-    attempts = 0
-    max_attempts = max(int(n / 1e-4), 10 * n)
-    while got < n and attempts < max_attempts:
-        want = min(max(4 * (n - got), 1024), 1 << 20)
-        cand = gen.uniform(-1.0, 1.0, size=(want, d)) * e.b
-        ok = cand[np.sum((cand / e.b) ** 2, axis=1) <= 1.0]
-        take = min(len(ok), n - got)
-        out[got:got + take] = ok[:take]
-        got += take
-        attempts += want
-    if got < n:
-        # Gaussian direction + radial u^{1/d} law, then scale by the axes.
-        z = gen.standard_normal((n - got, d))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        radii = gen.uniform(size=(n - got, 1)) ** (1.0 / d)
-        out[got:] = z * radii * e.b
-    return out
+    z = gen.standard_normal((n, e.dim))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    radii = gen.uniform(size=(n, 1)) ** (1.0 / e.dim)
+    return z * radii * e.b
 
 
 def verify_cover(cover: BallCover, e: EllipsoidAxes, n_samples: int,
                  rng: RngStream) -> dict:
-    """Sample ellipsoid points; report nearest-center distance violations."""
+    """Check the cover on ``n_samples`` uniform points of the ellipsoid.
+
+    The points are ``sample_ellipsoid(e, n_samples, rng)``.  Each point's
+    exact Euclidean distance to its nearest center comes from a k-d tree
+    query over the centers.  Returns ``violations``, the number of points
+    farther than ``cover.epsilon`` from every center, and ``max_dist``, the
+    largest nearest-center distance; an empty cover gives ``n_samples`` and
+    ``inf``.  A Monte-Carlo check: zero violations does not prove the cover.
+    """
     pts = sample_ellipsoid(e, n_samples, rng)
     if len(cover.centers) == 0:
         return {"violations": n_samples, "max_dist": float("inf")}

@@ -1,14 +1,13 @@
 """Dense symmetric linear algebra and tensor operations.
 
 Matrices are plain float64 numpy arrays, symmetrized on construction via
-:func:`sym_matrix`.  Symmetric tensors of order p are dense ``dim**p``
-arrays, symmetrized over all index permutations by :func:`sym_tensor`.
-All functions here are pure; nothing is mutated in place.
+:func:`sym_matrix`.  Tensors of order p are dense ``dim**p`` arrays; their
+operator norm is :func:`tensor_opnorm`.  All functions here are pure;
+nothing is mutated in place.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -35,29 +34,6 @@ def sym_matrix(entries) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return 0.5 * (m + m.T)
-
-
-def sym_tensor(entries, order: int | None = None) -> np.ndarray:
-    """Symmetrize a dense tensor over all index permutations."""
-    t = np.asarray(entries, dtype=float)
-    p = t.ndim if order is None else order
-    if t.ndim != p or p < 2:
-        raise ValueError(f"expected an order-{p} tensor, got shape {t.shape}")
-    if len(set(t.shape)) != 1:
-        raise ValueError(f"tensor axes must share one dimension, got {t.shape}")
-    out = np.zeros_like(t)
-    for perm in itertools.permutations(range(p)):
-        out += np.transpose(t, perm)
-    return out / math.factorial(p)
-
-
-def rank1_tensor(v: np.ndarray, order: int) -> np.ndarray:
-    """v^{⊗p} as a dense array."""
-    v = np.asarray(v, dtype=float)
-    out = v
-    for _ in range(order - 1):
-        out = np.multiply.outer(out, v)
-    return out
 
 
 def sym_eigh(m: np.ndarray, tol: float = 1e-12):
@@ -105,14 +81,6 @@ def psd_pinv(m: np.ndarray, rank_tol: float = 1e-12) -> np.ndarray:
     cutoff = rank_tol * max(w[0], 0.0)
     inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
     return sym_matrix((v * inv) @ v.T)
-
-
-def tensor_apply(t: np.ndarray, x: np.ndarray) -> float:
-    """<t, x^{⊗p}> for a single vector x."""
-    out = t
-    for _ in range(t.ndim):
-        out = out @ x
-    return float(out)
 
 
 def _contract_all_but(t: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:

@@ -118,7 +118,7 @@ def test_criterion_3_cover_validity():
     t0 = time.time()
     axes = EllipsoidAxes(np.array([4.0, 2.0, 0.5]))
     root = RngStream(303)
-    cover = build_cover(axes, 1.0, root.child(0))
+    cover = build_cover(axes, 1.0)
     rep = verify_cover(cover, axes, 100_000, root.child(1))
     volumetric = sum(math.log(b) for b in (4.0, 2.0) )  # ln(b_i/eps), b_i > eps
     ok = rep["violations"] == 0

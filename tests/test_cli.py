@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import effdim.cli
 from effdim.cli import main
 
 
@@ -54,6 +58,27 @@ def test_runtime_failure_exits_3(tmp_path):
     assert main(["cover", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--validate-only"]) == 0
     assert main(["cover", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_unexpected_error_exits_1_with_traceback(tmp_path, monkeypatch, capsys):
+    def broken(config, seed, jobs, out):
+        raise TypeError("bug in a runner")
+
+    monkeypatch.setitem(effdim.cli.RUNNERS, "effdim", broken)
+    cfg = write_config(tmp_path, "c.json", EFFDIM_CFG)
+    assert main(["effdim", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "TypeError: bug in a runner" in err
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # scipy.spatial costs every CLI start-up about 0.3 s; only cover needs it.
+    code = "import sys, effdim.cli; print('scipy.spatial' in sys.modules)"
+    src = str(Path(effdim.cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "False"
 
 
 def test_seed_env_override(tmp_path, monkeypatch):

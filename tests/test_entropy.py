@@ -107,7 +107,7 @@ def test_infinite_ellipsoid_examples():
 def test_build_cover_validity_and_negative_control():
     axes = EllipsoidAxes(np.array([4.0, 2.0, 0.5]))
     root = RngStream(17)
-    cover = build_cover(axes, 1.0, root.child(0))
+    cover = build_cover(axes, 1.0)
     report = verify_cover(cover, axes, 20_000, root.child(1))
     assert report["violations"] == 0
     assert report["max_dist"] <= 1.0
@@ -125,7 +125,7 @@ def test_build_cover_dim_cap():
 
     assert DimTooLarge is effdim.linalg.DimTooLarge  # one declared-limit class
     with pytest.raises(DimTooLarge):
-        build_cover(EllipsoidAxes(np.ones(6)), 0.5, RngStream(0))
+        build_cover(EllipsoidAxes(np.ones(6)), 0.5)
 
 
 def test_sample_ellipsoid_inside():
@@ -134,3 +134,44 @@ def test_sample_ellipsoid_inside():
     q = np.sum((pts / axes.b) ** 2, axis=1)
     assert np.all(q <= 1.0 + 1e-9)
     assert q.max() > 0.5  # actually fills the body, not just the middle
+
+
+def nearest_center_oracle(pts, centers):
+    """min_j ||p - c_j|| by direct differences, one point at a time."""
+    return np.array([np.sqrt(((centers - p) ** 2).sum(axis=1)).min() for p in pts])
+
+
+def test_verify_cover_matches_brute_force_oracle():
+    axes = EllipsoidAxes(np.array([4.0, 2.0, 0.5]))
+    cover = build_cover(axes, 1.0)
+    keep = np.sort(np.argsort(cover.centers[:, 0])[: int(cover.size * 0.9)])
+    damaged = BallCover(1.0, cover.centers[keep], cover.grid_spacing)
+    for c in (cover, damaged):
+        report = verify_cover(c, axes, 3000, RngStream(41))
+        nearest = nearest_center_oracle(sample_ellipsoid(axes, 3000, RngStream(41)),
+                                        c.centers)
+        assert report["violations"] == int(np.sum(nearest > c.epsilon))
+        assert abs(report["max_dist"] - nearest.max()) <= 1e-12
+    assert report["violations"] > 0  # the damaged cover is caught
+
+
+def test_verify_cover_empty_cover_fails_every_point():
+    axes = EllipsoidAxes(np.array([2.0, 1.0]))
+    empty = BallCover(0.5, np.empty((0, 2)), 0.5)
+    assert verify_cover(empty, axes, 100, RngStream(3)) == {
+        "violations": 100, "max_dist": float("inf")}
+
+
+def test_sample_ellipsoid_radial_law():
+    # Uniform in the ellipsoid iff q = p / b is uniform in the unit ball:
+    # P(||q|| <= t) = t^d, and at d = 3 each coordinate of the direction
+    # q / ||q|| is uniform on [-1, 1] (Archimedes).
+    d, n = 3, 20_000
+    axes = EllipsoidAxes(np.array([3.0, 1.0, 0.2]))
+    q = sample_ellipsoid(axes, n, RngStream(29)) / axes.b
+    radius = np.linalg.norm(q, axis=1)
+    direction = q / radius[:, None]
+    for t in (0.3, 0.5, 0.7, 0.9):
+        for hits, p in ((radius <= t, t**d), (direction[:, 0] <= t, (1.0 + t) / 2.0)):
+            stderr = math.sqrt(p * (1.0 - p) / n)
+            assert abs(np.mean(hits) - p) <= 4.0 * stderr

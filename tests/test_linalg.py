@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,15 +9,34 @@ from effdim.linalg import (
     NotPsd,
     psd_pinv,
     psd_sqrt,
-    rank1_tensor,
     sphere_net,
     sym_eigh,
     sym_matrix,
-    sym_tensor,
-    tensor_apply,
     tensor_opnorm,
 )
 from effdim.rng import RngStream
+
+
+def sym_tensor(t: np.ndarray) -> np.ndarray:
+    """Symmetrize a dense tensor over all index permutations."""
+    perms = itertools.permutations(range(t.ndim))
+    return sum(np.transpose(t, perm) for perm in perms) / math.factorial(t.ndim)
+
+
+def rank1_tensor(v: np.ndarray, order: int) -> np.ndarray:
+    """v^{⊗p} as a dense array."""
+    out = v
+    for _ in range(order - 1):
+        out = np.multiply.outer(out, v)
+    return out
+
+
+def tensor_apply(t: np.ndarray, x: np.ndarray) -> float:
+    """<t, x^{⊗p}> for a single vector x."""
+    out = t
+    for _ in range(t.ndim):
+        out = out @ x
+    return float(out)
 
 
 def charpoly_roots(m):
