@@ -9,6 +9,7 @@ reduced in a canonical order, so outputs are byte-identical for any
 
 Exit codes: 0 success, 2 invalid config, 3 declared computational limit
 (``DECLARED_LIMITS``), 1 any other error, with its traceback on stderr.
+A failed run removes the output directory if it created it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import datetime
 import hashlib
 import json
 import os
+import shutil
 import sys
 import traceback
 from pathlib import Path
@@ -27,7 +29,6 @@ import numpy as np
 import jsonschema
 
 from . import __version__
-from ._parallel import parallel_map
 from .entropy import BallCover, CoverTooLarge, EllipsoidAxes, \
     TruncationInsufficient, build_cover, eps_entropy_bound, kb_mb, m_eps, \
     verify_cover
@@ -37,8 +38,8 @@ from .precond import ErmProblem, InnerSolveFailure, Loss, Preconditioner, \
     SingularPhi, precond_bgd, relative_condition, solve_erm, tune_mu, vanilla_gd
 from .rng import RngStream
 from .smoothing import SmoothingConfig, iters_to_gap, rs_optimize
-from .spectrum import CovarianceSpectrum, effective_dimension, make_spectrum, \
-    sample_gaussian
+from .spectrum import BadSpectrum, CovarianceSpectrum, effective_dimension, \
+    make_spectrum, sample_gaussian
 
 
 class ConfigInvalid(Exception):
@@ -163,10 +164,13 @@ SCHEMAS = {
 
 
 def _spectrum(cfg: dict) -> CovarianceSpectrum:
-    return make_spectrum(
-        cfg["kind"], d=cfg.get("d"), sigma1=cfg.get("sigma1", 1.0),
-        alpha=cfg.get("alpha"), values=cfg.get("values"),
-    )
+    try:
+        return make_spectrum(
+            cfg["kind"], d=cfg.get("d"), sigma1=cfg.get("sigma1", 1.0),
+            alpha=cfg.get("alpha"), values=cfg.get("values"),
+        )
+    except BadSpectrum as exc:
+        raise ConfigInvalid(f"spectrum: {exc}") from exc
 
 
 def _search(cfg: dict | None, **defaults) -> SearchConfig:
@@ -232,7 +236,10 @@ def run_entropy(config, seed, jobs, out: Path):
 
 
 def run_cover(config, seed, jobs, out: Path):
-    axes = EllipsoidAxes(np.asarray(config["axes"], dtype=float))
+    try:
+        axes = EllipsoidAxes(np.asarray(config["axes"], dtype=float))
+    except ValueError as exc:
+        raise ConfigInvalid(f"axes: {exc}") from exc
     eps = config["eps"]
     root = RngStream(seed)
     cover = build_cover(axes, eps)
@@ -269,6 +276,8 @@ def run_cover(config, seed, jobs, out: Path):
 
 def run_concentration(config, seed, jobs, out: Path):
     spectra = {sid: _spectrum(sc) for sid, sc in config["spectra"].items()}
+    if len({sp.dim for sp in spectra.values()}) != 1:
+        raise ConfigInvalid("paired trials require spectra of equal dimension")
     r = config["r"]
     fs = None
     if "fs" in config:
@@ -347,8 +356,8 @@ def run_precondition(config, seed, jobs, out: Path):
         "L_rel": cond["L_rel"], "sigma_rel": cond["sigma_rel"],
         "f_star": f_star, "gap_tol": gap_tol,
         "rounds_precond": run_p.rounds, "rounds_gd": run_g.rounds,
-        "reached_precond": bool(run_p.gaps and run_p.gaps[-1] <= gap_tol),
-        "reached_gd": bool(run_g.gaps and run_g.gaps[-1] <= gap_tol),
+        "reached_precond": run_p.gaps[-1] <= gap_tol,
+        "reached_gd": run_g.gaps[-1] <= gap_tol,
     }
     return summary, ["precondition.csv"]
 
@@ -386,8 +395,9 @@ def run_smooth(config, seed, jobs, out: Path):
             })
         return out_rows
 
-    chunks = parallel_map(run_trial, range(config["trials"]), jobs)
-    rows = [row for chunk in chunks for row in chunk]
+    # Trials run in order: each is a series of small numpy calls that hold
+    # the GIL, so worker threads would only add overhead.
+    rows = [row for trial in range(config["trials"]) for row in run_trial(trial)]
     rows.sort(key=lambda row: (row["trial"], row["direction"]))
     _write_csv(out / "smooth.csv",
                ["seed", "trial", "direction", "iters_to_tol", "final_gap"], rows)
@@ -458,6 +468,7 @@ def main(argv=None) -> int:
         return 0
 
     out = Path(args.out) if args.out else Path.cwd() / f"effdim-{args.subcommand}"
+    created = not out.exists()
     try:
         out.mkdir(parents=True, exist_ok=True)
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -477,15 +488,20 @@ def main(argv=None) -> int:
         _write_json(out / "manifest.json", manifest)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        code = 2
     except DECLARED_LIMITS as exc:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        code = 3
     except Exception:
         traceback.print_exc()
-        return 1
-    print(json.dumps({"out": str(out), "summary": summary}, sort_keys=True))
-    return 0
+        code = 1
+    else:
+        print(json.dumps({"out": str(out), "summary": summary}, sort_keys=True))
+        return 0
+    # A failed run leaves no directory behind that it created itself.
+    if created:
+        shutil.rmtree(out, ignore_errors=True)
+    return code
 
 
 if __name__ == "__main__":

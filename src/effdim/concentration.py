@@ -158,34 +158,29 @@ def empirical_sup_deviation(
     X = gen.standard_normal((R, r, d))
     X /= np.linalg.norm(X, axis=2, keepdims=True)
 
-    def value_and_grads(X):
-        # X: (R, r, d).  Returns values (R,) and grads (R, r, d).
-        U = np.einsum("nd,krd->nkr", A, np.swapaxes(X, 0, 1))  # (n, r, R)
+    def means_and_grads(rows, X):
+        # X: (R, r, d).  Returns the product means over rows (R,) and
+        # their gradients (R, r, d).
+        U = np.einsum("nd,krd->nkr", rows, np.swapaxes(X, 0, 1))  # (rows, r, R)
         F = np.empty_like(U)
         Fp = np.empty_like(U)
         for k, f in enumerate(fs):
             F[:, k, :] = f(U[:, k, :])
             Fp[:, k, :] = f.deriv(U[:, k, :])
-        P = np.prod(F, axis=1)  # (n, R)
-        vals = P.mean(axis=0)
+        means = np.prod(F, axis=1).mean(axis=0)
         grads = np.empty((R, r, d))
         for k in range(r):
-            others = np.prod(np.delete(F, k, axis=1), axis=1)  # (n, R)
+            others = np.prod(np.delete(F, k, axis=1), axis=1)  # (rows, R)
             w = others * Fp[:, k, :]
-            grads[:, k, :] = (A.T @ w).T / n
+            grads[:, k, :] = (rows.T @ w).T / len(rows)
+        return means, grads
+
+    def value_and_grads(X):
+        vals, grads = means_and_grads(A, X)
         if ref_rows is not None:
-            Uref = np.einsum("nd,krd->nkr", ref_rows, np.swapaxes(X, 0, 1))
-            Fref = np.empty_like(Uref)
-            Fpref = np.empty_like(Uref)
-            for k, f in enumerate(fs):
-                Fref[:, k, :] = f(Uref[:, k, :])
-                Fpref[:, k, :] = f.deriv(Uref[:, k, :])
-            Pref = np.prod(Fref, axis=1)
-            vals -= Pref.mean(axis=0)
-            for k in range(r):
-                others = np.prod(np.delete(Fref, k, axis=1), axis=1)
-                w = others * Fpref[:, k, :]
-                grads[:, k, :] -= (ref_rows.T @ w).T / len(ref_rows)
+            ref_vals, ref_grads = means_and_grads(ref_rows, X)
+            vals -= ref_vals
+            grads -= ref_grads
         return vals, grads
 
     vals, _ = value_and_grads(X)
@@ -241,6 +236,8 @@ def net_sup_deviation(samples: SampleMatrix, fs, r, centered, ref,
     return best
 
 
+# Rows of the Monte-Carlo reference drawn per trial for nonlinear factors.
+_MC_REF_ROWS = 10**6
 # Dense d**p tensors are capped at 2**25 float64 entries (256 MiB each).
 _MAX_TENSOR_ENTRIES = 2**25
 # Rows per chunk of the moment engine keep each Khatri-Rao block near 2**20 entries.
@@ -401,7 +398,6 @@ def scaling_experiment(
     centered: bool = True,
     search: SearchConfig = SearchConfig(restarts=8, iters=100),
     rng: RngStream = RngStream(0),
-    mc_ref: int = 0,
     jobs: int = 1,
 ) -> dict:
     """Deviation estimates over an n grid, with log-log slope fits.
@@ -441,7 +437,7 @@ def scaling_experiment(
             samples = SampleMatrix(scaled, seed=(stream.master_seed, stream.stream_id))
             ref = sp if all(f.kind == "identity" for f in fs) else None
             if centered and ref is None:
-                ref = sample_gaussian(sp, max(mc_ref, 10**6), stream.child(0))
+                ref = sample_gaussian(sp, _MC_REF_ROWS, stream.child(0))
             est = empirical_sup_deviation(
                 samples, fs, r, centered=centered, ref=ref,
                 search=search, rng=stream.child(1),

@@ -7,12 +7,17 @@ Hessian deviation between the two samples is at most mu, F is 1-smooth
 and (1 + 2 mu / lambda)^{-1}-strongly convex relative to phi, so Bregman
 proximal gradient steps contract the optimality gap by that relative
 condition number per communication round.
+
+The data are never split: each outer iteration of :func:`precond_bgd` or
+:func:`vanilla_gd` needs exactly one full gradient of F, which in the
+distributed setting is one communication round, so the number of rounds
+is the number of outer iterations (:attr:`PrecondRun.rounds`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -188,10 +193,9 @@ def relative_condition(problem: ErmProblem, phi, probes) -> dict:
         HF = problem.hessian(x)
         HP = phi.hessian(x)
         try:
-            np.linalg.cholesky(HP)
-        except np.linalg.LinAlgError:
-            raise SingularPhi("preconditioner Hessian not positive definite")
-        eig = scipy.linalg.eigh(HF, HP, eigvals_only=True)
+            eig = scipy.linalg.eigh(HF, HP, eigvals_only=True)
+        except scipy.linalg.LinAlgError as exc:
+            raise SingularPhi("preconditioner Hessian not positive definite") from exc
         L_vals.append(float(eig[-1]))
         s_vals.append(float(eig[0]))
     return {
@@ -207,7 +211,6 @@ def hessian_deviation_sup(
     radius: float = 1.0,
     restarts: int = 16,
     iters: int = 100,
-    step: float | None = None,
     rng: RngStream = RngStream(0),
     inits: np.ndarray | None = None,
 ) -> float:
@@ -217,6 +220,7 @@ def hessian_deviation_sup(
     direction at x uses the top eigenvector v of the deviation matrix,
     since d/dx v^T (H_a - H_b)(x) v has the closed form
     (1/n) sum_i loss'''(a_i^T x)(v^T a_i)^2 a_i (minus the same for b).
+    The ascent step is 0.5 * radius.
 
     ``inits`` adds explicit starting points (each inside the radius ball)
     to the random restarts; the returned value then dominates the
@@ -252,9 +256,9 @@ def hessian_deviation_sup(
                 raise ValueError("init point outside the search ball")
             starts.append(x.copy())
 
+    lr = 0.5 * radius
     best = 0.0
     for x in starts:
-        lr = step if step is not None else 0.5 * radius
         for _ in range(iters):
             M = dev_matrix(x)
             lam, v, sign = top_pair(M)
@@ -300,35 +304,6 @@ def tune_mu(problem: ErmProblem, aux: ErmProblem, method: str = "measured",
     raise ValueError(f"unknown method {method!r}")
 
 
-class GradientServer:
-    """In-process server/worker split of a dataset for round counting.
-
-    Each call to :meth:`full_gradient` is one communication round: every
-    worker returns the gradient of its shard at the broadcast point and
-    the server averages them.  Results match the monolithic gradient up
-    to floating-point summation order, which depends on the number of
-    workers, so callers that must be reproducible keep it fixed.
-    """
-
-    def __init__(self, problem: ErmProblem, workers: int = 1):
-        if workers < 1:
-            raise ValueError("need at least one worker")
-        self.problem = problem
-        idx = np.array_split(np.arange(problem.n), min(workers, problem.n))
-        self.shards = [
-            (problem.A[ix], problem.b[ix]) for ix in idx if len(ix) > 0
-        ]
-        self.rounds = 0
-
-    def full_gradient(self, x: np.ndarray) -> np.ndarray:
-        self.rounds += 1
-        total = np.zeros_like(x)
-        for A, b in self.shards:
-            z = A @ x
-            total += A.T @ self.problem.loss.deriv(z, b)
-        return self.problem.lam * x + total / self.problem.n
-
-
 def newton_minimize(value, grad, hess, x0: np.ndarray, tol: float = 1e-12,
                     max_iter: int = 100) -> np.ndarray:
     """Damped Newton with Cholesky solves and backtracking line search."""
@@ -343,8 +318,6 @@ def newton_minimize(value, grad, hess, x0: np.ndarray, tol: float = 1e-12,
             c, low = scipy.linalg.cho_factor(H)
             step = scipy.linalg.cho_solve((c, low), g)
         except np.linalg.LinAlgError as exc:
-            raise InnerSolveFailure("Hessian factorization failed") from exc
-        except scipy.linalg.LinAlgError as exc:
             raise InnerSolveFailure("Hessian factorization failed") from exc
         t = 1.0
         f0 = value(x)
@@ -372,72 +345,47 @@ def solve_erm(problem: ErmProblem, x0=None, tol: float = 1e-13) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrecondRun:
-    xs: np.ndarray  # (T+1, d) iterates
-    values: list[float]
-    rounds: int
-    gaps: list[float] = field(default_factory=list)
+    gaps: list[float]  # F(x_t) - F* for t = 0..T
+
+    @property
+    def rounds(self) -> int:
+        """Gradient communication rounds: one per outer iteration."""
+        return len(self.gaps) - 1
 
 
-def precond_bgd(
-    problem: ErmProblem,
-    phi: Preconditioner,
-    x0: np.ndarray | None = None,
-    eta: float = 1.0,
-    iters: int = 50,
-    f_star: float | None = None,
-    gap_tol: float | None = None,
-) -> PrecondRun:
-    """Bregman proximal gradient descent x_{t+1} = argmin <grad F(x_t), x>
-    + (1/eta) D_phi(x, x_t), inner problems solved by damped Newton.
-
-    One outer iteration costs one gradient communication round.  Stops
-    early when f_star and gap_tol are given and the gap falls below tol.
-    """
-    x = np.zeros(problem.d) if x0 is None else np.asarray(x0, dtype=float).copy()
-    server = GradientServer(problem)
-    xs = [x.copy()]
-    values = [problem.value(x)]
-    gaps = [] if f_star is None else [values[0] - f_star]
+def _descend(problem: ErmProblem, step, iters: int, f_star: float,
+             gap_tol: float) -> PrecondRun:
+    """x_{t+1} = step(x_t, grad F(x_t)) from x_0 = 0, stopping once the gap
+    F(x_t) - f_star is at most gap_tol or after iters steps."""
+    x = np.zeros(problem.d)
+    gaps = [problem.value(x) - f_star]
     for _ in range(iters):
-        g = server.full_gradient(x)
-        shift = g - phi.grad(x) / eta
-        x = newton_minimize(
-            lambda y: float(shift @ y) + phi.value(y) / eta,
-            lambda y: shift + phi.grad(y) / eta,
-            lambda y: phi.hessian(y) / eta,
+        x = step(x, problem.grad(x))
+        gaps.append(problem.value(x) - f_star)
+        if gaps[-1] <= gap_tol:
+            break
+    return PrecondRun(gaps)
+
+
+def precond_bgd(problem: ErmProblem, phi: Preconditioner, f_star: float,
+                gap_tol: float, iters: int = 50) -> PrecondRun:
+    """Bregman proximal gradient descent x_{t+1} = argmin <grad F(x_t), x>
+    + D_phi(x, x_t), inner problems solved by damped Newton."""
+
+    def step(x, g):
+        shift = g - phi.grad(x)
+        return newton_minimize(
+            lambda y: float(shift @ y) + phi.value(y),
+            lambda y: shift + phi.grad(y),
+            phi.hessian,
             x,
         )
-        xs.append(x.copy())
-        values.append(problem.value(x))
-        if f_star is not None:
-            gaps.append(values[-1] - f_star)
-            if gap_tol is not None and gaps[-1] <= gap_tol:
-                break
-    return PrecondRun(np.array(xs), values, server.rounds, gaps)
+
+    return _descend(problem, step, iters, f_star, gap_tol)
 
 
-def vanilla_gd(
-    problem: ErmProblem,
-    x0: np.ndarray | None = None,
-    step: float | None = None,
-    iters: int = 10_000,
-    f_star: float | None = None,
-    gap_tol: float | None = None,
-) -> PrecondRun:
+def vanilla_gd(problem: ErmProblem, f_star: float, gap_tol: float,
+               iters: int = 10_000) -> PrecondRun:
     """Plain gradient descent with step 1/L, same round accounting."""
-    x = np.zeros(problem.d) if x0 is None else np.asarray(x0, dtype=float).copy()
-    if step is None:
-        step = 1.0 / problem.smoothness()
-    server = GradientServer(problem)
-    xs = [x.copy()]
-    values = [problem.value(x)]
-    gaps = [] if f_star is None else [values[0] - f_star]
-    for _ in range(iters):
-        x = x - step * server.full_gradient(x)
-        xs.append(x.copy())
-        values.append(problem.value(x))
-        if f_star is not None:
-            gaps.append(values[-1] - f_star)
-            if gap_tol is not None and gaps[-1] <= gap_tol:
-                break
-    return PrecondRun(np.array(xs), values, server.rounds, gaps)
+    lr = 1.0 / problem.smoothness()
+    return _descend(problem, lambda x, g: x - lr * g, iters, f_star, gap_tol)

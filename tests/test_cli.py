@@ -42,6 +42,18 @@ def test_validate_only_writes_nothing(tmp_path):
     assert not out.exists()
 
 
+# Each passes the schema; the library rejects it while building inputs.
+LIBRARY_REJECTED = [
+    ("effdim", {"spectrum": {"kind": "power_law", "d": 5}, "r_values": [1]}),
+    ("effdim", {"spectrum": {"kind": "custom", "values": [1.0, 2.0]},
+                "r_values": [1]}),
+    ("cover", {"axes": [1.0, 2.0], "eps": 0.5, "n_samples": 10}),
+    ("concentration", {"spectra": {"a": {"kind": "isotropic", "d": 2},
+                                   "b": {"kind": "isotropic", "d": 3}},
+                       "n_grid": [8], "trials": 30, "r": 2}),
+]
+
+
 def test_invalid_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"r_values": [1]})
     assert main(["effdim", "--config", cfg]) == 2
@@ -49,6 +61,16 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                         {"spectrum": {"kind": "bogus"}, "r_values": [1]})
     assert main(["effdim", "--config", cfg2]) == 2
     assert main(["effdim", "--config", str(tmp_path / "missing.json")]) == 2
+    for k, (subcommand, config) in enumerate(LIBRARY_REJECTED):
+        cfg = write_config(tmp_path, f"lib{k}.json", config)
+        out = tmp_path / f"o{k}"
+        assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
+    # a directory that existed before the failed run is left as it was
+    (out / "keep").mkdir(parents=True)
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert (out / "keep").is_dir()
 
 
 def test_runtime_failure_exits_3(tmp_path):
@@ -58,6 +80,7 @@ def test_runtime_failure_exits_3(tmp_path):
     assert main(["cover", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--validate-only"]) == 0
     assert main(["cover", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()
 
 
 def test_unexpected_error_exits_1_with_traceback(tmp_path, monkeypatch, capsys):
@@ -67,6 +90,7 @@ def test_unexpected_error_exits_1_with_traceback(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(effdim.cli.RUNNERS, "effdim", broken)
     cfg = write_config(tmp_path, "c.json", EFFDIM_CFG)
     assert main(["effdim", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
     err = capsys.readouterr().err
     assert "Traceback" in err and "TypeError: bug in a runner" in err
 

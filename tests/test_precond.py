@@ -3,7 +3,6 @@ import pytest
 
 from effdim.precond import (
     ErmProblem,
-    GradientServer,
     InnerSolveFailure,
     Loss,
     Preconditioner,
@@ -99,11 +98,15 @@ def test_relative_condition_rejects_indefinite_phi():
     p = _small_problem("logistic")
 
     class Bad:
-        def hessian(self, x):
-            return np.diag([1.0] * (p.d - 1) + [-1.0])
+        def __init__(self, last):
+            self.last = last
 
-    with pytest.raises(SingularPhi):
-        relative_condition(p, Bad(), [np.zeros(p.d)])
+        def hessian(self, x):
+            return np.diag([1.0] * (p.d - 1) + [self.last])
+
+    for last in (-1.0, 0.0):  # indefinite, singular
+        with pytest.raises(SingularPhi):
+            relative_condition(p, Bad(last), [np.zeros(p.d)])
 
 
 def test_bregman_divergence_properties():
@@ -179,13 +182,37 @@ def test_tune_mu_dispatch():
         tune_mu(pa, pb, method="other")
 
 
-def test_gradient_server_invariant_to_worker_count():
-    p = _small_problem("logistic")
-    x = RngStream(9).generator().standard_normal(p.d)
-    g1 = GradientServer(p, 1).full_gradient(x)
-    g5 = GradientServer(p, 5).full_gradient(x)
-    np.testing.assert_allclose(g1, g5, atol=1e-14)
-    np.testing.assert_allclose(g1, p.grad(x), atol=1e-14)
+class _CountingGrad:
+    """Forwards to an ErmProblem and counts its full-gradient calls."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.grad_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.problem, name)
+
+    def grad(self, x):
+        self.grad_calls += 1
+        return self.problem.grad(x)
+
+
+def test_rounds_count_full_gradients():
+    p = _small_problem("logistic", lam=0.05)
+    aux = _small_problem("logistic", lam=0.05, seed=2)
+    f_star = p.value(solve_erm(p))
+    runs = [  # (optimizer, iteration cap, whether the gap is reached first)
+        (lambda q, cap: precond_bgd(q, Preconditioner(aux, 0.05), f_star=f_star,
+                                    gap_tol=1e-8, iters=cap), 100, True),
+        (lambda q, cap: vanilla_gd(q, f_star=f_star, gap_tol=1e-8, iters=cap),
+         7, False),
+    ]
+    for optimize, cap, reached in runs:
+        q = _CountingGrad(p)
+        run = optimize(q, cap)
+        assert run.rounds == q.grad_calls == len(run.gaps) - 1
+        assert (run.gaps[-1] <= 1e-8) is reached
+        assert (run.rounds < cap) is reached
 
 
 def test_precond_bgd_with_exact_phi_is_newton_fast():
