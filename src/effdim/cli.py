@@ -23,6 +23,7 @@ import os
 import shutil
 import sys
 import traceback
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -34,8 +35,9 @@ from .entropy import BallCover, CoverTooLarge, EllipsoidAxes, \
     verify_cover
 from .concentration import Nonlinearity, SearchConfig, scaling_experiment
 from .linalg import DimTooLarge, NonConvergence
-from .precond import ErmProblem, InnerSolveFailure, Loss, Preconditioner, \
-    SingularPhi, precond_bgd, relative_condition, solve_erm, tune_mu, vanilla_gd
+from .precond import ErmProblem, InnerSolveFailure, Loss, SingularPhi, \
+    hessian_deviation_sup, kappa_bound, mu_formula, precond_bgd, \
+    relative_condition, solve_erm, vanilla_gd
 from .rng import RngStream
 from .smoothing import SmoothingConfig, iters_to_gap, rs_optimize
 from .spectrum import BadSpectrum, CovarianceSpectrum, effective_dimension, \
@@ -281,7 +283,10 @@ def run_concentration(config, seed, jobs, out: Path):
     r = config["r"]
     fs = None
     if "fs" in config:
-        fs = [Nonlinearity(f["kind"], f.get("bound")) for f in config["fs"]]
+        try:
+            fs = [Nonlinearity(f["kind"], f.get("bound")) for f in config["fs"]]
+        except ValueError as exc:
+            raise ConfigInvalid(f"fs: {exc}") from exc
         if len(fs) != r:
             raise ConfigInvalid("fs must list one nonlinearity per factor")
     result = scaling_experiment(
@@ -332,11 +337,13 @@ def run_precondition(config, seed, jobs, out: Path):
     probes = probes_gen.standard_normal((n_probes, sp.dim))
     probes *= (probes_gen.uniform(0, 1, n_probes) ** (1.0 / sp.dim)
                / np.linalg.norm(probes, axis=1))[:, None]
-    # Seeding the deviation search with the probe points makes the
-    # measured mu dominate the deviation at every probe by construction.
-    mu = tune_mu(problem, aux, method=config.get("mu_method", "measured"),
-                 spectrum=sp, rng=root.child(3), inits=probes)
-    phi = Preconditioner(aux, mu)
+    if config.get("mu_method", "measured") == "measured":
+        # Seeding the deviation search with the probe points makes the
+        # measured mu dominate the deviation at every probe by construction.
+        mu = hessian_deviation_sup(problem, aux, rng=root.child(3), inits=probes)
+    else:
+        mu = mu_formula(sp, n, 0.05, 1.0, loss.hess_lipschitz)
+    phi = replace(aux, lam=aux.lam + mu)
     cond = relative_condition(problem, phi, probes)
     f_star = problem.value(solve_erm(problem))
     gap_tol = config.get("gap_tol", 1e-6)
@@ -352,7 +359,7 @@ def run_precondition(config, seed, jobs, out: Path):
     _write_csv(out / "precondition.csv",
                ["seed", "trial", "method", "iter", "gap"], rows)
     summary = {
-        "mu": mu, "kappa": phi.kappa,
+        "mu": mu, "kappa": kappa_bound(lam, mu),
         "L_rel": cond["L_rel"], "sigma_rel": cond["sigma_rel"],
         "f_star": f_star, "gap_tol": gap_tol,
         "rounds_precond": run_p.rounds, "rounds_gd": run_g.rounds,

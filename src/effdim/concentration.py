@@ -85,7 +85,7 @@ class SearchConfig:
 @dataclass(frozen=True)
 class DeviationEstimate:
     value: float
-    mode: str  # "centered" | "uncentered" | "tensor"
+    mode: str  # "centered" | "uncentered"
     n: int
     d: int
     order: int
@@ -312,39 +312,6 @@ def _deviation_tensor(A: np.ndarray, p: int, ref) -> np.ndarray:
     elif isinstance(ref, SampleMatrix):
         dev -= _moment_tensor(ref.rows, p)
     return dev
-
-
-def tensor_deviation(
-    samples: SampleMatrix,
-    p: int,
-    mean="exact",
-    spectrum: CovarianceSpectrum | None = None,
-    search: SearchConfig = SearchConfig(restarts=16, iters=200),
-    rng: RngStream = RngStream(0),
-) -> DeviationEstimate:
-    """||T - E T||_op for the empirical rank-one tensor mean T = E_n[a^{⊗p}].
-
-    ``mean="exact"`` uses the Gaussian moment tensor (requires
-    ``spectrum``); a :class:`SampleMatrix` uses an independent MC mean.
-    Exact at p = 2, a block-ascent lower estimate at p >= 3.
-    """
-    if p < 2:
-        raise ValueError("p must be >= 2")
-    if isinstance(mean, SampleMatrix):
-        ref = mean
-    elif mean == "exact":
-        if spectrum is None:
-            raise RefUnavailable("exact mean requires the sampling spectrum")
-        ref = spectrum
-    else:
-        raise RefUnavailable(f"unknown mean source {mean!r}")
-    dev = _deviation_tensor(samples.rows, p, ref)
-    value = tensor_opnorm(dev, restarts=search.restarts, iters=search.iters, rng=rng)
-    return DeviationEstimate(
-        value=value, mode="tensor", n=samples.n, d=samples.d, order=p,
-        seed=samples.seed,
-        search={"restarts": search.restarts, "iters": search.iters},
-    )
 
 
 def bound_curve(theorem, s: CovarianceSpectrum, n: int, r_or_p: int,

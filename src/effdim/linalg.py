@@ -1,9 +1,9 @@
 """Dense symmetric linear algebra and tensor operations.
 
-Matrices are plain float64 numpy arrays, symmetrized on construction via
-:func:`sym_matrix`.  Tensors of order p are dense ``dim**p`` arrays; their
-operator norm is :func:`tensor_opnorm`.  All functions here are pure;
-nothing is mutated in place.
+Matrices are plain float64 numpy arrays; :func:`sym_eigh` checks symmetry
+and verifies its decomposition.  Tensors of order p are dense ``dim**p``
+arrays; their operator norm is :func:`tensor_opnorm`.  All functions here
+are pure; nothing is mutated in place.
 """
 
 from __future__ import annotations
@@ -19,33 +19,22 @@ class NonConvergence(Exception):
     """Eigensolver failed to converge."""
 
 
-class NotPsd(Exception):
-    """Matrix has a significantly negative eigenvalue."""
-
-
 class DimTooLarge(Exception):
     """Declared computational limit: a dimension exceeds what is enumerated
     or stored densely (sphere nets, grid covers, d**p moment tensors)."""
 
 
-def sym_matrix(entries) -> np.ndarray:
-    """Return the symmetrized copy (m + m.T)/2 as float64."""
-    m = np.asarray(entries, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return 0.5 * (m + m.T)
+_EIGH_TOL = 1e-12
 
 
-def sym_eigh(m: np.ndarray, tol: float = 1e-12):
+def sym_eigh(m: np.ndarray):
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
     Returns ``(eigenvalues, eigenvectors)`` with orthonormal columns and
-    reconstruction error ``||m - V diag(w) V^T||_F <= tol * ||m||_F``.
+    reconstruction error ``||m - V diag(w) V^T||_F <= 1e-12 * ||m||_F``.
     Raises :class:`NonConvergence` if the LAPACK driver fails or the
     reconstruction check does not hold.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     m = np.asarray(m, dtype=float)
     if not np.allclose(m, m.T, atol=1e-12 * (1 + np.abs(m).max())):
         raise ValueError("matrix is not symmetric")
@@ -57,30 +46,9 @@ def sym_eigh(m: np.ndarray, tol: float = 1e-12):
     w, v = w[order], v[:, order]
     norm = np.linalg.norm(m)
     resid = np.linalg.norm(m - (v * w) @ v.T)
-    if norm > 0 and resid > tol * norm:
+    if norm > 0 and resid > _EIGH_TOL * norm:
         raise NonConvergence(f"reconstruction error {resid:.3e} exceeds tol")
     return w, v
-
-
-def psd_sqrt(m: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Symmetric PSD square root; small negative eigenvalues are clamped."""
-    w, v = sym_eigh(m)
-    opnorm = max(abs(w[0]), abs(w[-1]), 1.0)
-    if w[-1] < -tol * opnorm:
-        raise NotPsd(f"eigenvalue {w[-1]:.3e} below -tol*||m||_op")
-    w = np.clip(w, 0.0, None)
-    return sym_matrix((v * np.sqrt(w)) @ v.T)
-
-
-def psd_pinv(m: np.ndarray, rank_tol: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a symmetric PSD matrix.
-
-    Eigenvalues below ``rank_tol * sigma_max`` are treated as exact zeros.
-    """
-    w, v = sym_eigh(m)
-    cutoff = rank_tol * max(w[0], 0.0)
-    inv = np.where(w > cutoff, 1.0 / np.where(w > cutoff, w, 1.0), 0.0)
-    return sym_matrix((v * inv) @ v.T)
 
 
 def _contract_all_but(t: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:

@@ -1,12 +1,14 @@
 """Regularized ERM, Hessian-deviation measurement, and Bregman
 preconditioned gradient descent.
 
-The preconditioner phi is the same ERM objective evaluated on an
-auxiliary sample plus an extra mu/2 ||x||^2 term.  When the uniform
+The preconditioner phi is itself an :class:`ErmProblem`: the ERM
+objective on an auxiliary sample with regularization lambda + mu, built
+as ``dataclasses.replace(aux, lam=aux.lam + mu)``.  When the uniform
 Hessian deviation between the two samples is at most mu, F is 1-smooth
-and (1 + 2 mu / lambda)^{-1}-strongly convex relative to phi, so Bregman
-proximal gradient steps contract the optimality gap by that relative
-condition number per communication round.
+and (1 + 2 mu / lambda)^{-1}-strongly convex relative to phi
+(:func:`kappa_bound`), so Bregman proximal gradient steps contract the
+optimality gap by that relative condition number per communication
+round.
 
 The data are never split: each outer iteration of :func:`precond_bgd` or
 :func:`vanilla_gd` needs exactly one full gradient of F, which in the
@@ -28,7 +30,7 @@ from .spectrum import CovarianceSpectrum, effective_dimension
 
 
 class SingularPhi(Exception):
-    """Preconditioner Hessian is not positive definite at a probe point."""
+    """The Hessian of phi is not positive definite at a probe point."""
 
 
 class InnerSolveFailure(Exception):
@@ -131,9 +133,7 @@ class ErmProblem:
         return self.lam * x + self.A.T @ self.loss.deriv(z, self.b) / self.n
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        z = self.A @ x
-        w = self.loss.second(z, self.b)
-        return self.lam * np.eye(self.d) + (self.A.T * w) @ self.A / self.n
+        return self.lam * np.eye(self.d) + self.data_hessian(x)
 
     def data_hessian(self, x: np.ndarray) -> np.ndarray:
         """Hessian of the data term only (no lam/2 ||x||^2)."""
@@ -147,32 +147,11 @@ class ErmProblem:
         return self.lam + self.loss.second_max * opnorm**2 / self.n
 
 
-@dataclass(frozen=True)
-class Preconditioner:
-    """phi = ERM on an auxiliary sample plus an extra mu/2 ||x||^2."""
-
-    tilde: ErmProblem
-    mu: float
-
-    def __post_init__(self):
-        if self.mu < 0:
-            raise ValueError("mu must be nonnegative")
-
-    @property
-    def kappa(self) -> float:
-        """Relative condition bound 1 + 2 mu / lam."""
-        if self.tilde.lam <= 0:
-            raise SingularPhi("kappa bound requires lam > 0")
-        return 1.0 + 2.0 * self.mu / self.tilde.lam
-
-    def value(self, x: np.ndarray) -> float:
-        return self.tilde.value(x) + 0.5 * self.mu * float(x @ x)
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        return self.tilde.grad(x) + self.mu * x
-
-    def hessian(self, x: np.ndarray) -> np.ndarray:
-        return self.tilde.hessian(x) + self.mu * np.eye(self.tilde.d)
+def kappa_bound(lam: float, mu: float) -> float:
+    """Relative condition bound 1 + 2 mu / lam of F against phi."""
+    if lam <= 0:
+        raise SingularPhi("kappa bound requires lam > 0")
+    return 1.0 + 2.0 * mu / lam
 
 
 def bregman_div(phi, x: np.ndarray, y: np.ndarray) -> float:
@@ -274,9 +253,14 @@ def hessian_deviation_sup(
 
 
 def mu_formula(s: CovarianceSpectrum, n: int, delta: float,
-               radius: float, hess_lipschitz: float,
-               constant: float = 1.0) -> float:
-    """Printed high-probability bound on the uniform Hessian deviation."""
+               radius: float, hess_lipschitz: float) -> float:
+    """Printed high-probability bound on the uniform Hessian deviation.
+
+    It bounds only the x-dependent part of the deviation: it scales with
+    ``hess_lipschitz``, the largest |third derivative| of the loss, so it
+    is 0 for ridge, whose data Hessians do not depend on x but still
+    differ between two samples.
+    """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     sigma1 = float(s.sigmas[0])
@@ -287,29 +271,18 @@ def mu_formula(s: CovarianceSpectrum, n: int, delta: float,
     d3 = effective_dimension(s, 3)
     term1 = (d3 * ln_d + ln_inv) * math.sqrt(d1 + math.log(n / delta)) / n
     term2 = (math.sqrt(ln_inv) + math.sqrt(d1 * ln_d)) / math.sqrt(n)
-    return constant * radius * sigma1**3 * hess_lipschitz * (term1 + term2)
+    return radius * sigma1**3 * hess_lipschitz * (term1 + term2)
 
 
-def tune_mu(problem: ErmProblem, aux: ErmProblem, method: str = "measured",
-            spectrum: CovarianceSpectrum | None = None, delta: float = 0.05,
-            radius: float = 1.0, rng: RngStream = RngStream(0), **search) -> float:
-    """mu for the preconditioner: measured sup deviation or the printed bound."""
-    if method == "measured":
-        return hessian_deviation_sup(problem, aux, radius=radius, rng=rng, **search)
-    if method == "formula":
-        if spectrum is None:
-            raise ValueError("formula method requires the data spectrum")
-        return mu_formula(spectrum, problem.n, delta, radius,
-                          problem.loss.hess_lipschitz)
-    raise ValueError(f"unknown method {method!r}")
+_NEWTON_MAX_ITER = 100
 
 
-def newton_minimize(value, grad, hess, x0: np.ndarray, tol: float = 1e-12,
-                    max_iter: int = 100) -> np.ndarray:
+def newton_minimize(value, grad, hess, x0: np.ndarray,
+                    tol: float = 1e-12) -> np.ndarray:
     """Damped Newton with Cholesky solves and backtracking line search."""
     x = np.asarray(x0, dtype=float).copy()
     scale = max(abs(value(x)), 1.0)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         g = grad(x)
         if np.linalg.norm(g) <= tol * scale:
             return x
@@ -332,15 +305,15 @@ def newton_minimize(value, grad, hess, x0: np.ndarray, tol: float = 1e-12,
     g = grad(x)
     if np.linalg.norm(g) <= math.sqrt(tol) * scale:
         return x
-    raise InnerSolveFailure(f"no convergence in {max_iter} Newton steps")
+    raise InnerSolveFailure(f"no convergence in {_NEWTON_MAX_ITER} Newton steps")
 
 
-def solve_erm(problem: ErmProblem, x0=None, tol: float = 1e-13) -> np.ndarray:
+def solve_erm(problem: ErmProblem) -> np.ndarray:
     """High-accuracy minimizer of a smooth ERM problem (reference optimum)."""
     if problem.loss.kind == "hinge":
         raise ValueError("hinge objective is nonsmooth; no Newton reference")
-    x0 = np.zeros(problem.d) if x0 is None else x0
-    return newton_minimize(problem.value, problem.grad, problem.hessian, x0, tol=tol)
+    return newton_minimize(problem.value, problem.grad, problem.hessian,
+                           np.zeros(problem.d), tol=1e-13)
 
 
 @dataclass(frozen=True)
@@ -367,7 +340,7 @@ def _descend(problem: ErmProblem, step, iters: int, f_star: float,
     return PrecondRun(gaps)
 
 
-def precond_bgd(problem: ErmProblem, phi: Preconditioner, f_star: float,
+def precond_bgd(problem: ErmProblem, phi: ErmProblem, f_star: float,
                 gap_tol: float, iters: int = 50) -> PrecondRun:
     """Bregman proximal gradient descent x_{t+1} = argmin <grad F(x_t), x>
     + D_phi(x, x_t), inner problems solved by damped Newton."""

@@ -2,7 +2,10 @@
 dual-averaging optimizer driven by smoothed stochastic subgradients.
 
 f^gamma(x) = E f(x + gamma Z) with Z either standard normal (isotropic)
-or shaped by the square root of a covariance spectrum.  The optimizer
+or shaped by a covariance spectrum with basis B and standard deviations
+sigma: Z = B diag(sqrt(sigma)) G for standard normal G, so Cov Z =
+B diag(sigma) B^T = Sigma^{1/2}, the square root of the data covariance
+Sigma = B diag(sigma^2) B^T (see :func:`_draw_directions`).  The optimizer
 anneals the smoothing width along the usual accelerated theta sequence
 and keeps iterates in a Euclidean ball by radial projection.
 """
@@ -10,7 +13,7 @@ and keeps iterates in a Euclidean ball by radial projection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +28,8 @@ class SmoothingConfig:
     iters: int
     batch: int               # perturbed subgradients per step (m)
     u: float | None = None   # base smoothing width; None picks a default
-    direction: CovarianceSpectrum | None = None  # None = isotropic
-    lipschitz: float | None = None  # overall Lipschitz constant L, None = from data
+    # None = isotropic (Cov Z = I); a spectrum gives Cov Z = Sigma^{1/2}
+    direction: CovarianceSpectrum | None = None
 
     def __post_init__(self):
         if self.radius <= 0 or self.iters < 1 or self.batch < 1:
@@ -38,11 +41,7 @@ class SmoothingConfig:
 @dataclass(frozen=True)
 class SmoothingRun:
     xs: np.ndarray           # (T+1, d)
-    values: list[float]      # true objective at x_t
-    gaps: list[float]        # values minus the supplied reference optimum
-    thetas: list[float]
-    widths: list[float]
-    config: SmoothingConfig
+    gaps: list[float]        # true objective at x_t minus the reference optimum
 
 
 def theta_sequence(T: int) -> np.ndarray:
@@ -154,7 +153,6 @@ def _default_width(cfg: SmoothingConfig, problem: ErmProblem) -> float:
 def rs_optimize(problem: ErmProblem, cfg: SmoothingConfig,
                 rng: RngStream = RngStream(0),
                 f_star: float = 0.0,
-                x0: np.ndarray | None = None,
                 gap_tol: float | None = None) -> SmoothingRun:
     """Accelerated dual averaging on the annealed smoothed objective.
 
@@ -163,32 +161,28 @@ def rs_optimize(problem: ErmProblem, cfg: SmoothingConfig,
     weight 1/theta_t, z_{t+1} minimizes the accumulated linear model plus
     (L_{t+1} + eta_{t+1}/theta_{t+1})/2 ||x||^2 over the radius ball
     (closed form plus radial projection), and
-    x_{t+1} = (1 - theta_t) x_t + theta_t z_{t+1}.
+    x_{t+1} = (1 - theta_t) x_t + theta_t z_{t+1}, from x_0 = z_0 = 0.  L is
+    max_i ||a_i|| + lam * radius, the Lipschitz constant of the objective
+    on the ball.
     """
     d = problem.d
     T = cfg.iters
     m = cfg.batch
     R = cfg.radius
-    L = cfg.lipschitz
-    if L is None:
-        row_norms = np.linalg.norm(problem.A, axis=1)
-        L = float(row_norms.max()) + problem.lam * R
+    L = float(np.linalg.norm(problem.A, axis=1).max()) + problem.lam * R
     u = cfg.u if cfg.u is not None else _default_width(cfg, problem)
 
     # theta_T is needed for the final z-step coefficient.
     th = theta_sequence(T + 1)
-    x = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(d)
     z = x.copy()
     G = np.zeros(d)
 
     xs = [x.copy()]
-    values = [problem.value(x)]
-    gaps = [values[0] - f_star]
-    widths = []
+    gaps = [problem.value(x) - f_star]
     for t in range(T):
         theta = th[t]
         u_t = theta * u
-        widths.append(u_t)
         y = (1.0 - theta) * x + theta * z
         g = grad_estimator(problem, y, u_t, m, rng.child(t),
                            direction=cfg.direction)
@@ -203,12 +197,10 @@ def rs_optimize(problem: ErmProblem, cfg: SmoothingConfig,
             z *= R / nrm
         x = (1.0 - theta) * x + theta * z
         xs.append(x.copy())
-        values.append(problem.value(x))
-        gaps.append(values[-1] - f_star)
+        gaps.append(problem.value(x) - f_star)
         if gap_tol is not None and gaps[-1] <= gap_tol:
             break
-    return SmoothingRun(np.array(xs), values, gaps, list(th[:len(widths)]),
-                        widths, cfg)
+    return SmoothingRun(np.array(xs), gaps)
 
 
 def iters_to_gap(run: SmoothingRun, tol: float) -> int | None:

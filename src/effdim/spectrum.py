@@ -8,7 +8,6 @@ identity basis by default.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,18 +50,6 @@ class CovarianceSpectrum:
     def covariance(self) -> np.ndarray:
         b = np.eye(self.dim) if self.basis is None else self.basis
         return (b * self.sigmas**2) @ b.T
-
-    def to_json(self) -> str:
-        obj = {"sigmas": self.sigmas.tolist()}
-        if self.basis is not None:
-            obj["basis"] = self.basis.tolist()
-        return json.dumps(obj)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CovarianceSpectrum":
-        obj = json.loads(text)
-        basis = np.asarray(obj["basis"]) if obj.get("basis") is not None else None
-        return cls(np.asarray(obj["sigmas"]), basis)
 
 
 @dataclass(frozen=True)

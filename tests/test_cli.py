@@ -8,6 +8,8 @@ import pytest
 
 import effdim.cli
 from effdim.cli import main
+from effdim.precond import Loss, kappa_bound, mu_formula
+from effdim.spectrum import make_spectrum
 
 
 def write_config(tmp_path: Path, name: str, obj: dict) -> str:
@@ -51,6 +53,9 @@ LIBRARY_REJECTED = [
     ("concentration", {"spectra": {"a": {"kind": "isotropic", "d": 2},
                                    "b": {"kind": "isotropic", "d": 3}},
                        "n_grid": [8], "trials": 30, "r": 2}),
+    ("concentration", {"spectra": {"iso": {"kind": "isotropic", "d": 2}},
+                       "n_grid": [8], "trials": 30, "r": 2,
+                       "fs": [{"kind": "clip"}, {"kind": "clip"}]}),
 ]
 
 
@@ -180,6 +185,20 @@ def test_precondition_summary(tmp_path):
     assert summary["sigma_rel"] >= 1.0 / summary["kappa"] - 1e-9
     assert summary["reached_precond"]
     assert summary["rounds_precond"] < summary["rounds_gd"]
+
+
+def test_precondition_formula_mu(tmp_path):
+    config = dict(PRECOND_CFG, mu_method="formula", probes=3, gd_iters=100)
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    assert main(["precondition", "--config", cfg, "--out", str(out),
+                 "--seed", "4"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    sp = make_spectrum("power_law", d=6, sigma1=1.0, alpha=1.0)
+    mu = mu_formula(sp, 200, 0.05, 1.0, Loss("logistic").hess_lipschitz)
+    assert mu > 0
+    assert summary["mu"] == mu
+    assert summary["kappa"] == kappa_bound(0.01, mu)
 
 
 def test_precondition_deterministic_across_jobs(tmp_path):

@@ -12,7 +12,6 @@ from effdim.concentration import (
     identity_fs,
     net_sup_deviation,
     scaling_experiment,
-    tensor_deviation,
     tightness_probe,
     _loglog_slope,
 )
@@ -161,15 +160,10 @@ def test_moment_tensor_dimension_limit():
 
 def test_tensor_deviation_p2_matches_matrix_route():
     sm = sample_gaussian(SP5, 300, RngStream(31))
-    est = tensor_deviation(sm, 2, mean="exact", spectrum=SP5, rng=RngStream(32))
+    est = empirical_sup_deviation(sm, identity_fs(2), 2, centered=True, ref=SP5,
+                                  rng=RngStream(32))
     M = sm.rows.T @ sm.rows / sm.n - np.eye(5)
     assert est.value == pytest.approx(np.linalg.norm(M, 2), rel=1e-8)
-
-
-def test_tensor_deviation_requires_spectrum_for_exact():
-    sm = sample_gaussian(SP5, 50, RngStream(1))
-    with pytest.raises(RefUnavailable):
-        tensor_deviation(sm, 2, mean="exact")
 
 
 def test_bound_curves_positive_and_monotone_in_lambda():

@@ -1,20 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from effdim.precond import (
     ErmProblem,
     InnerSolveFailure,
     Loss,
-    Preconditioner,
     SingularPhi,
     bregman_div,
     hessian_deviation_sup,
+    kappa_bound,
     mu_formula,
     newton_minimize,
     precond_bgd,
     relative_condition,
     solve_erm,
-    tune_mu,
     vanilla_gd,
 )
 from effdim.rng import RngStream
@@ -80,7 +82,7 @@ def test_relative_condition_identity_and_scaling():
     p = _small_problem("logistic")
     probes = RngStream(7).generator().standard_normal((10, p.d)) * 0.5
 
-    phi_same = Preconditioner(p, mu=0.0)
+    phi_same = replace(p, lam=p.lam + 0.0)
     cond = relative_condition(p, phi_same, probes)
     assert cond["L_rel"] == pytest.approx(1.0, abs=1e-10)
     assert cond["sigma_rel"] == pytest.approx(1.0, abs=1e-10)
@@ -109,15 +111,20 @@ def test_relative_condition_rejects_indefinite_phi():
             relative_condition(p, Bad(last), [np.zeros(p.d)])
 
 
-def test_bregman_divergence_properties():
-    p = _small_problem("logistic")
-    phi = Preconditioner(p, mu=0.01)
-    gen = RngStream(8).generator()
-    for _ in range(10):
-        x, y = gen.standard_normal((2, p.d))
-        assert bregman_div(phi, x, y) >= -1e-12
-    x = gen.standard_normal(p.d)
-    assert bregman_div(phi, x, x) == pytest.approx(0.0, abs=1e-12)
+_POINT = st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6).map(np.array)
+_LOG_SCALE = st.floats(-4.0, 1.0).map(lambda e: 10.0**e)  # 1e-4 .. 10
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["logistic", "ridge"]), lam=_LOG_SCALE,
+       mu=st.just(0.0) | _LOG_SCALE, x=_POINT, y=_POINT)
+def test_bregman_divergence_properties(kind, lam, mu, x, y):
+    aux = _small_problem(kind, lam=lam)
+    phi = replace(aux, lam=aux.lam + mu)
+    scale = max(1.0, abs(phi.value(x)), abs(phi.value(y)),
+                abs(float(phi.grad(y) @ (x - y))))
+    assert bregman_div(phi, x, y) >= -1e-12 * scale
+    assert bregman_div(phi, x, x) == 0.0
 
 
 def test_newton_solves_quadratic_in_one_step():
@@ -170,18 +177,6 @@ def test_mu_formula_decreases_in_n():
     assert vals[0] > vals[1] > vals[2] > 0
 
 
-def test_tune_mu_dispatch():
-    pa = _small_problem("logistic", seed=2)
-    pb = _small_problem("logistic", seed=3)
-    sp = make_spectrum("power_law", d=pa.d, sigma1=1.0, alpha=0.5)
-    m1 = tune_mu(pa, pb, method="measured", rng=RngStream(1),
-                 restarts=2, iters=10)
-    m2 = tune_mu(pa, pb, method="formula", spectrum=sp)
-    assert m1 > 0 and m2 > 0
-    with pytest.raises(ValueError):
-        tune_mu(pa, pb, method="other")
-
-
 class _CountingGrad:
     """Forwards to an ErmProblem and counts its full-gradient calls."""
 
@@ -202,7 +197,7 @@ def test_rounds_count_full_gradients():
     aux = _small_problem("logistic", lam=0.05, seed=2)
     f_star = p.value(solve_erm(p))
     runs = [  # (optimizer, iteration cap, whether the gap is reached first)
-        (lambda q, cap: precond_bgd(q, Preconditioner(aux, 0.05), f_star=f_star,
+        (lambda q, cap: precond_bgd(q, replace(aux, lam=aux.lam + 0.05), f_star=f_star,
                                     gap_tol=1e-8, iters=cap), 100, True),
         (lambda q, cap: vanilla_gd(q, f_star=f_star, gap_tol=1e-8, iters=cap),
          7, False),
@@ -218,7 +213,7 @@ def test_rounds_count_full_gradients():
 def test_precond_bgd_with_exact_phi_is_newton_fast():
     p = _small_problem("logistic", lam=0.05)
     f_star = p.value(solve_erm(p))
-    phi = Preconditioner(p, mu=0.0)  # phi = F: one Bregman step solves it
+    phi = replace(p, lam=p.lam + 0.0)  # mu = 0, phi = F: one Bregman step solves it
     run = precond_bgd(p, phi, iters=5, f_star=f_star, gap_tol=1e-12)
     assert run.gaps[-1] <= 1e-12
     assert run.rounds <= 2
@@ -228,7 +223,7 @@ def test_precond_beats_vanilla_gd_in_rounds():
     p = _small_problem("logistic", n=400, d=8, lam=0.01, seed=12)
     aux = _small_problem("logistic", n=400, d=8, lam=0.01, seed=13)
     mu = hessian_deviation_sup(p, aux, restarts=4, iters=40, rng=RngStream(14))
-    phi = Preconditioner(aux, mu)
+    phi = replace(aux, lam=aux.lam + mu)
     f_star = p.value(solve_erm(p))
     run_p = precond_bgd(p, phi, iters=100, f_star=f_star, gap_tol=1e-8)
     run_g = vanilla_gd(p, iters=100_000, f_star=f_star, gap_tol=1e-8)
@@ -241,10 +236,10 @@ def test_gap_contracts_at_relative_condition_rate():
     p = _small_problem("logistic", n=400, d=8, lam=0.01, seed=12)
     aux = _small_problem("logistic", n=400, d=8, lam=0.01, seed=13)
     mu = hessian_deviation_sup(p, aux, restarts=4, iters=40, rng=RngStream(14))
-    phi = Preconditioner(aux, mu)
+    phi = replace(aux, lam=aux.lam + mu)
     f_star = p.value(solve_erm(p))
     run = precond_bgd(p, phi, iters=30, f_star=f_star, gap_tol=1e-11)
-    rate = 1.0 - 1.0 / phi.kappa
+    rate = 1.0 - 1.0 / kappa_bound(aux.lam, mu)
     for g0, g1 in zip(run.gaps, run.gaps[1:]):
         if g0 <= 1e-11:
             break

@@ -7,6 +7,7 @@ from effdim.precond import ErmProblem, Loss
 from effdim.rng import RngStream
 from effdim.smoothing import (
     SmoothingConfig,
+    _draw_directions,
     grad_estimator,
     iters_to_gap,
     rs_optimize,
@@ -14,7 +15,7 @@ from effdim.smoothing import (
     smoothing_bounds,
     theta_sequence,
 )
-from effdim.spectrum import make_spectrum, sample_gaussian
+from effdim.spectrum import CovarianceSpectrum, make_spectrum, sample_gaussian
 
 
 def test_theta_identity_and_envelope():
@@ -25,6 +26,23 @@ def test_theta_identity_and_envelope():
         assert lhs * th[t] ** 2 == pytest.approx(1.0, abs=1e-12)
         assert th[t + 1] <= 2.0 / (t + 2) + 1e-15
     assert np.all(np.diff(th) < 0)
+
+
+def test_shaped_directions_have_covariance_sqrt_sigma():
+    # sigmas are standard deviations, so Sigma = B diag(sigma^2) B^T and the
+    # shaped directions have covariance B diag(sigma) B^T = Sigma^{1/2}.
+    sigmas = np.array([2.0, 1.0, 0.5, 0.25])
+    q, _ = np.linalg.qr(RngStream(40).generator().standard_normal((4, 4)))
+    m = 200_000
+    for k, basis in enumerate((None, q)):
+        sp = CovarianceSpectrum(sigmas, basis=basis)
+        z = _draw_directions(RngStream(41 + k).generator(), m, 4, sp)
+        b = np.eye(4) if basis is None else basis
+        expected = (b * sigmas) @ b.T
+        # entrywise stderr of a zero-mean Gaussian sample covariance
+        diag = np.diag(expected)
+        se = np.sqrt((np.outer(diag, diag) + expected**2) / m)
+        assert np.all(np.abs(z.T @ z / m - expected) <= 5 * se)
 
 
 def test_smooth_value_folded_gaussian():

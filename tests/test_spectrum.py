@@ -59,15 +59,6 @@ def test_spectrum_validation():
         make_spectrum("nope", d=2)
 
 
-def test_json_roundtrip():
-    q, _ = np.linalg.qr(RngStream(2).generator().standard_normal((3, 3)))
-    s = CovarianceSpectrum(np.array([2.0, 1.0, 0.5]), basis=q)
-    s2 = CovarianceSpectrum.from_json(s.to_json())
-    np.testing.assert_allclose(s2.sigmas, s.sigmas)
-    np.testing.assert_allclose(s2.basis, s.basis)
-    np.testing.assert_allclose(s2.covariance(), s.covariance(), atol=1e-12)
-
-
 def test_sample_covariance_converges():
     s = make_spectrum("custom", values=[2.0, 1.0, 0.5])
     sm = sample_gaussian(s, 200_000, RngStream(5))
