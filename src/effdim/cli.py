@@ -342,7 +342,8 @@ def run_precondition(config, seed, jobs, out: Path):
         # measured mu dominate the deviation at every probe by construction.
         mu = hessian_deviation_sup(problem, aux, rng=root.child(3), inits=probes)
     else:
-        mu = mu_formula(sp, n, 0.05, 1.0, loss.hess_lipschitz)
+        mu = mu_formula(sp, n, n_aux, 0.05, 1.0, loss.hess_lipschitz,
+                        loss.second_max)
     phi = replace(aux, lam=aux.lam + mu)
     cond = relative_condition(problem, phi, probes)
     f_star = problem.value(solve_erm(problem))
@@ -452,7 +453,14 @@ def main(argv=None) -> int:
     try:
         with open(args.config) as fh:
             config = json.load(fh)
-        jsonschema.validate(config, SCHEMAS[args.subcommand])
+        # The schemas are constants, checked against the metaschema by the
+        # tests, so this skips the check that ``jsonschema.validate`` repeats
+        # on every call.  Draft 2020-12 is what ``validate`` picks for a
+        # schema without ``$schema``.
+        validator = jsonschema.Draft202012Validator(SCHEMAS[args.subcommand])
+        error = jsonschema.exceptions.best_match(validator.iter_errors(config))
+        if error is not None:
+            raise error
         seed = args.seed
         if seed is None:
             env = os.environ.get("EFFDIM_SEED")

@@ -22,7 +22,6 @@ dimension in the tests.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -203,39 +202,6 @@ def empirical_sup_deviation(
     )
 
 
-def net_sup_deviation(samples: SampleMatrix, fs, r, centered, ref,
-                      net: np.ndarray) -> float:
-    """Brute-force supremum over all r-tuples of net points (oracle, d <= 3)."""
-    A = samples.rows
-    F = [f(A @ net.T) for f in fs]  # (n, N) each
-    ref_mean = None  # reference expectation at every r-tuple of net points
-    Fref = None
-    if centered:
-        if isinstance(ref, CovarianceSpectrum):
-            ref_mean = gaussian_moment_tensor(ref, r)
-            for _ in range(r):
-                ref_mean = np.tensordot(ref_mean, net, axes=([0], [1]))
-        elif isinstance(ref, SampleMatrix):
-            Fref = [f(ref.rows @ net.T) for f in fs]
-        else:
-            raise RefUnavailable("centered net oracle needs a reference")
-    best = -np.inf
-    N = net.shape[0]
-    # The last factor is vectorized: one (n,) @ (n, N) product per head tuple.
-    for head in itertools.product(range(N), repeat=r - 1):
-        w = np.prod([F[k][:, c] for k, c in enumerate(head)], axis=0)
-        vals = w @ F[-1] / len(A)
-        if ref_mean is not None:
-            vals = vals - ref_mean[head]
-        elif Fref is not None:
-            wref = np.prod([Fref[k][:, c] for k, c in enumerate(head)], axis=0)
-            vals = vals - wref @ Fref[-1] / len(Fref[-1])
-        best = max(best, float(vals.max()))
-    if centered:
-        best = max(best, 0.0)
-    return best
-
-
 # Rows of the Monte-Carlo reference drawn per trial for nonlinear factors.
 _MC_REF_ROWS = 10**6
 # Dense d**p tensors are capped at 2**25 float64 entries (256 MiB each).
@@ -274,13 +240,6 @@ def _moment_tensor(A: np.ndarray, p: int) -> np.ndarray:
         block = A[i:i + chunk]
         out += _khatri_rao_power(block, hi).T @ _khatri_rao_power(block, lo)
     return (out / n).reshape((d,) * p)
-
-
-def _empirical_mean_tensor(A: np.ndarray, p: int):
-    """Mean and entrywise MC variance of a_i^{⊗p}; (a^{⊗p})**2 is (a**2)^{⊗p}."""
-    mean = _moment_tensor(A, p)
-    var = np.maximum(_moment_tensor(A**2, p) - mean**2, 0.0)
-    return mean, var
 
 
 def gaussian_moment_tensor(s: CovarianceSpectrum, p: int) -> np.ndarray:
@@ -345,15 +304,6 @@ def bound_curve(theorem, s: CovarianceSpectrum, n: int, r_or_p: int,
         inner = (deff_1 + ln_d + lam) ** (r + 1) * math.log(n) ** r / n
         return constant * sigma1**r * math.sqrt(inner)
     raise ValueError(f"unknown theorem {theorem!r}")
-
-
-def tightness_probe(samples: SampleMatrix, r: int) -> float:
-    """Uncentered product mean at the fixed direction a_1 / ||a_1||."""
-    if r < 2:
-        raise ValueError("r must be >= 2")
-    A = samples.rows
-    x = A[0] / np.linalg.norm(A[0])
-    return float(np.mean((A @ x) ** r))
 
 
 def scaling_experiment(

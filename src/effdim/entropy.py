@@ -259,8 +259,9 @@ def verify_cover(cover: BallCover, e: EllipsoidAxes, n_samples: int,
     pts = sample_ellipsoid(e, n_samples, rng)
     if len(cover.centers) == 0:
         return {"violations": n_samples, "max_dist": float("inf")}
-    # Imported here, not at module level: scipy.spatial adds about 0.3 s to
-    # every interpreter that imports effdim.cli, and only this function uses it.
+    # Imported here, not at module level: this is the only use of scipy in
+    # the package, so no other subcommand pays the ~0.3 s import of
+    # scipy.spatial at start-up.
     from scipy.spatial import cKDTree
 
     nearest, _ = cKDTree(cover.centers).query(pts)

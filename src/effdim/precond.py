@@ -14,6 +14,12 @@ The data are never split: each outer iteration of :func:`precond_bgd` or
 :func:`vanilla_gd` needs exactly one full gradient of F, which in the
 distributed setting is one communication round, so the number of rounds
 is the number of outer iterations (:attr:`PrecondRun.rounds`).
+
+Dense factorizations use numpy's LAPACK: Newton steps solve against the
+Cholesky factor L of the Hessian (``np.linalg.cholesky``), and
+:func:`relative_condition` reduces the generalized eigenproblem of
+(hess F, hess phi) to the symmetric matrix L^{-1} hess F L^{-T}, with L the
+Cholesky factor of hess phi, before ``np.linalg.eigvalsh``.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from .concentration import bound_curve
 from .linalg import sym_eigh
 from .rng import RngStream
 from .spectrum import CovarianceSpectrum, effective_dimension
@@ -170,11 +176,13 @@ def relative_condition(problem: ErmProblem, phi, probes) -> dict:
     L_vals, s_vals = [], []
     for x in probes:
         HF = problem.hessian(x)
-        HP = phi.hessian(x)
         try:
-            eig = scipy.linalg.eigh(HF, HP, eigvals_only=True)
-        except scipy.linalg.LinAlgError as exc:
+            L = np.linalg.cholesky(phi.hessian(x))
+        except np.linalg.LinAlgError as exc:
             raise SingularPhi("preconditioner Hessian not positive definite") from exc
+        # Reduce to the standard problem L^{-1} HF L^{-T}, as LAPACK's sygv does.
+        M = np.linalg.solve(L, np.linalg.solve(L, HF).T)
+        eig = np.linalg.eigvalsh(M)
         L_vals.append(float(eig[-1]))
         s_vals.append(float(eig[0]))
     return {
@@ -252,14 +260,16 @@ def hessian_deviation_sup(
     return best
 
 
-def mu_formula(s: CovarianceSpectrum, n: int, delta: float,
-               radius: float, hess_lipschitz: float) -> float:
+def mu_formula(s: CovarianceSpectrum, n: int, n_aux: int, delta: float,
+               radius: float, hess_lipschitz: float, second_max: float) -> float:
     """Printed high-probability bound on the uniform Hessian deviation.
 
-    It bounds only the x-dependent part of the deviation: it scales with
-    ``hess_lipschitz``, the largest |third derivative| of the loss, so it
-    is 0 for ridge, whose data Hessians do not depend on x but still
-    differ between two samples.
+    The deviation splits at x = 0 into an x-dependent part and
+    loss''(0) (Sigma_n - Sigma_aux), the gap between the two sample
+    covariances.  The first part scales with ``hess_lipschitz``, the
+    largest |third derivative| of the loss (0 for ridge).  The second is
+    at most ``second_max`` times ||Sigma_n - Sigma|| + ||Sigma_aux - Sigma||,
+    each bounded by Theorem 1 at r = 2 (:func:`bound_curve`).
     """
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
@@ -271,7 +281,9 @@ def mu_formula(s: CovarianceSpectrum, n: int, delta: float,
     d3 = effective_dimension(s, 3)
     term1 = (d3 * ln_d + ln_inv) * math.sqrt(d1 + math.log(n / delta)) / n
     term2 = (math.sqrt(ln_inv) + math.sqrt(d1 * ln_d)) / math.sqrt(n)
-    return radius * sigma1**3 * hess_lipschitz * (term1 + term2)
+    moving = radius * sigma1**3 * hess_lipschitz * (term1 + term2)
+    at_zero = second_max * (bound_curve("1", s, n, 2) + bound_curve("1", s, n_aux, 2))
+    return moving + at_zero
 
 
 _NEWTON_MAX_ITER = 100
@@ -288,10 +300,10 @@ def newton_minimize(value, grad, hess, x0: np.ndarray,
             return x
         H = hess(x)
         try:
-            c, low = scipy.linalg.cho_factor(H)
-            step = scipy.linalg.cho_solve((c, low), g)
+            L = np.linalg.cholesky(H)
         except np.linalg.LinAlgError as exc:
             raise InnerSolveFailure("Hessian factorization failed") from exc
+        step = np.linalg.solve(L.T, np.linalg.solve(L, g))
         t = 1.0
         f0 = value(x)
         descent = float(g @ step)

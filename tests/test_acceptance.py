@@ -16,7 +16,7 @@ import pytest
 from effdim.cli import main as cli_main
 from effdim.concentration import (
     SearchConfig,
-    _empirical_mean_tensor,
+    _moment_tensor,
     gaussian_moment_tensor,
     scaling_experiment,
 )
@@ -56,6 +56,13 @@ from effdim.spectrum import (
     max_norm_bound,
     sample_gaussian,
 )
+
+
+def empirical_mean_tensor(A: np.ndarray, p: int):
+    """Mean and entrywise MC variance of a_i^{⊗p}; (a^{⊗p})**2 is (a**2)^{⊗p}."""
+    mean = _moment_tensor(A, p)
+    var = np.maximum(_moment_tensor(A**2, p) - mean**2, 0.0)
+    return mean, var
 
 
 def report(num, name, ok, detail=""):
@@ -172,7 +179,7 @@ def test_criterion_6_tensor_moments():
     sm = sample_gaussian(sp, 1_000_000, RngStream(606))
     ok = True
     for p in (3, 4):
-        emp, var = _empirical_mean_tensor(sm.rows, p)
+        emp, var = empirical_mean_tensor(sm.rows, p)
         exact = gaussian_moment_tensor(sp, p)
         stderr = np.sqrt(var / sm.n) + 1e-12
         worst = float(np.max(np.abs(emp - exact) / stderr))

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 import effdim.cli
@@ -110,6 +111,44 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
     assert out.strip() == "False"
 
 
+def test_schemas_pass_the_metaschema():
+    # main validates without re-checking the schemas; they are checked here.
+    for schema in effdim.cli.SCHEMAS.values():
+        jsonschema.Draft202012Validator.check_schema(schema)
+
+
+def test_cli_runs_leave_scipy_unloaded(tmp_path):
+    # Only cover needs scipy (cKDTree); every other subcommand runs without it.
+    configs = {
+        "effdim": EFFDIM_CFG,
+        "entropy": {"spectrum": {"kind": "custom", "values": [2.0, 1.0]},
+                    "eps_grid": [0.5]},
+        "concentration": {"spectra": {"iso": {"kind": "isotropic", "d": 2}},
+                          "n_grid": [8], "trials": 30, "r": 2,
+                          "search": {"restarts": 1, "iters": 1}},
+        "precondition": {"spectrum": {"kind": "isotropic", "d": 2}, "n": 20,
+                         "loss": "logistic", "lam": 0.1, "iters": 5,
+                         "probes": 2, "gd_iters": 5},
+        "smooth": {"spectrum": {"kind": "isotropic", "d": 2}, "n": 8,
+                   "radius": 1.0, "iters": 5, "batch": 2, "trials": 1},
+    }
+    calls = []
+    for name, config in configs.items():
+        cfg = write_config(tmp_path, f"{name}.json", config)
+        calls.append([name, "--config", cfg, "--out", str(tmp_path / name)])
+    code = ("import sys, json; from effdim.cli import main\n"
+            "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(m for m in sys.modules"
+            " if m.split('.')[0] == 'scipy')]))")
+    src = str(Path(effdim.cli.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(calls)],
+                         check=True, capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    codes, loaded = json.loads(out.splitlines()[-1])
+    assert codes == [0] * len(calls)
+    assert loaded == []
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, "c.json", EFFDIM_CFG)
     monkeypatch.setenv("EFFDIM_SEED", "99")
@@ -195,10 +234,28 @@ def test_precondition_formula_mu(tmp_path):
                  "--seed", "4"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     sp = make_spectrum("power_law", d=6, sigma1=1.0, alpha=1.0)
-    mu = mu_formula(sp, 200, 0.05, 1.0, Loss("logistic").hess_lipschitz)
+    loss = Loss("logistic")
+    mu = mu_formula(sp, 200, 200, 0.05, 1.0, loss.hess_lipschitz, loss.second_max)
     assert mu > 0
     assert summary["mu"] == mu
     assert summary["kappa"] == kappa_bound(0.01, mu)
+
+
+def test_precondition_formula_mu_bounds_ridge(tmp_path):
+    # Ridge Hessians do not move with x; the formula must still cover the
+    # gap between the two sample covariances, so that L_rel <= 1.
+    cfg = write_config(tmp_path, "c.json", {
+        "spectrum": {"kind": "power_law", "d": 5, "sigma1": 1.0, "alpha": 1.0},
+        "n": 50, "loss": "ridge", "lam": 0.1, "mu_method": "formula",
+        "iters": 20, "probes": 3, "gd_iters": 20,
+    })
+    for seed in range(6):
+        out = tmp_path / f"o{seed}"
+        assert main(["precondition", "--config", cfg, "--out", str(out),
+                     "--seed", str(seed)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["mu"] > 0
+        assert summary["L_rel"] <= 1.0
 
 
 def test_precondition_deterministic_across_jobs(tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,18 +12,59 @@ from effdim.concentration import (
     empirical_sup_deviation,
     gaussian_moment_tensor,
     identity_fs,
-    net_sup_deviation,
     scaling_experiment,
-    tightness_probe,
     _loglog_slope,
 )
-from effdim.linalg import DimTooLarge, sphere_net
+from effdim.linalg import DimTooLarge
 from effdim.rng import RngStream
 from effdim.spectrum import CovarianceSpectrum, SampleMatrix, make_spectrum, \
     sample_gaussian
+from oracles import sphere_net
 
 
 SP5 = make_spectrum("isotropic", d=5, sigma1=1.0)
+
+
+def net_sup_deviation(samples: SampleMatrix, fs, r, centered, ref,
+                      net: np.ndarray) -> float:
+    """Brute-force supremum over all r-tuples of net points (oracle, d <= 3)."""
+    A = samples.rows
+    F = [f(A @ net.T) for f in fs]  # (n, N) each
+    ref_mean = None  # reference expectation at every r-tuple of net points
+    Fref = None
+    if centered:
+        if isinstance(ref, CovarianceSpectrum):
+            ref_mean = gaussian_moment_tensor(ref, r)
+            for _ in range(r):
+                ref_mean = np.tensordot(ref_mean, net, axes=([0], [1]))
+        elif isinstance(ref, SampleMatrix):
+            Fref = [f(ref.rows @ net.T) for f in fs]
+        else:
+            raise RefUnavailable("centered net oracle needs a reference")
+    best = -np.inf
+    N = net.shape[0]
+    # The last factor is vectorized: one (n,) @ (n, N) product per head tuple.
+    for head in itertools.product(range(N), repeat=r - 1):
+        w = np.prod([F[k][:, c] for k, c in enumerate(head)], axis=0)
+        vals = w @ F[-1] / len(A)
+        if ref_mean is not None:
+            vals = vals - ref_mean[head]
+        elif Fref is not None:
+            wref = np.prod([Fref[k][:, c] for k, c in enumerate(head)], axis=0)
+            vals = vals - wref @ Fref[-1] / len(Fref[-1])
+        best = max(best, float(vals.max()))
+    if centered:
+        best = max(best, 0.0)
+    return best
+
+
+def tightness_probe(samples: SampleMatrix, r: int) -> float:
+    """Uncentered product mean at the fixed direction a_1 / ||a_1||."""
+    if r < 2:
+        raise ValueError("r must be >= 2")
+    A = samples.rows
+    x = A[0] / np.linalg.norm(A[0])
+    return float(np.mean((A @ x) ** r))
 
 
 def test_nonlinearities_are_lipschitz_and_zero_at_zero():

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from effdim.entropy import (
     BallCover,
+    CoverTooLarge,
     DimTooLarge,
     EllipsoidAxes,
     TruncationInsufficient,
@@ -118,6 +120,20 @@ def test_build_cover_validity_and_negative_control():
     damaged = BallCover(1.0, cover.centers[keep], cover.grid_spacing)
     bad = verify_cover(damaged, axes, 20_000, root.child(1))
     assert bad["violations"] > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(axes=st.lists(st.floats(0.25, 4.0), min_size=1, max_size=3),
+       eps=st.floats(0.3, 1.0), seed=st.integers(0, 2**32))
+def test_build_cover_is_a_cover(axes, eps, seed):
+    e = EllipsoidAxes(np.sort(axes)[::-1])
+    try:
+        cover = build_cover(e, eps)
+    except CoverTooLarge:
+        assume(False)
+    report = verify_cover(cover, e, 2000, RngStream(seed))
+    assert report["violations"] == 0
+    assert report["max_dist"] <= eps
 
 
 def test_build_cover_dim_cap():

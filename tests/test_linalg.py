@@ -6,11 +6,11 @@ import pytest
 
 from effdim.linalg import (
     DimTooLarge,
-    sphere_net,
     sym_eigh,
     tensor_opnorm,
 )
 from effdim.rng import RngStream
+from oracles import sphere_net
 
 
 def sym_tensor(t: np.ndarray) -> np.ndarray:
@@ -66,6 +66,12 @@ def test_sym_eigh_matches_charpoly_oracle():
 def test_sym_eigh_rejects_asymmetric():
     with pytest.raises(ValueError):
         sym_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_sym_eigh_rejects_small_relative_asymmetry():
+    # a relative asymmetry of 1e-6 is a malformed input, not a solver failure
+    with pytest.raises(ValueError):
+        sym_eigh(np.array([[1.0, 1.0], [1.0 + 1e-6, 1.0]]))
 
 
 def test_sym_tensor_is_permutation_invariant():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from effdim.concentration import bound_curve
 from effdim.precond import (
     ErmProblem,
     InnerSolveFailure,
@@ -96,6 +97,29 @@ def test_relative_condition_identity_and_scaling():
     assert cond2["sigma_rel"] == pytest.approx(0.5, abs=1e-10)
 
 
+class _FixedHessian:
+    def __init__(self, H):
+        self.H = H
+
+    def hessian(self, x):
+        return self.H
+
+
+def test_relative_condition_matches_generalized_eigenvalues():
+    gen = RngStream(8).generator()
+    for d in (2, 5, 12):
+        for _ in range(10):
+            B, C = gen.standard_normal((2, d, d))
+            HF = B @ B.T + 0.1 * np.eye(d)
+            HP = C @ C.T + 0.1 * np.eye(d)
+            cond = relative_condition(_FixedHessian(HF), _FixedHessian(HP),
+                                      [np.zeros(d)])
+            # oracle: the eigenvalues of HP^{-1} HF, with no symmetric reduction
+            eig = np.sort(np.linalg.eigvals(np.linalg.solve(HP, HF)).real)
+            assert cond["L_rel"] == pytest.approx(eig[-1], rel=1e-10)
+            assert cond["sigma_rel"] == pytest.approx(eig[0], rel=1e-10)
+
+
 def test_relative_condition_rejects_indefinite_phi():
     p = _small_problem("logistic")
 
@@ -173,8 +197,17 @@ def test_hessian_deviation_inits_dominate_probe_points():
 
 def test_mu_formula_decreases_in_n():
     sp = make_spectrum("power_law", d=10, sigma1=1.0, alpha=1.0)
-    vals = [mu_formula(sp, n, 0.05, 1.0, 0.1) for n in (100, 1000, 10000)]
+    vals = [mu_formula(sp, n, n, 0.05, 1.0, 0.1, 0.25) for n in (100, 1000, 10000)]
     assert vals[0] > vals[1] > vals[2] > 0
+
+
+def test_mu_formula_covers_the_covariance_gap_for_ridge():
+    # ridge has no x-dependent deviation; mu is the sample-covariance term
+    sp = make_spectrum("power_law", d=10, sigma1=1.0, alpha=1.0)
+    loss = Loss("ridge")
+    mu = mu_formula(sp, 500, 300, 0.05, 1.0, loss.hess_lipschitz, loss.second_max)
+    assert mu == bound_curve("1", sp, 500, 2) + bound_curve("1", sp, 300, 2)
+    assert mu > 0
 
 
 class _CountingGrad:
