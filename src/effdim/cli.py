@@ -338,9 +338,10 @@ def run_precondition(config, seed, jobs, out: Path):
     probes *= (probes_gen.uniform(0, 1, n_probes) ** (1.0 / sp.dim)
                / np.linalg.norm(probes, axis=1))[:, None]
     if config.get("mu_method", "measured") == "measured":
-        # Seeding the deviation search with the probe points makes the
-        # measured mu dominate the deviation at every probe by construction.
-        mu = hessian_deviation_sup(problem, aux, rng=root.child(3), inits=probes)
+        # Measuring at the probe points makes mu dominate the deviation at
+        # every probe by construction; x = 0 adds the covariance gap.
+        mu = hessian_deviation_sup(problem, aux,
+                                   np.vstack([np.zeros(sp.dim), probes]))
     else:
         mu = mu_formula(sp, n, n_aux, 0.05, 1.0, loss.hess_lipschitz,
                         loss.second_max)

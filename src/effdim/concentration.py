@@ -182,8 +182,7 @@ def empirical_sup_deviation(
             grads -= ref_grads
         return vals, grads
 
-    vals, _ = value_and_grads(X)
-    best = float(vals.max())
+    best = -math.inf
     for _ in range(search.iters):
         vals, grads = value_and_grads(X)
         best = max(best, float(vals.max()))
@@ -274,19 +273,18 @@ def _deviation_tensor(A: np.ndarray, p: int, ref) -> np.ndarray:
 
 
 def bound_curve(theorem, s: CovarianceSpectrum, n: int, r_or_p: int,
-                B: float | None = None, lam: float = 0.0,
-                constant: float = 1.0) -> float:
-    """Right-hand side of the printed large-deviation bounds.
+                lam: float = 0.0) -> float:
+    """Right-hand side of the printed large-deviation bounds, with unit
+    constant.
 
-    ``theorem`` is "1" (centered), "2" (uncentered), or "tensor".  ``B`` is
-    the product bound B_1...B_r; by default it is the high-probability
-    radius to the r-th power (delta = 1/n truncation device).
+    ``theorem`` is "1" (centered), "2" (uncentered), or "tensor".  The
+    product bound B = B_1...B_r is the high-probability radius to the r-th
+    power (delta = 1/n truncation device).
     """
     sigma1 = float(s.sigmas[0])
     d = s.dim
     r = r_or_p
-    if B is None:
-        B = max_norm_bound(s, n, min(1.0 / n, 0.5)) ** (r / 2.0)
+    B = max_norm_bound(s, n, min(1.0 / n, 0.5)) ** (r / 2.0)
     ln_d = math.log(d) if d > 1 else 0.0
     if theorem in ("1", 1, "centered"):
         deff_r = effective_dimension(s, r)
@@ -294,15 +292,15 @@ def bound_curve(theorem, s: CovarianceSpectrum, n: int, r_or_p: int,
         scale = (B / sigma1**r) ** (2.0 / r - 1.0)
         term1 = (lam + deff_r * ln_d) / (n * scale)
         term2 = (math.sqrt(lam) + math.sqrt(deff_1 * ln_d)) / math.sqrt(n)
-        return constant * sigma1**r * (term1 + term2)
+        return sigma1**r * (term1 + term2)
     if theorem in ("2", 2, "uncentered"):
         deff_r = effective_dimension(s, r)
         scale = (B / sigma1**r) ** (1.0 - 2.0 / r)
-        return constant * sigma1**r * (1.0 + (deff_r * ln_d + lam) / n * scale)
+        return sigma1**r * (1.0 + (deff_r * ln_d + lam) / n * scale)
     if theorem == "tensor":
         deff_1 = effective_dimension(s, 1)
         inner = (deff_1 + ln_d + lam) ** (r + 1) * math.log(n) ** r / n
-        return constant * sigma1**r * math.sqrt(inner)
+        return sigma1**r * math.sqrt(inner)
     raise ValueError(f"unknown theorem {theorem!r}")
 
 

@@ -200,7 +200,11 @@ def infinite_ellipsoid_stats(b_seq, truncation: int,
     return kb, mb, Mb
 
 
-def build_cover(e: EllipsoidAxes, eps: float, max_cells: int = 10**7) -> BallCover:
+# Grid cells build_cover may enumerate before raising CoverTooLarge.
+_MAX_COVER_CELLS = 10**7
+
+
+def build_cover(e: EllipsoidAxes, eps: float) -> BallCover:
     """Constructive eps-cover of the ellipsoid by an axis-aligned grid.
 
     Grid spacing eps/sqrt(d); a center is kept iff its grid cell intersects
@@ -218,8 +222,9 @@ def build_cover(e: EllipsoidAxes, eps: float, max_cells: int = 10**7) -> BallCov
     total = 1
     for k in axes_counts:
         total *= 2 * k + 1
-    if total > max_cells:
-        raise CoverTooLarge(f"grid would enumerate {total} cells > {max_cells}")
+    if total > _MAX_COVER_CELLS:
+        raise CoverTooLarge(
+            f"grid would enumerate {total} cells > {_MAX_COVER_CELLS}")
     grids = [s * np.arange(-k, k + 1, dtype=float) for k in axes_counts]
     mesh = np.meshgrid(*grids, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)

@@ -31,18 +31,17 @@ class RngStream:
 
     master_seed: int
     stream_id: int = 0
-    counter: int = 0
 
     def __post_init__(self):
-        for name in ("master_seed", "stream_id", "counter"):
+        for name in ("master_seed", "stream_id"):
             v = getattr(self, name)
             if not (0 <= int(v) < 1 << 64):
                 raise ValueError(f"{name} must fit in 64 bits, got {v}")
 
     def generator(self) -> np.random.Generator:
-        """Fresh generator for this (seed, stream, counter) triple."""
+        """Fresh generator for this (seed, stream) pair, at Philox counter 0."""
         bitgen = np.random.Philox(
-            counter=np.array([self.counter, 0, 0, 0], dtype=np.uint64),
+            counter=np.zeros(4, dtype=np.uint64),
             key=np.array([self.master_seed, self.stream_id], dtype=np.uint64),
         )
         return np.random.Generator(bitgen)
@@ -50,7 +49,4 @@ class RngStream:
     def child(self, index: int) -> "RngStream":
         """Independent substream, deterministic in (stream_id, index)."""
         mixed = _splitmix64((self.stream_id * 0x2545F4914F6CDD1D + index + 1) & _MASK64)
-        return RngStream(self.master_seed, mixed, 0)
-
-    def advanced(self, counter: int) -> "RngStream":
-        return RngStream(self.master_seed, self.stream_id, counter)
+        return RngStream(self.master_seed, mixed)

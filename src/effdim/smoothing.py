@@ -112,9 +112,9 @@ def grad_estimator(problem: ErmProblem, y: np.ndarray, gamma: float, m: int,
 
 def smoothing_bounds(gamma: float, lip: float, d: int,
                      spectrum: CovarianceSpectrum | None = None,
-                     n: int | None = None, delta: float = 0.05,
-                     constant: float = 1.0) -> dict:
-    """Printed gap and smoothness bounds for the smoothed objective.
+                     n: int | None = None, delta: float = 0.05) -> dict:
+    """Printed gap and smoothness bounds for the smoothed objective, with
+    unit constant.
 
     Isotropic (spectrum None): gap <= gamma * lip * sqrt(d), smoothness
     <= lip / gamma.  Shaped directions use the spectral form in terms of
@@ -133,9 +133,9 @@ def smoothing_bounds(gamma: float, lip: float, d: int,
     gap = gamma * lip * math.sqrt(sigma1**3 * (d1 + math.log(n / delta)) * d2)
     smooth = (
         lip * math.sqrt(sigma1) * math.sqrt(d2) / (gamma * d1)
-        * (1.0 + constant * math.sqrt((d1 * ln_d + math.log(1.0 / delta)) / n))
+        * (1.0 + math.sqrt((d1 * ln_d + math.log(1.0 / delta)) / n))
     )
-    return {"gap": constant * gap, "smoothness": smooth}
+    return {"gap": gap, "smoothness": smooth}
 
 
 def _default_width(cfg: SmoothingConfig, problem: ErmProblem) -> float:

@@ -230,7 +230,7 @@ def test_criterion_8_preconditioning():
     probes = pg.standard_normal((50, 20))
     probes *= (pg.uniform(0, 1, 50) ** (1.0 / 20)
                / np.linalg.norm(probes, axis=1))[:, None]
-    mu = hessian_deviation_sup(prob, aux, rng=root.child(4), inits=probes)
+    mu = hessian_deviation_sup(prob, aux, np.vstack([np.zeros(20), probes]))
     phi = replace(aux, lam=aux.lam + mu)
     cond = relative_condition(prob, phi, probes)
     ok = cond["L_rel"] <= 1.0 + 1e-9

@@ -5,12 +5,14 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import effdim.cli
 from effdim.cli import main
 from effdim.precond import Loss, kappa_bound, mu_formula
-from effdim.spectrum import make_spectrum
+from effdim.rng import RngStream
+from effdim.spectrum import make_spectrum, sample_gaussian
 
 
 def write_config(tmp_path: Path, name: str, obj: dict) -> str:
@@ -242,20 +244,47 @@ def test_precondition_formula_mu(tmp_path):
 
 
 def test_precondition_formula_mu_bounds_ridge(tmp_path):
-    # Ridge Hessians do not move with x; the formula must still cover the
-    # gap between the two sample covariances, so that L_rel <= 1.
-    cfg = write_config(tmp_path, "c.json", {
-        "spectrum": {"kind": "power_law", "d": 5, "sigma1": 1.0, "alpha": 1.0},
-        "n": 50, "loss": "ridge", "lam": 0.1, "mu_method": "formula",
-        "iters": 20, "probes": 3, "gd_iters": 20,
-    })
-    for seed in range(6):
-        out = tmp_path / f"o{seed}"
-        assert main(["precondition", "--config", cfg, "--out", str(out),
-                     "--seed", str(seed)]) == 0
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["mu"] > 0
-        assert summary["L_rel"] <= 1.0
+    # Ridge Hessians do not move with x; mu, printed or measured, must
+    # still cover the gap between the two sample covariances, so that
+    # L_rel <= 1.  The measured mu is that gap exactly, so L_rel = 1 is
+    # attained and may round one ulp above; it gets the 1e-9 slack of the
+    # other measured-mu checks.
+    for mu_method, slack in (("formula", 0.0), ("measured", 1e-9)):
+        cfg = write_config(tmp_path, f"{mu_method}.json", {
+            "spectrum": {"kind": "power_law", "d": 5, "sigma1": 1.0, "alpha": 1.0},
+            "n": 50, "loss": "ridge", "lam": 0.1, "mu_method": mu_method,
+            "iters": 20, "probes": 3, "gd_iters": 20,
+        })
+        for seed in range(6):
+            out = tmp_path / f"{mu_method}{seed}"
+            assert main(["precondition", "--config", cfg, "--out", str(out),
+                         "--seed", str(seed)]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["mu"] > 0
+            assert summary["L_rel"] <= 1.0 + slack
+
+
+def test_precondition_measured_mu_covers_the_gap_at_zero(tmp_path):
+    # The benchmark's criterion-8 call at seed 1.  The logistic loss has
+    # loss''(0) = 1/4, so the deviation at x = 0 is a quarter of the gap
+    # between the two sample covariances; the measured mu must cover it.
+    config = {
+        "spectrum": {"kind": "power_law", "d": 20, "sigma1": 1.0, "alpha": 1.0},
+        "n": 2000, "n_aux": 2000, "loss": "logistic", "lam": 0.01,
+        "probes": 10, "gap_tol": 1e-6,
+    }
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    seed = 1
+    assert main(["precondition", "--config", cfg, "--out", str(out),
+                 "--seed", str(seed)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    sp = make_spectrum("power_law", d=20, sigma1=1.0, alpha=1.0)
+    A = sample_gaussian(sp, 2000, RngStream(seed).child(0)).rows
+    A_aux = sample_gaussian(sp, 2000, RngStream(seed).child(1)).rows
+    at_zero = 0.25 * np.linalg.norm(A.T @ A / 2000 - A_aux.T @ A_aux / 2000, 2)
+    assert summary["mu"] >= at_zero * (1 - 1e-12)
+    assert summary["L_rel"] <= 1.0 + 1e-9
 
 
 def test_precondition_deterministic_across_jobs(tmp_path):

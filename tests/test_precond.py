@@ -75,7 +75,9 @@ def test_logistic_curvature_constants():
     loss = Loss("logistic")
     assert loss.second(np.array([0.0]), np.array([1.0]))[0] == pytest.approx(0.25)
     z = np.linspace(-10, 10, 2001)
-    third = loss.third(z, np.ones_like(z))
+    b = np.ones_like(z)
+    h = 1e-5
+    third = (loss.second(z + h, b) - loss.second(z - h, b)) / (2 * h)
     assert np.abs(third).max() == pytest.approx(loss.hess_lipschitz, rel=1e-3)
 
 
@@ -179,20 +181,27 @@ def test_hessian_deviation_detects_known_gap():
     pa = _small_problem("ridge", seed=2)
     pb = _small_problem("ridge", seed=3)
     expected = np.linalg.norm(pa.A.T @ pa.A / pa.n - pb.A.T @ pb.A / pb.n, 2)
-    got = hessian_deviation_sup(pa, pb, restarts=2, iters=2, rng=RngStream(4))
+    got = hessian_deviation_sup(pa, pb, np.zeros((1, pa.d)))
     assert got == pytest.approx(expected, rel=1e-10)
 
 
-def test_hessian_deviation_inits_dominate_probe_points():
+def _zero_and_sphere_points(d, k, rng):
+    """x = 0 and k uniform points on the unit sphere."""
+    draws = rng.generator().standard_normal((k, d))
+    draws /= np.linalg.norm(draws, axis=1, keepdims=True)
+    return np.vstack([np.zeros(d), draws])
+
+
+def test_hessian_deviation_is_the_max_over_points():
     pa = _small_problem("logistic", seed=2)
     pb = _small_problem("logistic", seed=3)
-    probes = RngStream(5).generator().standard_normal((8, pa.d))
-    probes /= np.linalg.norm(probes, axis=1, keepdims=True)
-    mu = hessian_deviation_sup(pa, pb, restarts=2, iters=10,
-                               rng=RngStream(6), inits=probes)
-    for x in probes:
-        ev = np.linalg.eigvalsh(pa.data_hessian(x) - pb.data_hessian(x))
-        assert max(abs(ev[0]), abs(ev[-1])) <= mu + 1e-12
+    points = _zero_and_sphere_points(pa.d, 8, RngStream(5))
+    mu = hessian_deviation_sup(pa, pb, points)
+    brute = max(np.abs(np.linalg.eigvalsh(pa.data_hessian(x) - pb.data_hessian(x))).max()
+                for x in points)
+    assert mu == pytest.approx(brute, rel=1e-12)
+    with pytest.raises(ValueError):
+        hessian_deviation_sup(pa, pb, np.zeros((0, pa.d)))
 
 
 def test_mu_formula_decreases_in_n():
@@ -255,7 +264,7 @@ def test_precond_bgd_with_exact_phi_is_newton_fast():
 def test_precond_beats_vanilla_gd_in_rounds():
     p = _small_problem("logistic", n=400, d=8, lam=0.01, seed=12)
     aux = _small_problem("logistic", n=400, d=8, lam=0.01, seed=13)
-    mu = hessian_deviation_sup(p, aux, restarts=4, iters=40, rng=RngStream(14))
+    mu = hessian_deviation_sup(p, aux, _zero_and_sphere_points(p.d, 4, RngStream(14)))
     phi = replace(aux, lam=aux.lam + mu)
     f_star = p.value(solve_erm(p))
     run_p = precond_bgd(p, phi, iters=100, f_star=f_star, gap_tol=1e-8)
@@ -268,7 +277,7 @@ def test_precond_beats_vanilla_gd_in_rounds():
 def test_gap_contracts_at_relative_condition_rate():
     p = _small_problem("logistic", n=400, d=8, lam=0.01, seed=12)
     aux = _small_problem("logistic", n=400, d=8, lam=0.01, seed=13)
-    mu = hessian_deviation_sup(p, aux, restarts=4, iters=40, rng=RngStream(14))
+    mu = hessian_deviation_sup(p, aux, _zero_and_sphere_points(p.d, 4, RngStream(14)))
     phi = replace(aux, lam=aux.lam + mu)
     f_star = p.value(solve_erm(p))
     run = precond_bgd(p, phi, iters=30, f_star=f_star, gap_tol=1e-11)

@@ -40,15 +40,6 @@ def test_grandchildren_do_not_collide_with_children():
     assert len(ids) == 16 + 256
 
 
-def test_advanced_counter_changes_output():
-    s = RngStream(1, 2)
-    a = s.generator().standard_normal(10)
-    b = s.advanced(5).generator().standard_normal(10)
-    assert not np.array_equal(a, b)
-    np.testing.assert_array_equal(b, s.advanced(5).generator().standard_normal(10))
-    np.testing.assert_array_equal(a, s.advanced(0).generator().standard_normal(10))
-
-
 def test_rejects_out_of_range_fields():
     with pytest.raises(ValueError):
         RngStream(-1)
