@@ -32,7 +32,7 @@ import jsonschema
 from . import __version__
 from .entropy import BallCover, CoverTooLarge, EllipsoidAxes, \
     TruncationInsufficient, build_cover, eps_entropy_bound, kb_mb, m_eps, \
-    verify_cover
+    sample_ellipsoid, verify_cover
 from .concentration import Nonlinearity, SearchConfig, scaling_experiment
 from .linalg import DimTooLarge, NonConvergence
 from .precond import ErmProblem, InnerSolveFailure, Loss, SingularPhi, \
@@ -332,19 +332,15 @@ def run_precondition(config, seed, jobs, out: Path):
         b_aux = A_aux @ x_nat + 0.1 * noise[n:]
     problem = ErmProblem(A, b, loss, lam)
     aux = ErmProblem(A_aux, b_aux, loss, lam)
-    probes_gen = root.child(4).generator()
-    n_probes = config.get("probes", 50)
-    probes = probes_gen.standard_normal((n_probes, sp.dim))
-    probes *= (probes_gen.uniform(0, 1, n_probes) ** (1.0 / sp.dim)
-               / np.linalg.norm(probes, axis=1))[:, None]
+    probes = sample_ellipsoid(EllipsoidAxes(np.ones(sp.dim)),
+                              config.get("probes", 50), root.child(4))
     if config.get("mu_method", "measured") == "measured":
         # Measuring at the probe points makes mu dominate the deviation at
         # every probe by construction; x = 0 adds the covariance gap.
         mu = hessian_deviation_sup(problem, aux,
                                    np.vstack([np.zeros(sp.dim), probes]))
     else:
-        mu = mu_formula(sp, n, n_aux, 0.05, 1.0, loss.hess_lipschitz,
-                        loss.second_max)
+        mu = mu_formula(sp, n, n_aux, loss.hess_lipschitz, loss.second_max)
     phi = replace(aux, lam=aux.lam + mu)
     cond = relative_condition(problem, phi, probes)
     f_star = problem.value(solve_erm(problem))
@@ -449,11 +445,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _finite(text: str) -> float:
+    """JSON number hook: NaN, Infinity and overflowing literals such as
+    1e999 would pass every schema bound, so they are rejected here."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite number {text} in config")
+    return value
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
-            config = json.load(fh)
+            config = json.load(fh, parse_float=_finite, parse_constant=_finite)
         # The schemas are constants, checked against the metaschema by the
         # tests, so this skips the check that ``jsonschema.validate`` repeats
         # on every call.  Draft 2020-12 is what ``validate`` picks for a

@@ -9,9 +9,8 @@ What each route returns:
   a *lower estimate* by multilinear block ascent on the d**r tensor (exact
   maximization is NP-hard for three or more factors).  D is stored densely,
   so d**r is capped at 2**25 entries (:class:`linalg.DimTooLarge`).  The
-  reference is the exact Gaussian moment tensor (a
-  :class:`CovarianceSpectrum`) or an independent sample (a Monte-Carlo
-  reference, reported with stderr 1/sqrt(N)).
+  reference is the exact Gaussian moment tensor of a
+  :class:`CovarianceSpectrum`.
 - Nonlinear factors (relu, clip) give a *lower estimate* by multistart
   projected gradient ascent over the n rows, against an independent
   Monte-Carlo reference sample, plus its stderr 1/sqrt(N).
@@ -115,11 +114,11 @@ def empirical_sup_deviation(
 ) -> DeviationEstimate:
     """Supremum over unit x_1..x_r of the empirical (centered) product mean.
 
-    ``ref`` supplies the expectation terms for centered mode: a
-    :class:`CovarianceSpectrum` gives the exact Gaussian moment tensor
-    (identity nonlinearities only), a :class:`SampleMatrix` of independent
-    draws gives a Monte-Carlo reference, and ``None`` raises
-    :class:`RefUnavailable`.  Identity factors are exact at r = 2 and a
+    ``ref`` supplies the expectation terms for centered mode: identity
+    factors take a :class:`CovarianceSpectrum` (the exact Gaussian moment
+    tensor), nonlinear factors a :class:`SampleMatrix` of independent draws
+    (a Monte-Carlo reference with stderr 1/sqrt(N)); any other ``ref``
+    raises :class:`RefUnavailable`.  Identity factors are exact at r = 2 and a
     block-ascent lower estimate on the d**r deviation tensor at r >= 3;
     nonlinear factors are a projected-ascent lower estimate (see the module
     docstring).
@@ -128,27 +127,26 @@ def empirical_sup_deviation(
         raise ValueError("r must be >= 2")
     if len(fs) != r:
         raise ValueError("need one nonlinearity per factor")
-    if centered and not isinstance(ref, (CovarianceSpectrum, SampleMatrix)):
-        raise RefUnavailable("centered mode needs a reference source")
-    ref_rows = ref.rows if centered and isinstance(ref, SampleMatrix) else None
-    stderr = 0.0 if ref_rows is None else float(1.0 / math.sqrt(len(ref_rows)))
+    identity = all(f.kind == "identity" for f in fs)
+    ref_type = CovarianceSpectrum if identity else SampleMatrix
+    if centered and not isinstance(ref, ref_type):
+        raise RefUnavailable(f"centered mode with these factors needs a "
+                             f"{ref_type.__name__} reference")
     mode = "centered" if centered else "uncentered"
     A = samples.rows
     n, d = A.shape
 
-    if all(f.kind == "identity" for f in fs):
-        dev = _deviation_tensor(A, r, ref if centered else None)
+    if identity:
+        dev = _moment_tensor(A, r)
+        if centered:
+            dev -= gaussian_moment_tensor(ref, r)
         value = tensor_opnorm(dev, restarts=search.restarts, iters=search.iters, rng=rng)
         return DeviationEstimate(
             value=value, mode=mode, n=n, d=d, order=r, seed=samples.seed,
             search={"restarts": search.restarts, "iters": search.iters},
-            stderr=stderr,
         )
-    if centered and ref_rows is None:
-        raise RefUnavailable(
-            "closed-form reference requires identity nonlinearities; "
-            "pass an independent SampleMatrix instead"
-        )
+    ref_rows = ref.rows if centered else None
+    stderr = 0.0 if ref_rows is None else float(1.0 / math.sqrt(len(ref_rows)))
 
     sigma1 = math.sqrt(max(float(np.mean(A**2) * d), 1e-30))
     step = search.step if search.step is not None else 0.1 / sigma1**r
@@ -258,21 +256,7 @@ def gaussian_moment_tensor(s: CovarianceSpectrum, p: int) -> np.ndarray:
     return out
 
 
-def _deviation_tensor(A: np.ndarray, p: int, ref) -> np.ndarray:
-    """E_n[a^{⊗p}] minus the reference mean tensor.
-
-    ``ref`` is a :class:`CovarianceSpectrum` (exact Gaussian moments), a
-    :class:`SampleMatrix` (its empirical moments) or ``None`` (no centering).
-    """
-    dev = _moment_tensor(A, p)
-    if isinstance(ref, CovarianceSpectrum):
-        dev -= gaussian_moment_tensor(ref, p)
-    elif isinstance(ref, SampleMatrix):
-        dev -= _moment_tensor(ref.rows, p)
-    return dev
-
-
-def bound_curve(theorem, s: CovarianceSpectrum, n: int, r_or_p: int,
+def bound_curve(theorem: str, s: CovarianceSpectrum, n: int, r: int,
                 lam: float = 0.0) -> float:
     """Right-hand side of the printed large-deviation bounds, with unit
     constant.
@@ -283,17 +267,16 @@ def bound_curve(theorem, s: CovarianceSpectrum, n: int, r_or_p: int,
     """
     sigma1 = float(s.sigmas[0])
     d = s.dim
-    r = r_or_p
     B = max_norm_bound(s, n, min(1.0 / n, 0.5)) ** (r / 2.0)
     ln_d = math.log(d) if d > 1 else 0.0
-    if theorem in ("1", 1, "centered"):
+    if theorem == "1":
         deff_r = effective_dimension(s, r)
         deff_1 = effective_dimension(s, 1)
         scale = (B / sigma1**r) ** (2.0 / r - 1.0)
         term1 = (lam + deff_r * ln_d) / (n * scale)
         term2 = (math.sqrt(lam) + math.sqrt(deff_1 * ln_d)) / math.sqrt(n)
         return sigma1**r * (term1 + term2)
-    if theorem in ("2", 2, "uncentered"):
+    if theorem == "2":
         deff_r = effective_dimension(s, r)
         scale = (B / sigma1**r) ** (1.0 - 2.0 / r)
         return sigma1**r * (1.0 + (deff_r * ln_d + lam) / n * scale)
@@ -317,9 +300,11 @@ def scaling_experiment(
 ) -> dict:
     """Deviation estimates over an n grid, with log-log slope fits.
 
-    Trials are paired across spectra: all spectra of one trial share the
-    same underlying standard-normal draws (scaled per spectrum) to reduce
-    comparison variance.  Requires trials >= 30 for a meaningful slope fit.
+    Trials are paired across spectra to reduce comparison variance: each
+    spectrum's data for one trial is ``sample_gaussian(sp, n, stream)`` on
+    the trial's own stream, and every call restarts that stream at Philox
+    counter 0, so all spectra scale the same standard-normal draws.
+    Requires trials >= 30 for a meaningful slope fit.
     Returns ``{"rows": [...], "slopes": {spectrum_id: (slope, stderr)}}``.
     Results do not depend on ``jobs``: every task draws only from its own
     child stream and rows are flattened in task order.
@@ -328,10 +313,8 @@ def scaling_experiment(
         raise ValueError("trials must be >= 30")
     if fs is None:
         fs = identity_fs(r)
-    dims = {sp.dim for sp in spectra.values()}
-    if len(dims) != 1:
+    if len({sp.dim for sp in spectra.values()}) != 1:
         raise ValueError("paired trials require spectra of equal dimension")
-    d = dims.pop()
 
     tasks = []
     task_id = 0
@@ -343,13 +326,9 @@ def scaling_experiment(
     def run_task(task):
         task_id, n, trial = task
         stream = rng.child(task_id)
-        z = stream.generator().standard_normal((n, d))
         out = []
         for sid, sp in sorted(spectra.items()):
-            scaled = z * sp.sigmas
-            if sp.basis is not None:
-                scaled = scaled @ sp.basis.T
-            samples = SampleMatrix(scaled, seed=(stream.master_seed, stream.stream_id))
+            samples = sample_gaussian(sp, n, stream)
             ref = sp if all(f.kind == "identity" for f in fs) else None
             if centered and ref is None:
                 ref = sample_gaussian(sp, _MC_REF_ROWS, stream.child(0))

@@ -1,9 +1,8 @@
 """Dense symmetric linear algebra and tensor operations.
 
-Matrices are plain float64 numpy arrays; :func:`sym_eigh` checks symmetry
-and verifies its decomposition.  Tensors of order p are dense ``dim**p``
-arrays; their operator norm is :func:`tensor_opnorm`.  All functions here
-are pure; nothing is mutated in place.
+Matrices are plain float64 numpy arrays and tensors of order p are dense
+``dim**p`` arrays; the operator norm of either is :func:`tensor_opnorm`.
+All functions here are pure; nothing is mutated in place.
 """
 
 from __future__ import annotations
@@ -20,33 +19,6 @@ class NonConvergence(Exception):
 class DimTooLarge(Exception):
     """Declared computational limit: a dimension exceeds what is enumerated
     or stored densely (grid covers, d**p moment tensors)."""
-
-
-_EIGH_TOL = 1e-12
-
-
-def sym_eigh(m: np.ndarray):
-    """Eigendecomposition of a symmetric matrix, eigenvalues descending.
-
-    Returns ``(eigenvalues, eigenvectors)`` with orthonormal columns and
-    reconstruction error ``||m - V diag(w) V^T||_F <= 1e-12 * ||m||_F``.
-    Raises :class:`NonConvergence` if the LAPACK driver fails or the
-    reconstruction check does not hold.
-    """
-    m = np.asarray(m, dtype=float)
-    if not np.abs(m - m.T).max() <= 1e-12 * (1 + np.abs(m).max()):
-        raise ValueError("matrix is not symmetric")
-    try:
-        w, v = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(str(exc)) from exc
-    order = np.argsort(w)[::-1]
-    w, v = w[order], v[:, order]
-    norm = np.linalg.norm(m)
-    resid = np.linalg.norm(m - (v * w) @ v.T)
-    if norm > 0 and resid > _EIGH_TOL * norm:
-        raise NonConvergence(f"reconstruction error {resid:.3e} exceeds tol")
-    return w, v
 
 
 def _contract_all_but(t: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
@@ -70,8 +42,10 @@ def tensor_opnorm(
     """Operator norm sup |t(x_1, ..., x_p)| over unit vectors x_k.
 
     For p = 2 this is exact: the largest |eigenvalue| of the symmetric
-    matrix t.  For p >= 3 (NP-hard in general) it is a lower estimate by
-    multilinear block-coordinate ascent: each sweep sets, in turn,
+    matrix t.  Raises ValueError if t is not symmetric within a relative
+    1e-12, and :class:`NonConvergence` if the eigensolver fails.  For
+    p >= 3 (NP-hard in general) it is a lower estimate by multilinear
+    block-coordinate ascent: each sweep sets, in turn,
     x_k <- t(..., ·, ...) / ||·||, the exact maximizer over block k with the
     others fixed, so the value never decreases.  Starts are
     ``rng.generator().standard_normal((restarts, p, d))`` normalized per
@@ -82,7 +56,12 @@ def tensor_opnorm(
         raise ValueError("restarts must be >= 1")
     p = t.ndim
     if p == 2:
-        return float(np.abs(np.linalg.eigvalsh(t)).max())
+        if not np.abs(t - t.T).max() <= 1e-12 * (1 + np.abs(t).max()):
+            raise ValueError("matrix is not symmetric")
+        try:
+            return float(np.abs(np.linalg.eigvalsh(t)).max())
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(str(exc)) from exc
     X = rng.generator().standard_normal((restarts, p, t.shape[0]))
     X /= np.linalg.norm(X, axis=2, keepdims=True)
     start_vals = np.einsum("ri,ri->r", _contract_all_but(t, X, 0), X[:, 0])

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import bound_curve
-from .linalg import sym_eigh
+from .linalg import tensor_opnorm
 from .spectrum import CovarianceSpectrum, effective_dimension
 
 
@@ -198,16 +198,19 @@ def hessian_deviation_sup(problem_a: ErmProblem, problem_b: ErmProblem,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] == 0:
         raise ValueError("need at least one point")
-    best = 0.0
-    for x in points:
-        evals, _ = sym_eigh(problem_a.data_hessian(x) - problem_b.data_hessian(x))
-        best = max(best, float(np.abs(evals).max()))
-    return best
+    return max(tensor_opnorm(problem_a.data_hessian(x) - problem_b.data_hessian(x))
+               for x in points)
 
 
-def mu_formula(s: CovarianceSpectrum, n: int, n_aux: int, delta: float,
-               radius: float, hess_lipschitz: float, second_max: float) -> float:
-    """Printed high-probability bound on the uniform Hessian deviation.
+# Failure probability and ball radius of the printed bound on mu.
+_MU_DELTA = 0.05
+_MU_RADIUS = 1.0
+
+
+def mu_formula(s: CovarianceSpectrum, n: int, n_aux: int,
+               hess_lipschitz: float, second_max: float) -> float:
+    """Printed bound on the uniform Hessian deviation over the ball of
+    radius ``_MU_RADIUS``, holding with probability 1 - ``_MU_DELTA``.
 
     The deviation splits at x = 0 into an x-dependent part and
     loss''(0) (Sigma_n - Sigma_aux), the gap between the two sample
@@ -216,17 +219,15 @@ def mu_formula(s: CovarianceSpectrum, n: int, n_aux: int, delta: float,
     at most ``second_max`` times ||Sigma_n - Sigma|| + ||Sigma_aux - Sigma||,
     each bounded by Theorem 1 at r = 2 (:func:`bound_curve`).
     """
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
     sigma1 = float(s.sigmas[0])
     d = s.dim
     ln_d = math.log(d) if d > 1 else 0.0
-    ln_inv = math.log(1.0 / delta)
+    ln_inv = math.log(1.0 / _MU_DELTA)
     d1 = effective_dimension(s, 1)
     d3 = effective_dimension(s, 3)
-    term1 = (d3 * ln_d + ln_inv) * math.sqrt(d1 + math.log(n / delta)) / n
+    term1 = (d3 * ln_d + ln_inv) * math.sqrt(d1 + math.log(n / _MU_DELTA)) / n
     term2 = (math.sqrt(ln_inv) + math.sqrt(d1 * ln_d)) / math.sqrt(n)
-    moving = radius * sigma1**3 * hess_lipschitz * (term1 + term2)
+    moving = _MU_RADIUS * sigma1**3 * hess_lipschitz * (term1 + term2)
     at_zero = second_max * (bound_curve("1", s, n, 2) + bound_curve("1", s, n_aux, 2))
     return moving + at_zero
 

@@ -61,6 +61,24 @@ LIBRARY_REJECTED = [
                        "fs": [{"kind": "clip"}, {"kind": "clip"}]}),
 ]
 
+# json.load accepts these literals and each passes the schema (NaN fails no
+# comparison; Infinity and 1e999 meet every lower bound); the loader rejects
+# them before anything runs.
+NON_FINITE = [
+    ("effdim", '{"spectrum": {"kind": "isotropic", "d": 2, "sigma1": Infinity},'
+               ' "r_values": [1]}'),
+    ("effdim", '{"spectrum": {"kind": "isotropic", "d": 2}, "r_values": [1e999]}'),
+    ("cover", '{"axes": [Infinity, 1.0], "eps": 0.5, "n_samples": 10}'),
+    ("precondition", '{"spectrum": {"kind": "isotropic", "d": 2}, "n": 10,'
+                     ' "loss": "ridge", "lam": NaN}'),
+    ("smooth", '{"spectrum": {"kind": "isotropic", "d": 2}, "n": 10,'
+               ' "radius": NaN, "iters": 1, "batch": 1, "trials": 1}'),
+    ("concentration", '{"spectra": {"iso": {"kind": "isotropic", "d": 2}},'
+                      ' "n_grid": [8], "trials": 30, "r": 2,'
+                      ' "fs": [{"kind": "clip", "bound": NaN},'
+                      ' {"kind": "clip", "bound": NaN}]}'),
+]
+
 
 def test_invalid_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"r_values": [1]})
@@ -69,6 +87,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                         {"spectrum": {"kind": "bogus"}, "r_values": [1]})
     assert main(["effdim", "--config", cfg2]) == 2
     assert main(["effdim", "--config", str(tmp_path / "missing.json")]) == 2
+    for k, (subcommand, text) in enumerate(NON_FINITE):
+        cfg = tmp_path / f"nonfinite{k}.json"
+        cfg.write_text(text)
+        out = tmp_path / f"n{k}"
+        for extra in (["--validate-only"], []):
+            assert main([subcommand, "--config", str(cfg), "--out", str(out)]
+                        + extra) == 2
+            assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
     for k, (subcommand, config) in enumerate(LIBRARY_REJECTED):
         cfg = write_config(tmp_path, f"lib{k}.json", config)
         out = tmp_path / f"o{k}"
@@ -237,7 +264,7 @@ def test_precondition_formula_mu(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     sp = make_spectrum("power_law", d=6, sigma1=1.0, alpha=1.0)
     loss = Loss("logistic")
-    mu = mu_formula(sp, 200, 200, 0.05, 1.0, loss.hess_lipschitz, loss.second_max)
+    mu = mu_formula(sp, 200, 200, loss.hess_lipschitz, loss.second_max)
     assert mu > 0
     assert summary["mu"] == mu
     assert summary["kappa"] == kappa_bound(0.01, mu)

@@ -132,6 +132,10 @@ def test_centered_requires_reference():
     with pytest.raises(RefUnavailable):
         empirical_sup_deviation(sm, [Nonlinearity("relu")] * 2, 2,
                                 centered=True, ref=SP5)
+    # identity factors centre only against the exact moment tensor
+    with pytest.raises(RefUnavailable):
+        empirical_sup_deviation(sm, identity_fs(2), 2, centered=True,
+                                ref=sample_gaussian(SP5, 100, RngStream(2)))
 
 
 def test_prefix_monotonicity_in_restarts():
@@ -242,5 +246,14 @@ def test_scaling_experiment_pairing_and_jobs_invariance():
     r1 = scaling_experiment(spectra, jobs=1, **kwargs)
     r2 = scaling_experiment(spectra, jobs=4, **kwargs)
     assert r1["rows"] == r2["rows"]
+    # Paired trials scale the same draws: at r = 2 the sigma1 = 2 deviation
+    # is exactly 4 times the sigma1 = 1 one, trial by trial.
+    scaled = {"a": make_spectrum("isotropic", d=4, sigma1=1.0),
+              "b": make_spectrum("isotropic", d=4, sigma1=2.0)}
+    rows = scaling_experiment(scaled, jobs=1, **kwargs)["rows"]
+    by_spectrum = {sid: [row["value"] for row in rows if row["spectrum_id"] == sid]
+                   for sid in scaled}
+    np.testing.assert_allclose(by_spectrum["b"], 4.0 * np.asarray(by_spectrum["a"]),
+                               rtol=1e-12)
     with pytest.raises(ValueError):
         scaling_experiment(spectra, [32], 5, 2, rng=RngStream(1))

@@ -6,7 +6,6 @@ import pytest
 
 from effdim.linalg import (
     DimTooLarge,
-    sym_eigh,
     tensor_opnorm,
 )
 from effdim.rng import RngStream
@@ -50,28 +49,25 @@ def charpoly_roots(m):
     return np.sort(roots.real)[::-1]
 
 
-def test_sym_eigh_matches_charpoly_oracle():
+def test_tensor_opnorm_matches_charpoly_oracle():
     gen = RngStream(11).generator()
     for d in range(2, 7):
         for _ in range(20):
             m = gen.standard_normal((d, d))
             m = (m + m.T) / 2
-            w, v = sym_eigh(m)
-            np.testing.assert_allclose(w, charpoly_roots(m), atol=1e-8 * (1 + abs(w[0])))
-            np.testing.assert_allclose(v.T @ v, np.eye(d), atol=1e-12)
-            np.testing.assert_allclose((v * w) @ v.T, m, atol=1e-12)
-            assert np.all(np.diff(w) <= 1e-12)
+            expected = float(np.abs(charpoly_roots(m)).max())
+            assert tensor_opnorm(m) == pytest.approx(expected, abs=1e-8 * (1 + expected))
 
 
-def test_sym_eigh_rejects_asymmetric():
+def test_tensor_opnorm_rejects_asymmetric():
     with pytest.raises(ValueError):
-        sym_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        tensor_opnorm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_sym_eigh_rejects_small_relative_asymmetry():
+def test_tensor_opnorm_rejects_small_relative_asymmetry():
     # a relative asymmetry of 1e-6 is a malformed input, not a solver failure
     with pytest.raises(ValueError):
-        sym_eigh(np.array([[1.0, 1.0], [1.0 + 1e-6, 1.0]]))
+        tensor_opnorm(np.array([[1.0, 1.0], [1.0 + 1e-6, 1.0]]))
 
 
 def test_sym_tensor_is_permutation_invariant():
@@ -93,8 +89,7 @@ def test_tensor_opnorm_matches_matrix_case():
     for _ in range(10):
         m = gen.standard_normal((5, 5))
         m = (m + m.T) / 2
-        w, _ = sym_eigh(m)
-        expected = max(abs(w[0]), abs(w[-1]))
+        expected = np.linalg.norm(m, 2)
         got = tensor_opnorm(m, restarts=16, iters=300, rng=RngStream(1))
         assert got == pytest.approx(expected, rel=1e-8)
 

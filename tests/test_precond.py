@@ -206,7 +206,7 @@ def test_hessian_deviation_is_the_max_over_points():
 
 def test_mu_formula_decreases_in_n():
     sp = make_spectrum("power_law", d=10, sigma1=1.0, alpha=1.0)
-    vals = [mu_formula(sp, n, n, 0.05, 1.0, 0.1, 0.25) for n in (100, 1000, 10000)]
+    vals = [mu_formula(sp, n, n, 0.1, 0.25) for n in (100, 1000, 10000)]
     assert vals[0] > vals[1] > vals[2] > 0
 
 
@@ -214,7 +214,7 @@ def test_mu_formula_covers_the_covariance_gap_for_ridge():
     # ridge has no x-dependent deviation; mu is the sample-covariance term
     sp = make_spectrum("power_law", d=10, sigma1=1.0, alpha=1.0)
     loss = Loss("ridge")
-    mu = mu_formula(sp, 500, 300, 0.05, 1.0, loss.hess_lipschitz, loss.second_max)
+    mu = mu_formula(sp, 500, 300, loss.hess_lipschitz, loss.second_max)
     assert mu == bound_curve("1", sp, 500, 2) + bound_curve("1", sp, 300, 2)
     assert mu > 0
 
