@@ -7,6 +7,10 @@ through counter-based streams keyed by the master seed, and results are
 reduced in a canonical order, so outputs are byte-identical for any
 ``--jobs`` value.
 
+Runners are pure: ``run_x(config, seed, jobs)`` returns ``(summary,
+{csv_name: rows})``, where the key order of each row dict is the CSV
+header.  ``main`` alone owns ``--out`` and writes every file in it.
+
 Exit codes: 0 success, 2 invalid config, 3 declared computational limit
 (``DECLARED_LIMITS``), 1 any other error, with its traceback on stderr.
 A failed run removes the output directory if it created it.
@@ -175,24 +179,12 @@ def _spectrum(cfg: dict) -> CovarianceSpectrum:
         raise ConfigInvalid(f"spectrum: {exc}") from exc
 
 
-def _search(cfg: dict | None, **defaults) -> SearchConfig:
-    merged = dict(defaults)
-    merged.update(cfg or {})
-    return SearchConfig(**merged)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, rows: list[dict]) -> None:
+    """The header is the key order of the first row."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row[k]) for k in fieldnames])
+        writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -205,20 +197,19 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def run_effdim(config, seed, jobs, out: Path):
+def run_effdim(config, seed, jobs):
     sp = _spectrum(config["spectrum"])
     rows = [
         {"seed": seed, "trial": 0, "r": float(r),
          "d_eff": effective_dimension(sp, r)}
         for r in config["r_values"]
     ]
-    _write_csv(out / "effdim.csv", ["seed", "trial", "r", "d_eff"], rows)
     summary = {"d": sp.dim, "sigma1": float(sp.sigmas[0]),
                "d_eff": {str(r["r"]): r["d_eff"] for r in rows}}
-    return summary, ["effdim.csv"]
+    return summary, {"effdim.csv": rows}
 
 
-def run_entropy(config, seed, jobs, out: Path):
+def run_entropy(config, seed, jobs):
     sp = _spectrum(config["spectrum"])
     r = config.get("r", 1)
     c = config.get("c", 1.0)
@@ -230,14 +221,13 @@ def run_entropy(config, seed, jobs, out: Path):
             "bound": eps_entropy_bound(sp, eps, r=r, c=c),
         })
     rows.sort(key=lambda row: -row["eps"])
-    _write_csv(out / "entropy.csv", ["seed", "trial", "eps", "m_eps", "bound"], rows)
     axes = EllipsoidAxes(np.asarray(sp.sigmas) / float(sp.sigmas[0]))
     kb, mb = kb_mb(axes)
     summary = {"d": sp.dim, "r": r, "c": c, "kb_unit": kb, "mb_unit": mb}
-    return summary, ["entropy.csv"]
+    return summary, {"entropy.csv": rows}
 
 
-def run_cover(config, seed, jobs, out: Path):
+def run_cover(config, seed, jobs):
     try:
         axes = EllipsoidAxes(np.asarray(config["axes"], dtype=float))
     except ValueError as exc:
@@ -258,14 +248,12 @@ def run_cover(config, seed, jobs, out: Path):
         # control removes a contiguous extreme region instead.
         keep = max(1, int(round(cover.size * (1.0 - frac))))
         order = np.argsort(cover.centers[:, 0])[:keep]
-        damaged = BallCover(eps, cover.centers[np.sort(order)], cover.grid_spacing)
+        damaged = BallCover(eps, cover.centers[np.sort(order)])
         bad = verify_cover(damaged, axes, config["n_samples"], root.child(1))
         rows.append({
             "seed": seed, "trial": 1, "size": damaged.size,
             "violations": bad["violations"], "max_dist": bad["max_dist"],
         })
-    _write_csv(out / "cover.csv",
-               ["seed", "trial", "size", "violations", "max_dist"], rows)
     kb, mb = kb_mb(axes)
     summary = {
         "size": cover.size, "ln_size": float(np.log(cover.size)),
@@ -273,10 +261,10 @@ def run_cover(config, seed, jobs, out: Path):
         "volumetric_lower": float(np.sum(np.log(np.asarray(config["axes"]) / eps))),
         "kb": kb, "mb": mb,
     }
-    return summary, ["cover.csv"]
+    return summary, {"cover.csv": rows}
 
 
-def run_concentration(config, seed, jobs, out: Path):
+def run_concentration(config, seed, jobs):
     spectra = {sid: _spectrum(sc) for sid, sc in config["spectra"].items()}
     if len({sp.dim for sp in spectra.values()}) != 1:
         raise ConfigInvalid("paired trials require spectra of equal dimension")
@@ -292,26 +280,18 @@ def run_concentration(config, seed, jobs, out: Path):
     result = scaling_experiment(
         spectra, config["n_grid"], config["trials"], r, fs=fs,
         centered=config.get("centered", True),
-        search=_search(config.get("search"), restarts=8, iters=100),
+        search=SearchConfig(**config.get("search", {})),
         rng=RngStream(seed), jobs=jobs,
     )
-    rows = [
-        {"seed": row["seed"], "trial": row["trial"], "spectrum_id": row["spectrum_id"],
-         "n": row["n"], "value": row["value"], "mode": row["mode"]}
-        for row in result["rows"]
-    ]
-    rows.sort(key=lambda row: (row["spectrum_id"], row["n"], row["trial"]))
-    _write_csv(out / "deviations.csv",
-               ["seed", "trial", "spectrum_id", "n", "value", "mode"], rows)
     summary = {
         sid: {"slope": fit["slope"], "stderr": fit["stderr"],
               "means": [{"n": n, "mean": m, "std": s} for n, m, s in fit["means"]]}
         for sid, fit in sorted(result["slopes"].items())
     }
-    return summary, ["deviations.csv"]
+    return summary, {"deviations.csv": result["rows"]}
 
 
-def run_precondition(config, seed, jobs, out: Path):
+def run_precondition(config, seed, jobs):
     sp = _spectrum(config["spectrum"])
     n = config["n"]
     n_aux = config.get("n_aux", n)
@@ -354,8 +334,6 @@ def run_precondition(config, seed, jobs, out: Path):
         for t, gap in enumerate(run.gaps):
             rows.append({"seed": seed, "trial": 0, "method": method,
                          "iter": t, "gap": float(gap)})
-    _write_csv(out / "precondition.csv",
-               ["seed", "trial", "method", "iter", "gap"], rows)
     summary = {
         "mu": mu, "kappa": kappa_bound(lam, mu),
         "L_rel": cond["L_rel"], "sigma_rel": cond["sigma_rel"],
@@ -364,10 +342,10 @@ def run_precondition(config, seed, jobs, out: Path):
         "reached_precond": run_p.gaps[-1] <= gap_tol,
         "reached_gd": run_g.gaps[-1] <= gap_tol,
     }
-    return summary, ["precondition.csv"]
+    return summary, {"precondition.csv": rows}
 
 
-def run_smooth(config, seed, jobs, out: Path):
+def run_smooth(config, seed, jobs):
     sp = _spectrum(config["spectrum"])
     n = config["n"]
     R = config["radius"]
@@ -404,8 +382,6 @@ def run_smooth(config, seed, jobs, out: Path):
     # the GIL, so worker threads would only add overhead.
     rows = [row for trial in range(config["trials"]) for row in run_trial(trial)]
     rows.sort(key=lambda row: (row["trial"], row["direction"]))
-    _write_csv(out / "smooth.csv",
-               ["seed", "trial", "direction", "iters_to_tol", "final_gap"], rows)
     summary = {}
     for direction in sorted(set(directions)):
         hits = [row["iters_to_tol"] for row in rows
@@ -416,7 +392,7 @@ def run_smooth(config, seed, jobs, out: Path):
             "median_iters": float(np.median(hits)) if hits else None,
             "unreached": misses,
         }
-    return summary, ["smooth.csv"]
+    return summary, {"smooth.csv": rows}
 
 
 RUNNERS = {
@@ -454,11 +430,20 @@ def _finite(text: str) -> float:
     return value
 
 
+def _finite_int(text: str) -> int:
+    """JSON integer hook: an int too large for a float, such as 10**400,
+    would pass every schema bound and overflow where the library converts
+    it, so it is rejected here too."""
+    _finite(text)
+    return int(text)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with open(args.config) as fh:
-            config = json.load(fh, parse_float=_finite, parse_constant=_finite)
+            config = json.load(fh, parse_float=_finite, parse_int=_finite_int,
+                               parse_constant=_finite)
         # The schemas are constants, checked against the metaschema by the
         # tests, so this skips the check that ``jsonschema.validate`` repeats
         # on every call.  Draft 2020-12 is what ``validate`` picks for a
@@ -493,9 +478,10 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        summary, outputs = RUNNERS[args.subcommand](config, seed, jobs, out)
+        summary, tables = RUNNERS[args.subcommand](config, seed, jobs)
+        for name, rows in tables.items():
+            _write_csv(out / name, rows)
         _write_json(out / "summary.json", summary)
-        outputs = list(outputs) + ["summary.json"]
         manifest = {
             "tool": "effdim", "version": __version__,
             "subcommand": args.subcommand,
@@ -504,7 +490,8 @@ def main(argv=None) -> int:
             "seed": seed, "jobs": jobs,
             "started": started,
             "finished": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "outputs": {name: _sha256(out / name) for name in sorted(outputs)},
+            "outputs": {name: _sha256(out / name)
+                        for name in sorted([*tables, "summary.json"])},
         }
         _write_json(out / "manifest.json", manifest)
     except ConfigInvalid as exc:

@@ -73,8 +73,8 @@ def identity_fs(r: int) -> list[Nonlinearity]:
 class SearchConfig:
     """Multistart projected gradient ascent budget."""
 
-    restarts: int = 32
-    iters: int = 200
+    restarts: int = 8
+    iters: int = 100
     # Projected-ascent step (nonlinear factors only); by default 0.1 / s**r
     # with s**2 = d * mean(a_ij**2) over the data.
     step: float | None = None
@@ -84,10 +84,6 @@ class SearchConfig:
 class DeviationEstimate:
     value: float
     mode: str  # "centered" | "uncentered"
-    n: int
-    d: int
-    order: int
-    seed: tuple[int, int]
     search: dict = field(default_factory=dict)
     stderr: float = 0.0
 
@@ -134,7 +130,7 @@ def empirical_sup_deviation(
                              f"{ref_type.__name__} reference")
     mode = "centered" if centered else "uncentered"
     A = samples.rows
-    n, d = A.shape
+    d = A.shape[1]
 
     if identity:
         dev = _moment_tensor(A, r)
@@ -142,7 +138,7 @@ def empirical_sup_deviation(
             dev -= gaussian_moment_tensor(ref, r)
         value = tensor_opnorm(dev, restarts=search.restarts, iters=search.iters, rng=rng)
         return DeviationEstimate(
-            value=value, mode=mode, n=n, d=d, order=r, seed=samples.seed,
+            value=value, mode=mode,
             search={"restarts": search.restarts, "iters": search.iters},
         )
     ref_rows = ref.rows if centered else None
@@ -193,7 +189,7 @@ def empirical_sup_deviation(
     if centered:
         best = max(best, 0.0)
     return DeviationEstimate(
-        value=best, mode=mode, n=n, d=d, order=r, seed=samples.seed,
+        value=best, mode=mode,
         search={"restarts": search.restarts, "iters": search.iters, "step": step},
         stderr=stderr,
     )
@@ -294,7 +290,7 @@ def scaling_experiment(
     r: int,
     fs: list[Nonlinearity] | None = None,
     centered: bool = True,
-    search: SearchConfig = SearchConfig(restarts=8, iters=100),
+    search: SearchConfig = SearchConfig(),
     rng: RngStream = RngStream(0),
     jobs: int = 1,
 ) -> dict:
@@ -305,9 +301,11 @@ def scaling_experiment(
     the trial's own stream, and every call restarts that stream at Philox
     counter 0, so all spectra scale the same standard-normal draws.
     Requires trials >= 30 for a meaningful slope fit.
-    Returns ``{"rows": [...], "slopes": {spectrum_id: (slope, stderr)}}``.
+    Returns ``{"rows": [...], "slopes": {spectrum_id: (slope, stderr)}}``;
+    each row's keys are ``seed, trial, spectrum_id, n, value, mode`` in that
+    order, and rows are sorted by ``(spectrum_id, n, trial)``.
     Results do not depend on ``jobs``: every task draws only from its own
-    child stream and rows are flattened in task order.
+    child stream and rows are sorted after the map.
     """
     if trials < 30:
         raise ValueError("trials must be >= 30")
@@ -337,13 +335,13 @@ def scaling_experiment(
                 search=search, rng=stream.child(1),
             )
             out.append({
-                "spectrum_id": sid, "n": n, "trial": trial,
-                "value": est.value, "mode": est.mode,
-                "seed": stream.stream_id,
+                "seed": stream.stream_id, "trial": trial, "spectrum_id": sid,
+                "n": n, "value": est.value, "mode": est.mode,
             })
         return out
 
     rows = [row for chunk in parallel_map(run_task, tasks, jobs) for row in chunk]
+    rows.sort(key=lambda row: (row["spectrum_id"], row["n"], row["trial"]))
     slopes = {}
     for sid in spectra:
         means = []

@@ -63,11 +63,10 @@ class EntropyBound:
 
 @dataclass(frozen=True)
 class BallCover:
-    """Centers of an epsilon-ball cover plus construction metadata."""
+    """Centers of an epsilon-ball cover."""
 
     epsilon: float
     centers: np.ndarray
-    grid_spacing: float
 
     @property
     def size(self) -> int:
@@ -231,7 +230,7 @@ def build_cover(e: EllipsoidAxes, eps: float) -> BallCover:
     # Cell [c - s/2, c + s/2]^d meets E_b iff the per-axis closest point is inside.
     closest = np.maximum(np.abs(pts) - s / 2, 0.0)
     inside = np.sum((closest / e.b) ** 2, axis=1) <= 1.0
-    return BallCover(epsilon=eps, centers=pts[inside], grid_spacing=s)
+    return BallCover(epsilon=eps, centers=pts[inside])
 
 
 def sample_ellipsoid(e: EllipsoidAxes, n: int, rng: RngStream) -> np.ndarray:

@@ -54,10 +54,9 @@ class CovarianceSpectrum:
 
 @dataclass(frozen=True)
 class SampleMatrix:
-    """n rows of d-dimensional samples plus seed provenance."""
+    """n rows of d-dimensional samples."""
 
     rows: np.ndarray
-    seed: tuple[int, int] = (0, 0)
 
     def __post_init__(self):
         r = np.asarray(self.rows, dtype=float)
@@ -123,7 +122,7 @@ def sample_gaussian(s: CovarianceSpectrum, n: int, rng: RngStream) -> SampleMatr
     z = gen.standard_normal((n, s.dim)) * s.sigmas
     if s.basis is not None:
         z = z @ s.basis.T
-    return SampleMatrix(z, seed=(rng.master_seed, rng.stream_id))
+    return SampleMatrix(z)
 
 
 def max_norm_bound(s: CovarianceSpectrum, n: int, delta: float) -> float:

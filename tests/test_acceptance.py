@@ -132,7 +132,7 @@ def test_criterion_3_cover_validity():
     ok = rep["violations"] == 0
     ok &= math.log(cover.size) >= volumetric
     keep = np.sort(np.argsort(cover.centers[:, 0])[: int(cover.size * 0.9)])
-    damaged = BallCover(1.0, cover.centers[keep], cover.grid_spacing)
+    damaged = BallCover(1.0, cover.centers[keep])
     bad = verify_cover(damaged, axes, 100_000, root.child(1))
     ok &= bad["violations"] > 0
     elapsed = time.time() - t0

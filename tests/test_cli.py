@@ -62,11 +62,13 @@ LIBRARY_REJECTED = [
 ]
 
 # json.load accepts these literals and each passes the schema (NaN fails no
-# comparison; Infinity and 1e999 meet every lower bound); the loader rejects
-# them before anything runs.
+# comparison; Infinity, 1e999 and an integer too large for a float meet every
+# lower bound); the loader rejects them before anything runs.
 NON_FINITE = [
     ("effdim", '{"spectrum": {"kind": "isotropic", "d": 2, "sigma1": Infinity},'
                ' "r_values": [1]}'),
+    ("effdim", '{"spectrum": {"kind": "isotropic", "d": 2, "sigma1": 1' + '0' * 400
+               + '}, "r_values": [1]}'),
     ("effdim", '{"spectrum": {"kind": "isotropic", "d": 2}, "r_values": [1e999]}'),
     ("cover", '{"axes": [Infinity, 1.0], "eps": 0.5, "n_samples": 10}'),
     ("precondition", '{"spectrum": {"kind": "isotropic", "d": 2}, "n": 10,'
@@ -119,7 +121,7 @@ def test_runtime_failure_exits_3(tmp_path):
 
 
 def test_unexpected_error_exits_1_with_traceback(tmp_path, monkeypatch, capsys):
-    def broken(config, seed, jobs, out):
+    def broken(config, seed, jobs):
         raise TypeError("bug in a runner")
 
     monkeypatch.setitem(effdim.cli.RUNNERS, "effdim", broken)
@@ -146,23 +148,53 @@ def test_schemas_pass_the_metaschema():
         jsonschema.Draft202012Validator.check_schema(schema)
 
 
+# A small config for each subcommand and the header of each CSV it writes.
+SMALL_CONFIGS = {
+    "effdim": EFFDIM_CFG,
+    "entropy": {"spectrum": {"kind": "custom", "values": [2.0, 1.0]},
+                "eps_grid": [0.5]},
+    "cover": {"axes": [2.0, 1.0], "eps": 1.0, "n_samples": 100,
+              "delete_fraction": 0.1},
+    "concentration": {"spectra": {"iso": {"kind": "isotropic", "d": 2}},
+                      "n_grid": [8], "trials": 30, "r": 2,
+                      "search": {"restarts": 1, "iters": 1}},
+    "precondition": {"spectrum": {"kind": "isotropic", "d": 2}, "n": 20,
+                     "loss": "logistic", "lam": 0.1, "iters": 5,
+                     "probes": 2, "gd_iters": 5},
+    "smooth": {"spectrum": {"kind": "isotropic", "d": 2}, "n": 8,
+               "radius": 1.0, "iters": 5, "batch": 2, "trials": 1},
+}
+
+CSV_HEADERS = {
+    "effdim": {"effdim.csv": ["seed", "trial", "r", "d_eff"]},
+    "entropy": {"entropy.csv": ["seed", "trial", "eps", "m_eps", "bound"]},
+    "cover": {"cover.csv": ["seed", "trial", "size", "violations", "max_dist"]},
+    "concentration": {"deviations.csv": ["seed", "trial", "spectrum_id", "n",
+                                         "value", "mode"]},
+    "precondition": {"precondition.csv": ["seed", "trial", "method", "iter", "gap"]},
+    "smooth": {"smooth.csv": ["seed", "trial", "direction", "iters_to_tol",
+                              "final_gap"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(effdim.cli.RUNNERS))
+def test_runner_returns_its_rows_and_writes_nothing(name, tmp_path, monkeypatch):
+    # The key order of the rows is the CSV header that main writes.
+    monkeypatch.chdir(tmp_path)
+    summary, tables = effdim.cli.RUNNERS[name](SMALL_CONFIGS[name], 0, 1)
+    assert list(tmp_path.iterdir()) == []
+    assert isinstance(summary, dict)
+    assert {table: list(rows[0]) for table, rows in tables.items()} == CSV_HEADERS[name]
+    for rows in tables.values():
+        assert all(list(row) == list(rows[0]) for row in rows)
+
+
 def test_cli_runs_leave_scipy_unloaded(tmp_path):
     # Only cover needs scipy (cKDTree); every other subcommand runs without it.
-    configs = {
-        "effdim": EFFDIM_CFG,
-        "entropy": {"spectrum": {"kind": "custom", "values": [2.0, 1.0]},
-                    "eps_grid": [0.5]},
-        "concentration": {"spectra": {"iso": {"kind": "isotropic", "d": 2}},
-                          "n_grid": [8], "trials": 30, "r": 2,
-                          "search": {"restarts": 1, "iters": 1}},
-        "precondition": {"spectrum": {"kind": "isotropic", "d": 2}, "n": 20,
-                         "loss": "logistic", "lam": 0.1, "iters": 5,
-                         "probes": 2, "gd_iters": 5},
-        "smooth": {"spectrum": {"kind": "isotropic", "d": 2}, "n": 8,
-                   "radius": 1.0, "iters": 5, "batch": 2, "trials": 1},
-    }
     calls = []
-    for name, config in configs.items():
+    for name, config in SMALL_CONFIGS.items():
+        if name == "cover":
+            continue
         cfg = write_config(tmp_path, f"{name}.json", config)
         calls.append([name, "--config", cfg, "--out", str(tmp_path / name)])
     code = ("import sys, json; from effdim.cli import main\n"

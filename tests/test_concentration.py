@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from effdim.concentration import (
-    DeviationEstimate,
     Nonlinearity,
     RefUnavailable,
     SearchConfig,

@@ -117,7 +117,7 @@ def test_build_cover_validity_and_negative_control():
     # coordinate (uniform deletion cannot damage a grid cover with this
     # much slack, so the control removes a contiguous extreme region)
     keep = np.sort(np.argsort(cover.centers[:, 0])[: int(cover.size * 0.9)])
-    damaged = BallCover(1.0, cover.centers[keep], cover.grid_spacing)
+    damaged = BallCover(1.0, cover.centers[keep])
     bad = verify_cover(damaged, axes, 20_000, root.child(1))
     assert bad["violations"] > 0
 
@@ -161,7 +161,7 @@ def test_verify_cover_matches_brute_force_oracle():
     axes = EllipsoidAxes(np.array([4.0, 2.0, 0.5]))
     cover = build_cover(axes, 1.0)
     keep = np.sort(np.argsort(cover.centers[:, 0])[: int(cover.size * 0.9)])
-    damaged = BallCover(1.0, cover.centers[keep], cover.grid_spacing)
+    damaged = BallCover(1.0, cover.centers[keep])
     for c in (cover, damaged):
         report = verify_cover(c, axes, 3000, RngStream(41))
         nearest = nearest_center_oracle(sample_ellipsoid(axes, 3000, RngStream(41)),
@@ -173,7 +173,7 @@ def test_verify_cover_matches_brute_force_oracle():
 
 def test_verify_cover_empty_cover_fails_every_point():
     axes = EllipsoidAxes(np.array([2.0, 1.0]))
-    empty = BallCover(0.5, np.empty((0, 2)), 0.5)
+    empty = BallCover(0.5, np.empty((0, 2)))
     assert verify_cover(empty, axes, 100, RngStream(3)) == {
         "violations": 100, "max_dist": float("inf")}
 
