@@ -23,7 +23,6 @@ import csv
 import datetime
 import hashlib
 import json
-import os
 import shutil
 import sys
 import traceback
@@ -34,9 +33,8 @@ import numpy as np
 import jsonschema
 
 from . import __version__
-from .entropy import BallCover, CoverTooLarge, EllipsoidAxes, \
-    TruncationInsufficient, build_cover, eps_entropy_bound, kb_mb, m_eps, \
-    sample_ellipsoid, verify_cover
+from .entropy import BallCover, CoverTooLarge, build_cover, \
+    eps_entropy_bound, kb_mb, m_eps, sample_ellipsoid, verify_cover
 from .concentration import Nonlinearity, SearchConfig, scaling_experiment
 from .linalg import DimTooLarge, NonConvergence
 from .precond import ErmProblem, InnerSolveFailure, Loss, SingularPhi, \
@@ -54,8 +52,8 @@ class ConfigInvalid(Exception):
 
 # Limits the library declares and raises on purpose (exit 3); any other
 # exception escaping a runner is a bug (exit 1).
-DECLARED_LIMITS = (DimTooLarge, CoverTooLarge, TruncationInsufficient,
-                   InnerSolveFailure, SingularPhi, NonConvergence)
+DECLARED_LIMITS = (DimTooLarge, CoverTooLarge, InnerSolveFailure,
+                   SingularPhi, NonConvergence)
 
 
 _SPECTRUM_SCHEMA = {
@@ -94,7 +92,8 @@ SCHEMAS = {
         "properties": {
             "spectrum": _SPECTRUM_SCHEMA,
             "eps_grid": {"type": "array", "minItems": 1,
-                         "items": {"type": "number", "exclusiveMinimum": 0}},
+                         "items": {"type": "number", "exclusiveMinimum": 0,
+                                   "maximum": 1}},
             "r": {"type": "number", "minimum": 1},
             "c": {"type": "number", "exclusiveMinimum": 0},
         },
@@ -221,21 +220,20 @@ def run_entropy(config, seed, jobs):
             "bound": eps_entropy_bound(sp, eps, r=r, c=c),
         })
     rows.sort(key=lambda row: -row["eps"])
-    axes = EllipsoidAxes(np.asarray(sp.sigmas) / float(sp.sigmas[0]))
-    kb, mb = kb_mb(axes)
+    kb, mb = kb_mb(CovarianceSpectrum(sp.sigmas / sp.sigmas[0]))
     summary = {"d": sp.dim, "r": r, "c": c, "kb_unit": kb, "mb_unit": mb}
     return summary, {"entropy.csv": rows}
 
 
 def run_cover(config, seed, jobs):
     try:
-        axes = EllipsoidAxes(np.asarray(config["axes"], dtype=float))
-    except ValueError as exc:
+        axes = CovarianceSpectrum(config["axes"])
+    except BadSpectrum as exc:
         raise ConfigInvalid(f"axes: {exc}") from exc
     eps = config["eps"]
-    root = RngStream(seed)
     cover = build_cover(axes, eps)
-    report = verify_cover(cover, axes, config["n_samples"], root.child(1))
+    pts = sample_ellipsoid(axes, config["n_samples"], RngStream(seed).child(1))
+    report = verify_cover(cover, pts)
     rows = [{
         "seed": seed, "trial": 0, "size": cover.size,
         "violations": report["violations"], "max_dist": report["max_dist"],
@@ -249,7 +247,7 @@ def run_cover(config, seed, jobs):
         keep = max(1, int(round(cover.size * (1.0 - frac))))
         order = np.argsort(cover.centers[:, 0])[:keep]
         damaged = BallCover(eps, cover.centers[np.sort(order)])
-        bad = verify_cover(damaged, axes, config["n_samples"], root.child(1))
+        bad = verify_cover(damaged, pts)
         rows.append({
             "seed": seed, "trial": 1, "size": damaged.size,
             "violations": bad["violations"], "max_dist": bad["max_dist"],
@@ -258,7 +256,7 @@ def run_cover(config, seed, jobs):
     summary = {
         "size": cover.size, "ln_size": float(np.log(cover.size)),
         "violations": rows[0]["violations"],
-        "volumetric_lower": float(np.sum(np.log(np.asarray(config["axes"]) / eps))),
+        "volumetric_lower": float(np.sum(np.log(axes.sigmas / eps))),
         "kb": kb, "mb": mb,
     }
     return summary, {"cover.csv": rows}
@@ -312,7 +310,7 @@ def run_precondition(config, seed, jobs):
         b_aux = A_aux @ x_nat + 0.1 * noise[n:]
     problem = ErmProblem(A, b, loss, lam)
     aux = ErmProblem(A_aux, b_aux, loss, lam)
-    probes = sample_ellipsoid(EllipsoidAxes(np.ones(sp.dim)),
+    probes = sample_ellipsoid(CovarianceSpectrum(np.ones(sp.dim)),
                               config.get("probes", 50), root.child(4))
     if config.get("mu_method", "measured") == "measured":
         # Measuring at the probe points makes mu dominate the deviation at
@@ -415,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--jobs", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--jobs", type=int, default=1)
         p.add_argument("--validate-only", action="store_true")
     return parser
 
@@ -452,16 +450,9 @@ def main(argv=None) -> int:
         error = jsonschema.exceptions.best_match(validator.iter_errors(config))
         if error is not None:
             raise error
-        seed = args.seed
-        if seed is None:
-            env = os.environ.get("EFFDIM_SEED")
-            seed = int(env) if env is not None else config.get("seed", 0)
+        seed, jobs = args.seed, args.jobs
         if not 0 <= seed < 2**64:
             raise ConfigInvalid("seed must fit in an unsigned 64-bit integer")
-        jobs = args.jobs
-        if jobs is None:
-            env = os.environ.get("EFFDIM_JOBS")
-            jobs = int(env) if env is not None else 1
         if jobs < 1:
             raise ConfigInvalid("jobs must be >= 1")
     except (OSError, ValueError, jsonschema.ValidationError, ConfigInvalid) as exc:

@@ -1,8 +1,11 @@
 """Ellipsoid metric-entropy bounds and constructive desk-scale coverings.
 
-The unit-entropy bound is reported as an explicit (K_b, correction) pair
-with the universal constant ``c`` exposed as a parameter (default 1), so
-downstream comparisons can fit ``c`` empirically.
+An ellipsoid is given by a :class:`CovarianceSpectrum`: its sigma_1 >= ...
+>= sigma_d > 0 are the semi-axes b_i of the axis-aligned ellipsoid
+Sigma^{1/2} B = {x : sum_i (x_i / sigma_i)^2 <= 1}.  The unit-entropy bound
+is reported as an explicit (K_b, correction) pair with the universal
+constant ``c`` exposed as a parameter (default 1), so downstream
+comparisons can fit ``c`` empirically.
 """
 
 from __future__ import annotations
@@ -24,27 +27,6 @@ class CoverTooLarge(Exception):
 
 class TruncationInsufficient(Exception):
     """Tail envelope cannot certify the requested quantity."""
-
-
-@dataclass(frozen=True)
-class EllipsoidAxes:
-    """Semi-axes b_1 >= ... >= b_d > 0 of an axis-aligned ellipsoid."""
-
-    b: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "b", b)
-        if b.ndim != 1 or len(b) < 1:
-            raise ValueError("axes must be a nonempty 1-d array")
-        if not np.all(b > 0):
-            raise ValueError("axes must be strictly positive")
-        if np.any(np.diff(b) > 0):
-            raise ValueError("axes must be non-increasing")
-
-    @property
-    def dim(self) -> int:
-        return len(self.b)
 
 
 @dataclass(frozen=True)
@@ -73,20 +55,20 @@ class BallCover:
         return len(self.centers)
 
 
-def kb_mb(e: EllipsoidAxes) -> tuple[float, int]:
+def kb_mb(e: CovarianceSpectrum) -> tuple[float, int]:
     """m_b = #{i : b_i > 1}; K_b = sum of ln(b_i) over those axes."""
-    mb = int(np.sum(e.b > 1.0))
-    kb = float(np.sum(np.log(e.b[:mb]))) if mb else 0.0
+    mb = int(np.sum(e.sigmas > 1.0))
+    kb = float(np.sum(np.log(e.sigmas[:mb]))) if mb else 0.0
     return kb, mb
 
 
-def unit_entropy_bound(e: EllipsoidAxes, c: float = 1.0) -> EntropyBound:
+def unit_entropy_bound(e: CovarianceSpectrum, c: float = 1.0) -> EntropyBound:
     """Non-asymptotic unit-entropy bound K_b + c[ln d + sqrt(ln+ b1 m_b ln d)]."""
     if c <= 0:
         raise ValueError("c must be positive")
     kb, mb = kb_mb(e)
     ln_d = math.log(e.dim)
-    ln_b1 = max(math.log(e.b[0]), 0.0)
+    ln_b1 = max(math.log(e.sigmas[0]), 0.0)
     correction = ln_d + math.sqrt(ln_b1 * mb * ln_d)
     return EntropyBound(kb=kb, mb=mb, correction=correction, c=c)
 
@@ -203,7 +185,7 @@ def infinite_ellipsoid_stats(b_seq, truncation: int,
 _MAX_COVER_CELLS = 10**7
 
 
-def build_cover(e: EllipsoidAxes, eps: float) -> BallCover:
+def build_cover(e: CovarianceSpectrum, eps: float) -> BallCover:
     """Constructive eps-cover of the ellipsoid by an axis-aligned grid.
 
     Grid spacing eps/sqrt(d); a center is kept iff its grid cell intersects
@@ -217,7 +199,7 @@ def build_cover(e: EllipsoidAxes, eps: float) -> BallCover:
         raise ValueError("eps must be positive")
     d = e.dim
     s = eps / math.sqrt(d)
-    axes_counts = [int(math.floor((bi + s / 2) / s)) for bi in e.b]
+    axes_counts = [int(math.floor((bi + s / 2) / s)) for bi in e.sigmas]
     total = 1
     for k in axes_counts:
         total *= 2 * k + 1
@@ -229,11 +211,11 @@ def build_cover(e: EllipsoidAxes, eps: float) -> BallCover:
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     # Cell [c - s/2, c + s/2]^d meets E_b iff the per-axis closest point is inside.
     closest = np.maximum(np.abs(pts) - s / 2, 0.0)
-    inside = np.sum((closest / e.b) ** 2, axis=1) <= 1.0
+    inside = np.sum((closest / e.sigmas) ** 2, axis=1) <= 1.0
     return BallCover(epsilon=eps, centers=pts[inside])
 
 
-def sample_ellipsoid(e: EllipsoidAxes, n: int, rng: RngStream) -> np.ndarray:
+def sample_ellipsoid(e: CovarianceSpectrum, n: int, rng: RngStream) -> np.ndarray:
     """Uniform samples from the ellipsoid, shape ``(n, d)``.
 
     Exact radial law at every d: a uniform direction z/||z|| from a standard
@@ -246,23 +228,23 @@ def sample_ellipsoid(e: EllipsoidAxes, n: int, rng: RngStream) -> np.ndarray:
     z = gen.standard_normal((n, e.dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     radii = gen.uniform(size=(n, 1)) ** (1.0 / e.dim)
-    return z * radii * e.b
+    return z * radii * e.sigmas
 
 
-def verify_cover(cover: BallCover, e: EllipsoidAxes, n_samples: int,
-                 rng: RngStream) -> dict:
-    """Check the cover on ``n_samples`` uniform points of the ellipsoid.
+def verify_cover(cover: BallCover, pts: np.ndarray) -> dict:
+    """Check the cover on the points ``pts``, shape ``(n, d)``.
 
-    The points are ``sample_ellipsoid(e, n_samples, rng)``.  Each point's
-    exact Euclidean distance to its nearest center comes from a k-d tree
-    query over the centers.  Returns ``violations``, the number of points
-    farther than ``cover.epsilon`` from every center, and ``max_dist``, the
-    largest nearest-center distance; an empty cover gives ``n_samples`` and
-    ``inf``.  A Monte-Carlo check: zero violations does not prove the cover.
+    Callers pass uniform points of the ellipsoid from
+    :func:`sample_ellipsoid`, and may check several covers on one draw.
+    Each point's exact Euclidean distance to its nearest center comes from
+    a k-d tree query over the centers.  Returns ``violations``, the number
+    of points farther than ``cover.epsilon`` from every center, and
+    ``max_dist``, the largest nearest-center distance; an empty cover gives
+    ``len(pts)`` and ``inf``.  A Monte-Carlo check: zero violations does
+    not prove the cover.
     """
-    pts = sample_ellipsoid(e, n_samples, rng)
     if len(cover.centers) == 0:
-        return {"violations": n_samples, "max_dist": float("inf")}
+        return {"violations": len(pts), "max_dist": float("inf")}
     # Imported here, not at module level: this is the only use of scipy in
     # the package, so no other subcommand pays the ~0.3 s import of
     # scipy.spatial at start-up.

@@ -2,12 +2,12 @@
 dual-averaging optimizer driven by smoothed stochastic subgradients.
 
 f^gamma(x) = E f(x + gamma Z) with Z either standard normal (isotropic)
-or shaped by a covariance spectrum with basis B and standard deviations
-sigma: Z = B diag(sqrt(sigma)) G for standard normal G, so Cov Z =
-B diag(sigma) B^T = Sigma^{1/2}, the square root of the data covariance
-Sigma = B diag(sigma^2) B^T (see :func:`_draw_directions`).  The optimizer
-anneals the smoothing width along the usual accelerated theta sequence
-and keeps iterates in a Euclidean ball by radial projection.
+or shaped by a covariance spectrum with standard deviations sigma:
+Z = diag(sqrt(sigma)) G for standard normal G, so Cov Z = diag(sigma) =
+Sigma^{1/2}, the square root of the data covariance Sigma = diag(sigma^2)
+(see :func:`_draw_directions`).  The optimizer anneals the smoothing width
+along the usual accelerated theta sequence and keeps iterates in a
+Euclidean ball by radial projection.
 """
 
 from __future__ import annotations
@@ -64,10 +64,7 @@ def _draw_directions(gen, m: int, d: int,
     z = gen.standard_normal((m, d))
     if direction is None:
         return z
-    z = z * np.sqrt(direction.sigmas)
-    if direction.basis is not None:
-        z = z @ direction.basis.T
-    return z
+    return z * np.sqrt(direction.sigmas)
 
 
 def smooth_value_estimate(f, x: np.ndarray, gamma: float, m: int,

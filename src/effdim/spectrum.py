@@ -2,8 +2,10 @@
 
 Spectra are stored as standard deviations ``sigma_i`` (descending, strictly
 positive), never as variances, to keep the squared/unsquared convention in
-one place.  The covariance is ``basis @ diag(sigma**2) @ basis.T`` with the
-identity basis by default.
+one place.  The covariance is ``diag(sigma**2)``: every quantity here depends
+on Sigma only through its spectrum, so no rotation is stored.  The same
+sigma are the semi-axes of the ellipsoid Sigma^{1/2} B (see
+:mod:`effdim.entropy`).
 """
 
 from __future__ import annotations
@@ -21,10 +23,9 @@ class BadSpectrum(Exception):
 
 @dataclass(frozen=True)
 class CovarianceSpectrum:
-    """Ordered spectrum sigma_1 >= ... >= sigma_d > 0 plus optional basis."""
+    """Ordered spectrum sigma_1 >= ... >= sigma_d > 0."""
 
     sigmas: np.ndarray
-    basis: np.ndarray | None = None
 
     def __post_init__(self):
         s = np.asarray(self.sigmas, dtype=float)
@@ -35,21 +36,13 @@ class CovarianceSpectrum:
             raise BadSpectrum("sigmas must be strictly positive")
         if np.any(np.diff(s) > 0):
             raise BadSpectrum("sigmas must be non-increasing")
-        if self.basis is not None:
-            b = np.asarray(self.basis, dtype=float)
-            object.__setattr__(self, "basis", b)
-            if b.shape != (len(s), len(s)):
-                raise BadSpectrum("basis shape must match spectrum length")
-            if not np.allclose(b.T @ b, np.eye(len(s)), atol=1e-10):
-                raise BadSpectrum("basis must be orthonormal within 1e-10")
 
     @property
     def dim(self) -> int:
         return len(self.sigmas)
 
     def covariance(self) -> np.ndarray:
-        b = np.eye(self.dim) if self.basis is None else self.basis
-        return (b * self.sigmas**2) @ b.T
+        return np.diag(self.sigmas**2)
 
 
 @dataclass(frozen=True)
@@ -115,14 +108,11 @@ def make_spectrum(kind, d: int | None = None, sigma1: float = 1.0,
 
 
 def sample_gaussian(s: CovarianceSpectrum, n: int, rng: RngStream) -> SampleMatrix:
-    """n i.i.d. N(0, Sigma) rows: basis @ diag(sigma) @ standard normals."""
+    """n i.i.d. N(0, Sigma) rows: standard normals scaled by sigma."""
     if n < 1:
         raise ValueError("n must be >= 1")
     gen = rng.generator()
-    z = gen.standard_normal((n, s.dim)) * s.sigmas
-    if s.basis is not None:
-        z = z @ s.basis.T
-    return SampleMatrix(z)
+    return SampleMatrix(gen.standard_normal((n, s.dim)) * s.sigmas)
 
 
 def max_norm_bound(s: CovarianceSpectrum, n: int, delta: float) -> float:

@@ -22,11 +22,11 @@ from effdim.concentration import (
 )
 from effdim.entropy import (
     BallCover,
-    EllipsoidAxes,
     build_cover,
     eps_entropy_bound,
     kb_mb,
     m_eps,
+    sample_ellipsoid,
     unit_entropy_bound,
     verify_cover,
 )
@@ -97,7 +97,7 @@ def test_criterion_1_effective_dimension():
 
 def test_criterion_2_entropy_bounds():
     t0 = time.time()
-    e = EllipsoidAxes(np.array([4.0, 2.0, 0.5]))
+    e = CovarianceSpectrum(np.array([4.0, 2.0, 0.5]))
     kb, mb = kb_mb(e)
     ok = mb == 2 and abs(kb - math.log(8.0)) <= 1e-10
     bound = unit_entropy_bound(e, c=1.0)
@@ -124,16 +124,17 @@ def test_criterion_2_entropy_bounds():
 
 def test_criterion_3_cover_validity():
     t0 = time.time()
-    axes = EllipsoidAxes(np.array([4.0, 2.0, 0.5]))
+    axes = CovarianceSpectrum(np.array([4.0, 2.0, 0.5]))
     root = RngStream(303)
     cover = build_cover(axes, 1.0)
-    rep = verify_cover(cover, axes, 100_000, root.child(1))
+    pts = sample_ellipsoid(axes, 100_000, root.child(1))
+    rep = verify_cover(cover, pts)
     volumetric = sum(math.log(b) for b in (4.0, 2.0) )  # ln(b_i/eps), b_i > eps
     ok = rep["violations"] == 0
     ok &= math.log(cover.size) >= volumetric
     keep = np.sort(np.argsort(cover.centers[:, 0])[: int(cover.size * 0.9)])
     damaged = BallCover(1.0, cover.centers[keep])
-    bad = verify_cover(damaged, axes, 100_000, root.child(1))
+    bad = verify_cover(damaged, pts)
     ok &= bad["violations"] > 0
     elapsed = time.time() - t0
     ok &= elapsed < 60.0

@@ -81,6 +81,10 @@ NON_FINITE = [
                       ' {"kind": "clip", "bound": NaN}]}'),
 ]
 
+# Passes every bound but eps's: the entropy bounds need eps in (0, 1].
+EPS_ABOVE_ONE = ("entropy", '{"spectrum": {"kind": "isotropic", "d": 3},'
+                            ' "eps_grid": [2.0]}')
+
 
 def test_invalid_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"r_values": [1]})
@@ -89,7 +93,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                         {"spectrum": {"kind": "bogus"}, "r_values": [1]})
     assert main(["effdim", "--config", cfg2]) == 2
     assert main(["effdim", "--config", str(tmp_path / "missing.json")]) == 2
-    for k, (subcommand, text) in enumerate(NON_FINITE):
+    for k, (subcommand, text) in enumerate(NON_FINITE + [EPS_ABOVE_ONE]):
         cfg = tmp_path / f"nonfinite{k}.json"
         cfg.write_text(text)
         out = tmp_path / f"n{k}"
@@ -210,17 +214,16 @@ def test_cli_runs_leave_scipy_unloaded(tmp_path):
     assert loaded == []
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path, "c.json", EFFDIM_CFG)
+def test_seed_comes_from_the_flag_only(tmp_path, monkeypatch):
+    # Neither the environment nor a config key sets the seed.
+    cfg = write_config(tmp_path, "c.json", {**EFFDIM_CFG, "seed": 99})
     monkeypatch.setenv("EFFDIM_SEED", "99")
-    out = tmp_path / "env"
-    assert main(["effdim", "--config", cfg, "--out", str(out)]) == 0
-    assert "\n99,0," in (out / "effdim.csv").read_text()
-    # explicit flag wins over the environment
-    out2 = tmp_path / "flag"
-    assert main(["effdim", "--config", cfg, "--out", str(out2),
-                 "--seed", "7"]) == 0
-    assert "\n7,0," in (out2 / "effdim.csv").read_text()
+    for name, extra, seed in (("default", [], 0), ("flag", ["--seed", "7"], 7)):
+        out = tmp_path / name
+        assert main(["effdim", "--config", cfg, "--out", str(out)] + extra) == 0
+        lines = (out / "effdim.csv").read_text().splitlines()[1:]
+        assert {line.split(",")[0] for line in lines} == {str(seed)}
+        assert json.loads((out / "manifest.json").read_text())["seed"] == seed
 
 
 def test_cover_negative_control(tmp_path):
@@ -237,7 +240,7 @@ def test_cover_negative_control(tmp_path):
     assert int(damaged[3]) > 0
 
 
-def test_concentration_deterministic_across_jobs_and_reruns(tmp_path, monkeypatch):
+def test_concentration_deterministic_across_jobs_and_reruns(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "spectra": {"iso": {"kind": "isotropic", "d": 4, "sigma1": 1.0}},
         "n_grid": [32, 64], "trials": 30, "r": 2,
@@ -246,9 +249,8 @@ def test_concentration_deterministic_across_jobs_and_reruns(tmp_path, monkeypatc
     outs = []
     for name, jobs in [("a", "1"), ("b", "4"), ("c", "1")]:
         out = tmp_path / name
-        monkeypatch.setenv("EFFDIM_JOBS", jobs)
         assert main(["concentration", "--config", cfg, "--out", str(out),
-                     "--seed", "5"]) == 0
+                     "--seed", "5", "--jobs", jobs]) == 0
         outs.append((out / "deviations.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
 

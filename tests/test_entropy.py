@@ -8,7 +8,6 @@ from effdim.entropy import (
     BallCover,
     CoverTooLarge,
     DimTooLarge,
-    EllipsoidAxes,
     TruncationInsufficient,
     build_cover,
     eps_entropy_bound,
@@ -21,20 +20,20 @@ from effdim.entropy import (
     verify_cover,
 )
 from effdim.rng import RngStream
-from effdim.spectrum import make_spectrum
+from effdim.spectrum import CovarianceSpectrum, make_spectrum
 
 
 def test_kb_mb_hand_values():
-    e = EllipsoidAxes(np.array([4.0, 2.0, 0.5]))
+    e = CovarianceSpectrum(np.array([4.0, 2.0, 0.5]))
     kb, mb = kb_mb(e)
     assert mb == 2
     assert kb == pytest.approx(math.log(8.0), abs=1e-14)
-    kb0, mb0 = kb_mb(EllipsoidAxes(np.array([0.9, 0.5])))
+    kb0, mb0 = kb_mb(CovarianceSpectrum(np.array([0.9, 0.5])))
     assert (kb0, mb0) == (0.0, 0)
 
 
 def test_unit_entropy_bound_hand_value():
-    e = EllipsoidAxes(np.array([4.0, 2.0, 0.5]))
+    e = CovarianceSpectrum(np.array([4.0, 2.0, 0.5]))
     bound = unit_entropy_bound(e, c=2.0)
     expected_corr = math.log(3) + math.sqrt(math.log(4) * 2 * math.log(3))
     assert bound.kb == pytest.approx(math.log(8.0), abs=1e-14)
@@ -43,7 +42,7 @@ def test_unit_entropy_bound_hand_value():
 
 
 def test_unit_entropy_bound_degenerate_dim_one():
-    e = EllipsoidAxes(np.array([5.0]))
+    e = CovarianceSpectrum(np.array([5.0]))
     bound = unit_entropy_bound(e)
     assert bound.correction == 0.0
     assert bound.total == pytest.approx(math.log(5.0))
@@ -107,10 +106,11 @@ def test_infinite_ellipsoid_examples():
 
 
 def test_build_cover_validity_and_negative_control():
-    axes = EllipsoidAxes(np.array([4.0, 2.0, 0.5]))
+    axes = CovarianceSpectrum(np.array([4.0, 2.0, 0.5]))
     root = RngStream(17)
     cover = build_cover(axes, 1.0)
-    report = verify_cover(cover, axes, 20_000, root.child(1))
+    pts = sample_ellipsoid(axes, 20_000, root.child(1))
+    report = verify_cover(cover, pts)
     assert report["violations"] == 0
     assert report["max_dist"] <= 1.0
     # negative control: strip the cap of centers with the largest first
@@ -118,7 +118,7 @@ def test_build_cover_validity_and_negative_control():
     # much slack, so the control removes a contiguous extreme region)
     keep = np.sort(np.argsort(cover.centers[:, 0])[: int(cover.size * 0.9)])
     damaged = BallCover(1.0, cover.centers[keep])
-    bad = verify_cover(damaged, axes, 20_000, root.child(1))
+    bad = verify_cover(damaged, pts)
     assert bad["violations"] > 0
 
 
@@ -126,12 +126,12 @@ def test_build_cover_validity_and_negative_control():
 @given(axes=st.lists(st.floats(0.25, 4.0), min_size=1, max_size=3),
        eps=st.floats(0.3, 1.0), seed=st.integers(0, 2**32))
 def test_build_cover_is_a_cover(axes, eps, seed):
-    e = EllipsoidAxes(np.sort(axes)[::-1])
+    e = CovarianceSpectrum(np.sort(axes)[::-1])
     try:
         cover = build_cover(e, eps)
     except CoverTooLarge:
         assume(False)
-    report = verify_cover(cover, e, 2000, RngStream(seed))
+    report = verify_cover(cover, sample_ellipsoid(e, 2000, RngStream(seed)))
     assert report["violations"] == 0
     assert report["max_dist"] <= eps
 
@@ -141,13 +141,13 @@ def test_build_cover_dim_cap():
 
     assert DimTooLarge is effdim.linalg.DimTooLarge  # one declared-limit class
     with pytest.raises(DimTooLarge):
-        build_cover(EllipsoidAxes(np.ones(6)), 0.5)
+        build_cover(CovarianceSpectrum(np.ones(6)), 0.5)
 
 
 def test_sample_ellipsoid_inside():
-    axes = EllipsoidAxes(np.array([3.0, 1.0, 0.2]))
+    axes = CovarianceSpectrum(np.array([3.0, 1.0, 0.2]))
     pts = sample_ellipsoid(axes, 5000, RngStream(23))
-    q = np.sum((pts / axes.b) ** 2, axis=1)
+    q = np.sum((pts / axes.sigmas) ** 2, axis=1)
     assert np.all(q <= 1.0 + 1e-9)
     assert q.max() > 0.5  # actually fills the body, not just the middle
 
@@ -158,23 +158,23 @@ def nearest_center_oracle(pts, centers):
 
 
 def test_verify_cover_matches_brute_force_oracle():
-    axes = EllipsoidAxes(np.array([4.0, 2.0, 0.5]))
+    axes = CovarianceSpectrum(np.array([4.0, 2.0, 0.5]))
     cover = build_cover(axes, 1.0)
     keep = np.sort(np.argsort(cover.centers[:, 0])[: int(cover.size * 0.9)])
     damaged = BallCover(1.0, cover.centers[keep])
+    pts = sample_ellipsoid(axes, 3000, RngStream(41))
     for c in (cover, damaged):
-        report = verify_cover(c, axes, 3000, RngStream(41))
-        nearest = nearest_center_oracle(sample_ellipsoid(axes, 3000, RngStream(41)),
-                                        c.centers)
+        report = verify_cover(c, pts)
+        nearest = nearest_center_oracle(pts, c.centers)
         assert report["violations"] == int(np.sum(nearest > c.epsilon))
         assert abs(report["max_dist"] - nearest.max()) <= 1e-12
     assert report["violations"] > 0  # the damaged cover is caught
 
 
 def test_verify_cover_empty_cover_fails_every_point():
-    axes = EllipsoidAxes(np.array([2.0, 1.0]))
+    axes = CovarianceSpectrum(np.array([2.0, 1.0]))
     empty = BallCover(0.5, np.empty((0, 2)))
-    assert verify_cover(empty, axes, 100, RngStream(3)) == {
+    assert verify_cover(empty, sample_ellipsoid(axes, 100, RngStream(3))) == {
         "violations": 100, "max_dist": float("inf")}
 
 
@@ -183,8 +183,8 @@ def test_sample_ellipsoid_radial_law():
     # P(||q|| <= t) = t^d, and at d = 3 each coordinate of the direction
     # q / ||q|| is uniform on [-1, 1] (Archimedes).
     d, n = 3, 20_000
-    axes = EllipsoidAxes(np.array([3.0, 1.0, 0.2]))
-    q = sample_ellipsoid(axes, n, RngStream(29)) / axes.b
+    axes = CovarianceSpectrum(np.array([3.0, 1.0, 0.2]))
+    q = sample_ellipsoid(axes, n, RngStream(29)) / axes.sigmas
     radius = np.linalg.norm(q, axis=1)
     direction = q / radius[:, None]
     for t in (0.3, 0.5, 0.7, 0.9):

@@ -66,14 +66,6 @@ def test_sample_covariance_converges():
     np.testing.assert_allclose(emp, s.covariance(), atol=0.05)
 
 
-def test_sample_with_basis_rotates_covariance():
-    q, _ = np.linalg.qr(RngStream(8).generator().standard_normal((3, 3)))
-    s = CovarianceSpectrum(np.array([3.0, 1.0, 0.1]), basis=q)
-    sm = sample_gaussian(s, 200_000, RngStream(6))
-    emp = sm.rows.T @ sm.rows / sm.n
-    np.testing.assert_allclose(emp, s.covariance(), atol=0.08)
-
-
 def test_max_norm_bound_dominates_samples():
     s = make_spectrum("isotropic", d=10, sigma1=1.0)
     bound = max_norm_bound(s, 100, 0.01)
