@@ -23,6 +23,7 @@ import csv
 import datetime
 import hashlib
 import json
+import operator
 import shutil
 import sys
 import traceback
@@ -30,10 +31,9 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import jsonschema
 
 from . import __version__
-from .entropy import BallCover, CoverTooLarge, build_cover, \
+from .entropy import CoverTooLarge, build_cover, \
     eps_entropy_bound, kb_mb, m_eps, sample_ellipsoid, verify_cover
 from .concentration import Nonlinearity, SearchConfig, scaling_experiment
 from .linalg import DimTooLarge, NonConvergence
@@ -168,6 +168,59 @@ SCHEMAS = {
 }
 
 
+# The JSON types and schema keywords of ``validate``: exactly those SCHEMAS use.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    # A JSON integer literal only: draft 2020-12 also admits 30.0, which then
+    # crashes the run where the library needs an int.
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+_KEYWORDS = {"type", "enum", "minimum", "exclusiveMinimum", "maximum",
+             "minItems", "minProperties", "items", "properties",
+             "additionalProperties", "required"}
+
+
+def validate(schema: dict, value, path: str = "$") -> None:
+    """Raise ConfigInvalid, naming the path, if ``value`` breaks ``schema``.
+
+    The subset of JSON Schema draft 2020-12 in ``_KEYWORDS``, except that an
+    integer must be written as one.  Any other keyword is a programming
+    error (NotImplementedError), so a schema cannot outgrow the subset.
+    """
+    unknown = set(schema) - _KEYWORDS
+    if unknown:
+        raise NotImplementedError(f"schema keywords {sorted(unknown)} at {path}")
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        raise ConfigInvalid(f"{path}: {value!r} is not of type {schema['type']}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ConfigInvalid(f"{path}: {value!r} is not one of {schema['enum']}")
+    if _TYPES["number"](value):
+        for key, bad in (("minimum", operator.lt), ("exclusiveMinimum", operator.le),
+                         ("maximum", operator.gt)):
+            if key in schema and bad(value, schema[key]):
+                raise ConfigInvalid(f"{path}: {value!r} breaks {key} {schema[key]}")
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            raise ConfigInvalid(f"{path}: fewer than {schema['minItems']} items")
+        for i, item in enumerate(value):
+            if "items" in schema:
+                validate(schema["items"], item, f"{path}[{i}]")
+    if isinstance(value, dict):
+        if len(value) < schema.get("minProperties", 0):
+            raise ConfigInvalid(f"{path}: fewer than {schema['minProperties']} properties")
+        for key in schema.get("required", []):
+            if key not in value:
+                raise ConfigInvalid(f"{path}: missing required property {key!r}")
+        props = schema.get("properties", {})
+        for key, item in value.items():
+            sub = props.get(key, schema.get("additionalProperties"))
+            if sub is not None:
+                validate(sub, item, f"{path}.{key}")
+
+
 def _spectrum(cfg: dict) -> CovarianceSpectrum:
     try:
         return make_spectrum(
@@ -246,7 +299,7 @@ def run_cover(config, seed, jobs):
         # control removes a contiguous extreme region instead.
         keep = max(1, int(round(cover.size * (1.0 - frac))))
         order = np.argsort(cover.centers[:, 0])[:keep]
-        damaged = BallCover(eps, cover.centers[np.sort(order)])
+        damaged = replace(cover, cells=cover.cells[np.sort(order)])
         bad = verify_cover(damaged, pts)
         rows.append({
             "seed": seed, "trial": 1, "size": damaged.size,
@@ -442,22 +495,14 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             config = json.load(fh, parse_float=_finite, parse_int=_finite_int,
                                parse_constant=_finite)
-        # The schemas are constants, checked against the metaschema by the
-        # tests, so this skips the check that ``jsonschema.validate`` repeats
-        # on every call.  Draft 2020-12 is what ``validate`` picks for a
-        # schema without ``$schema``.
-        validator = jsonschema.Draft202012Validator(SCHEMAS[args.subcommand])
-        error = jsonschema.exceptions.best_match(validator.iter_errors(config))
-        if error is not None:
-            raise error
+        validate(SCHEMAS[args.subcommand], config)
         seed, jobs = args.seed, args.jobs
         if not 0 <= seed < 2**64:
             raise ConfigInvalid("seed must fit in an unsigned 64-bit integer")
         if jobs < 1:
             raise ConfigInvalid("jobs must be >= 1")
-    except (OSError, ValueError, jsonschema.ValidationError, ConfigInvalid) as exc:
-        msg = exc.message if isinstance(exc, jsonschema.ValidationError) else exc
-        print(f"config error: {msg}", file=sys.stderr)
+    except (OSError, ValueError, ConfigInvalid) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     if args.validate_only:

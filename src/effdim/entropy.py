@@ -11,7 +11,6 @@ comparisons can fit ``c`` empirically.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +44,23 @@ class EntropyBound:
 
 @dataclass(frozen=True)
 class BallCover:
-    """Centers of an epsilon-ball cover."""
+    """An epsilon-ball cover whose centers lie on a grid.
+
+    ``cells`` holds the integer grid indices of the centers, shape
+    ``(size, d)``; center i is ``spacing * cells[i]``.
+    """
 
     epsilon: float
-    centers: np.ndarray
+    spacing: float
+    cells: np.ndarray
+
+    @property
+    def centers(self) -> np.ndarray:
+        return self.spacing * self.cells
 
     @property
     def size(self) -> int:
-        return len(self.centers)
+        return len(self.cells)
 
 
 def kb_mb(e: CovarianceSpectrum) -> tuple[float, int]:
@@ -85,7 +93,9 @@ def eps_entropy_bound(s: CovarianceSpectrum, eps: float, r: int = 1,
     """Entropy bound for covering the unit sphere in the Sigma-metric.
 
     Returns the minimum of the exact per-axis sum form and the closed-form
-    d_eff(r) bound, each plus the shared c-bracket.  Also checks the
+    d_eff(r) bound, each plus the shared c-bracket.  At d = 1 the sphere is
+    two points of a segment and the bracket is 0, so the bound is ln(1/eps),
+    the right order for covering a segment.  Also checks the
     companion inequality m_eps <= 1 + (d_eff(r) - 1) * eps^{-2/r} and raises
     ArithmeticError if it fails.
     """
@@ -103,7 +113,6 @@ def eps_entropy_bound(s: CovarianceSpectrum, eps: float, r: int = 1,
     ln_d = math.log(d)
     bracket = ln_d + math.sqrt(max(ln_inv_eps, 0.0) * ln_d * me)
     if d == 1:
-        warnings.warn("eps_entropy_bound degenerates at d=1; using ln(1/eps) + c*bracket")
         return ln_inv_eps + c * bracket
     exact_sum = float(np.sum(np.log(s.sigmas[:me] / (eps * s.sigmas[0])))) if me else 0.0
     a = eps ** (-2.0 / r) * (deff - 1.0)
@@ -206,13 +215,13 @@ def build_cover(e: CovarianceSpectrum, eps: float) -> BallCover:
     if total > _MAX_COVER_CELLS:
         raise CoverTooLarge(
             f"grid would enumerate {total} cells > {_MAX_COVER_CELLS}")
-    grids = [s * np.arange(-k, k + 1, dtype=float) for k in axes_counts]
+    grids = [np.arange(-k, k + 1) for k in axes_counts]
     mesh = np.meshgrid(*grids, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    cells = np.stack([m.ravel() for m in mesh], axis=1)
     # Cell [c - s/2, c + s/2]^d meets E_b iff the per-axis closest point is inside.
-    closest = np.maximum(np.abs(pts) - s / 2, 0.0)
+    closest = np.maximum(np.abs(s * cells) - s / 2, 0.0)
     inside = np.sum((closest / e.sigmas) ** 2, axis=1) <= 1.0
-    return BallCover(epsilon=eps, centers=pts[inside])
+    return BallCover(epsilon=eps, spacing=s, cells=cells[inside])
 
 
 def sample_ellipsoid(e: CovarianceSpectrum, n: int, rng: RngStream) -> np.ndarray:
@@ -231,25 +240,51 @@ def sample_ellipsoid(e: CovarianceSpectrum, n: int, rng: RngStream) -> np.ndarra
     return z * radii * e.sigmas
 
 
+# Entries of one (points, centers) distance block in verify_cover.
+_BLOCK_ENTRIES = 2**18
+
+
 def verify_cover(cover: BallCover, pts: np.ndarray) -> dict:
     """Check the cover on the points ``pts``, shape ``(n, d)``.
 
     Callers pass uniform points of the ellipsoid from
     :func:`sample_ellipsoid`, and may check several covers on one draw.
-    Each point's exact Euclidean distance to its nearest center comes from
-    a k-d tree query over the centers.  Returns ``violations``, the number
-    of points farther than ``cover.epsilon`` from every center, and
-    ``max_dist``, the largest nearest-center distance; an empty cover gives
-    ``len(pts)`` and ``inf``.  A Monte-Carlo check: zero violations does
-    not prove the cover.
+    Each point's exact Euclidean distance to its nearest center: rounding
+    p / spacing gives p's nearest grid point, so when that point is a
+    center it is p's nearest center; any other point is compared with every
+    center.  Returns ``violations``, the number of points farther than
+    ``cover.epsilon`` from every center, and ``max_dist``, the largest
+    nearest-center distance; an empty cover gives ``len(pts)`` and ``inf``.
+    A Monte-Carlo check: zero violations does not prove the cover.
     """
-    if len(cover.centers) == 0:
+    if cover.size == 0:
         return {"violations": len(pts), "max_dist": float("inf")}
-    # Imported here, not at module level: this is the only use of scipy in
-    # the package, so no other subcommand pays the ~0.3 s import of
-    # scipy.spatial at start-up.
-    from scipy.spatial import cKDTree
-
-    nearest, _ = cKDTree(cover.centers).query(pts)
+    s = cover.spacing
+    lo = cover.cells.min(axis=0)
+    occupied = np.zeros(cover.cells.max(axis=0) - lo + 1, dtype=bool)
+    occupied[tuple((cover.cells - lo).T)] = True
+    grid = np.rint(pts / s)
+    slot = grid - lo
+    on_center = np.all((slot >= 0) & (slot < occupied.shape), axis=1)
+    on_center[on_center] = occupied[tuple(slot[on_center].astype(np.intp).T)]
+    sq = np.empty(len(pts))
+    sq[on_center] = _sq_dist(pts[on_center], s * grid[on_center])
+    rest = np.flatnonzero(~on_center)
+    centers = cover.centers.T[None]
+    step = max(1, _BLOCK_ENTRIES // cover.size)
+    for i in range(0, len(rest), step):
+        rows = rest[i:i + step]
+        sq[rows] = _sq_dist(pts[rows, :, None], centers).min(axis=1)
+    nearest = np.sqrt(sq)
     return {"violations": int(np.sum(nearest > cover.epsilon)),
             "max_dist": float(nearest.max())}
+
+
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k (a_k - b_k)^2 over axis 1, added one axis at a time in axis
+    order, so a point and a center give the same float on either path of
+    :func:`verify_cover`."""
+    sq = (a[:, 0] - b[:, 0]) ** 2
+    for k in range(1, a.shape[1]):
+        sq += (a[:, k] - b[:, k]) ** 2
+    return sq

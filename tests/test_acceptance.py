@@ -21,7 +21,6 @@ from effdim.concentration import (
     scaling_experiment,
 )
 from effdim.entropy import (
-    BallCover,
     build_cover,
     eps_entropy_bound,
     kb_mb,
@@ -133,7 +132,7 @@ def test_criterion_3_cover_validity():
     ok = rep["violations"] == 0
     ok &= math.log(cover.size) >= volumetric
     keep = np.sort(np.argsort(cover.centers[:, 0])[: int(cover.size * 0.9)])
-    damaged = BallCover(1.0, cover.centers[keep])
+    damaged = replace(cover, cells=cover.cells[keep])
     bad = verify_cover(damaged, pts)
     ok &= bad["violations"] > 0
     elapsed = time.time() - t0

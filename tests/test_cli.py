@@ -7,9 +7,10 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import effdim.cli
-from effdim.cli import main
+from effdim.cli import SCHEMAS, ConfigInvalid, main, validate
 from effdim.precond import Loss, kappa_bound, mu_formula
 from effdim.rng import RngStream
 from effdim.spectrum import make_spectrum, sample_gaussian
@@ -85,6 +86,17 @@ NON_FINITE = [
 EPS_ABOVE_ONE = ("entropy", '{"spectrum": {"kind": "isotropic", "d": 3},'
                             ' "eps_grid": [2.0]}')
 
+# Draft 2020-12 counts 30.0 as an integer; a run would then crash with a
+# TypeError where the library needs an int.  Integers must be written as one.
+INTEGRAL_FLOATS = [
+    ("concentration", '{"spectra": {"iso": {"kind": "isotropic", "d": 2}},'
+                      ' "n_grid": [8], "trials": 30.0, "r": 2}'),
+    ("effdim", '{"spectrum": {"kind": "isotropic", "d": 3.0}, "r_values": [1]}'),
+    ("cover", '{"axes": [2.0, 1.0], "eps": 1.0, "n_samples": 100.0}'),
+    ("smooth", '{"spectrum": {"kind": "isotropic", "d": 2}, "n": 8,'
+               ' "radius": 1.0, "iters": 5.0, "batch": 2, "trials": 1}'),
+]
+
 
 def test_invalid_config_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", {"r_values": [1]})
@@ -93,7 +105,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                         {"spectrum": {"kind": "bogus"}, "r_values": [1]})
     assert main(["effdim", "--config", cfg2]) == 2
     assert main(["effdim", "--config", str(tmp_path / "missing.json")]) == 2
-    for k, (subcommand, text) in enumerate(NON_FINITE + [EPS_ABOVE_ONE]):
+    for k, (subcommand, text) in enumerate(NON_FINITE + [EPS_ABOVE_ONE]
+                                           + INTEGRAL_FLOATS):
         cfg = tmp_path / f"nonfinite{k}.json"
         cfg.write_text(text)
         out = tmp_path / f"n{k}"
@@ -136,20 +149,131 @@ def test_unexpected_error_exits_1_with_traceback(tmp_path, monkeypatch, capsys):
     assert "Traceback" in err and "TypeError: bug in a runner" in err
 
 
+# numpy is the only runtime dependency: no CLI import or run loads these.
+NOT_ON_RUN_PATH = ("scipy", "jsonschema")
+
+
 def test_cli_import_leaves_scipy_spatial_unloaded():
-    # scipy.spatial costs every CLI start-up about 0.3 s; only cover needs it.
-    code = "import sys, effdim.cli; print('scipy.spatial' in sys.modules)"
+    code = ("import sys, effdim.cli; print(sorted(m for m in sys.modules"
+            f" if m.split('.')[0] in {NOT_ON_RUN_PATH!r}))")
     src = str(Path(effdim.cli.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
 
 def test_schemas_pass_the_metaschema():
     # main validates without re-checking the schemas; they are checked here.
-    for schema in effdim.cli.SCHEMAS.values():
+    for schema in SCHEMAS.values():
         jsonschema.Draft202012Validator.check_schema(schema)
+
+
+def _integer_literal(checker, value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Draft 2020-12 with the one intended difference of ``validate``: an integer
+# must be written as one.
+Oracle = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", _integer_literal))
+
+
+def instances(schema):
+    """Valid instances of a schema that uses only the SCHEMAS keywords."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    kind = schema["type"]
+    if kind == "boolean":
+        return st.booleans()
+    if kind in ("integer", "number"):
+        lo = schema.get("minimum", schema.get("exclusiveMinimum", -50))
+        hi = schema.get("maximum", lo + 100)
+        ints = st.integers(int(lo) + ("exclusiveMinimum" in schema), int(hi))
+        if kind == "integer":
+            return ints
+        return ints | st.floats(lo, hi, exclude_min="exclusiveMinimum" in schema)
+    if kind == "array":
+        return st.lists(instances(schema["items"]),
+                        min_size=schema.get("minItems", 0), max_size=3)
+    props = schema.get("properties", {})
+    required = schema.get("required", [])
+    fixed = st.fixed_dictionaries(
+        {key: instances(props[key]) for key in required},
+        optional={key: instances(sub) for key, sub in props.items()
+                  if key not in required})
+    if "additionalProperties" not in schema:
+        return fixed
+    extra = st.dictionaries(st.text("abc", min_size=1, max_size=2),
+                            instances(schema["additionalProperties"]),
+                            min_size=schema.get("minProperties", 0), max_size=2)
+    return st.tuples(fixed, extra).map(lambda parts: {**parts[1], **parts[0]})
+
+
+# Replacements that break some schema node: wrong types, bools in place of
+# numbers, numbers on and across each bound, a bad enum, empty containers.
+BAD_VALUES = [True, False, None, "bogus", [], {}, -1, 0, 0.0, 0.5, 1, 1.0,
+              2, 2.5, 30.0, 29, 1e9, [0.5], {"kind": "isotropic"}]
+
+
+def _nodes(value, path=()):
+    yield path
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in children:
+        yield from _nodes(item, path + (key,))
+
+
+def _mutate(config, path, op):
+    """A copy of ``config`` with the node at ``path`` deleted or replaced."""
+    if not path:
+        return op
+    copy = json.loads(json.dumps(config))
+    parent = copy
+    for key in path[:-1]:
+        parent = parent[key]
+    if op == "delete":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = op
+    return copy
+
+
+def _accepts(schema, config) -> bool:
+    try:
+        validate(schema, config)
+    except ConfigInvalid:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SCHEMAS)), data=st.data())
+def test_validator_agrees_with_jsonschema(name, data):
+    # One valid config, then each node deleted or replaced by each BAD_VALUE.
+    schema = SCHEMAS[name]
+    oracle = Oracle(schema)
+    config = data.draw(instances(schema))
+    assert oracle.is_valid(config)
+    assert _accepts(schema, config)
+    for path in _nodes(config):
+        for op in BAD_VALUES + (["delete"] if path else []):
+            mutated = _mutate(config, path, op)
+            assert _accepts(schema, mutated) == oracle.is_valid(mutated), (path, op)
+
+
+def test_validator_rejects_unknown_keywords_and_names_the_path():
+    with pytest.raises(NotImplementedError):
+        validate({"type": "number", "multipleOf": 2}, 4)
+    with pytest.raises(NotImplementedError):
+        validate(SCHEMAS["effdim"] | {"properties": {"r_values": {"uniqueItems": True}}},
+                 {"spectrum": {"kind": "isotropic"}, "r_values": [1]})
+    bad = {"spectra": {"iso": {"kind": "isotropic", "d": 0}},
+           "n_grid": [8], "trials": 30, "r": 2}
+    with pytest.raises(ConfigInvalid, match=r"^\$\.spectra\.iso\.d: "):
+        validate(SCHEMAS["concentration"], bad)
 
 
 # A small config for each subcommand and the header of each CSV it writes.
@@ -194,17 +318,14 @@ def test_runner_returns_its_rows_and_writes_nothing(name, tmp_path, monkeypatch)
 
 
 def test_cli_runs_leave_scipy_unloaded(tmp_path):
-    # Only cover needs scipy (cKDTree); every other subcommand runs without it.
     calls = []
     for name, config in SMALL_CONFIGS.items():
-        if name == "cover":
-            continue
         cfg = write_config(tmp_path, f"{name}.json", config)
         calls.append([name, "--config", cfg, "--out", str(tmp_path / name)])
     code = ("import sys, json; from effdim.cli import main\n"
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
             "print(json.dumps([codes, sorted(m for m in sys.modules"
-            " if m.split('.')[0] == 'scipy')]))")
+            f" if m.split('.')[0] in {NOT_ON_RUN_PATH!r})]))")
     src = str(Path(effdim.cli.__file__).parents[1])
     out = subprocess.run([sys.executable, "-c", code, json.dumps(calls)],
                          check=True, capture_output=True, text=True,

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import effdim.entropy
 from effdim.entropy import (
     BallCover,
     CoverTooLarge,
@@ -77,11 +83,22 @@ def test_eps_entropy_bound_raises_when_meps_inequality_fails(monkeypatch):
         eps_entropy_bound(s, 0.1)
 
 
-def test_eps_entropy_bound_warns_at_dim_one():
+def test_eps_entropy_bound_at_dim_one_is_ln_inv_eps(tmp_path):
+    # A segment needs about 1/eps balls: the bound is ln(1/eps), and a d = 1
+    # run says nothing on stderr.
     s = make_spectrum("isotropic", d=1, sigma1=1.0)
-    with pytest.warns(UserWarning):
-        val = eps_entropy_bound(s, 0.5)
-    assert val >= math.log(2.0)
+    for eps in (1.0, 0.5, 0.01):
+        assert eps_entropy_bound(s, eps, c=3.0) == math.log(1.0 / eps)
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"spectrum": {"kind": "isotropic", "d": 1}, "eps_grid": [0.5, 0.1]}')
+    code = "import sys; from effdim.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = str(Path(effdim.entropy.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code, "entropy", "--config", str(cfg),
+                           "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0
+    assert done.stderr == ""
 
 
 def test_spectral_entropy_bound():
@@ -117,7 +134,7 @@ def test_build_cover_validity_and_negative_control():
     # coordinate (uniform deletion cannot damage a grid cover with this
     # much slack, so the control removes a contiguous extreme region)
     keep = np.sort(np.argsort(cover.centers[:, 0])[: int(cover.size * 0.9)])
-    damaged = BallCover(1.0, cover.centers[keep])
+    damaged = replace(cover, cells=cover.cells[keep])
     bad = verify_cover(damaged, pts)
     assert bad["violations"] > 0
 
@@ -161,7 +178,7 @@ def test_verify_cover_matches_brute_force_oracle():
     axes = CovarianceSpectrum(np.array([4.0, 2.0, 0.5]))
     cover = build_cover(axes, 1.0)
     keep = np.sort(np.argsort(cover.centers[:, 0])[: int(cover.size * 0.9)])
-    damaged = BallCover(1.0, cover.centers[keep])
+    damaged = replace(cover, cells=cover.cells[keep])
     pts = sample_ellipsoid(axes, 3000, RngStream(41))
     for c in (cover, damaged):
         report = verify_cover(c, pts)
@@ -171,9 +188,42 @@ def test_verify_cover_matches_brute_force_oracle():
     assert report["violations"] > 0  # the damaged cover is caught
 
 
+# Largest axis / eps per dimension: every grid has at most 9^5 cells.
+_AXIS_OVER_EPS = {1: 20.0, 2: 8.0, 3: 4.0, 4: 2.5, 5: 1.6}
+
+
+@settings(max_examples=150, deadline=None)
+@given(ratios=st.integers(1, 5).flatmap(lambda d: st.lists(
+           st.floats(0.1, _AXIS_OVER_EPS[d]), min_size=d, max_size=d)),
+       eps=st.floats(0.4, 1.5), kind=st.sampled_from(["cap", "thinned", "empty"]),
+       seed=st.integers(0, 2**32))
+def test_verify_cover_nearest_center_is_exact_on_grid_subsets(ratios, eps, kind, seed):
+    # Rounding finds a point's nearest center only when its nearest grid
+    # point is kept; every subset must still give the oracle's distances.
+    e = CovarianceSpectrum(eps * np.sort(ratios)[::-1])
+    cover = build_cover(e, eps)
+    gen = RngStream(seed).generator()
+    if kind == "cap":
+        order = np.argsort(cover.centers[:, 0])
+        keep = np.sort(order[: gen.integers(1, cover.size + 1)])
+    elif kind == "thinned":
+        keep = np.flatnonzero(gen.uniform(size=cover.size) < gen.uniform(0.05, 1.0))
+    else:
+        keep = np.empty(0, dtype=int)
+    subset = replace(cover, cells=cover.cells[keep])
+    pts = sample_ellipsoid(e, 300, RngStream(seed).child(1))
+    report = verify_cover(subset, pts)
+    if subset.size == 0:
+        assert report == {"violations": len(pts), "max_dist": float("inf")}
+        return
+    nearest = nearest_center_oracle(pts, subset.centers)
+    assert report["violations"] == int(np.sum(nearest > eps))
+    assert abs(report["max_dist"] - nearest.max()) <= 1e-12
+
+
 def test_verify_cover_empty_cover_fails_every_point():
     axes = CovarianceSpectrum(np.array([2.0, 1.0]))
-    empty = BallCover(0.5, np.empty((0, 2)))
+    empty = BallCover(0.5, 0.5 / math.sqrt(2), np.empty((0, 2), dtype=int))
     assert verify_cover(empty, sample_ellipsoid(axes, 100, RngStream(3))) == {
         "violations": 100, "max_dist": float("inf")}
 
