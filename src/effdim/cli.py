@@ -187,12 +187,17 @@ def validate(schema: dict, value, path: str = "$") -> None:
     """Raise ConfigInvalid, naming the path, if ``value`` breaks ``schema``.
 
     The subset of JSON Schema draft 2020-12 in ``_KEYWORDS``, except that an
-    integer must be written as one.  Any other keyword is a programming
-    error (NotImplementedError), so a schema cannot outgrow the subset.
+    integer must be written as one.  A schema node that is not an object,
+    or has another keyword or type, is a programming error
+    (NotImplementedError), so a schema cannot outgrow the subset.
     """
+    if not isinstance(schema, dict):
+        raise NotImplementedError(f"schema {schema!r} at {path}")
     unknown = set(schema) - _KEYWORDS
     if unknown:
         raise NotImplementedError(f"schema keywords {sorted(unknown)} at {path}")
+    if "type" in schema and schema["type"] not in tuple(_TYPES):
+        raise NotImplementedError(f"schema type {schema['type']!r} at {path}")
     if "type" in schema and not _TYPES[schema["type"]](value):
         raise ConfigInvalid(f"{path}: {value!r} is not of type {schema['type']}")
     if "enum" in schema and value not in schema["enum"]:
@@ -298,7 +303,7 @@ def run_cover(config, seed, jobs):
         # point keeps an inward grid neighbor well within eps), so the
         # control removes a contiguous extreme region instead.
         keep = max(1, int(round(cover.size * (1.0 - frac))))
-        order = np.argsort(cover.centers[:, 0])[:keep]
+        order = np.argsort(cover.spacing * cover.cells[:, 0])[:keep]
         damaged = replace(cover, cells=cover.cells[np.sort(order)])
         bad = verify_cover(damaged, pts)
         rows.append({

@@ -240,8 +240,8 @@ def sample_ellipsoid(e: CovarianceSpectrum, n: int, rng: RngStream) -> np.ndarra
     return z * radii * e.sigmas
 
 
-# Entries of one (points, centers) distance block in verify_cover.
-_BLOCK_ENTRIES = 2**18
+# Points per batch of verify_cover's bounded search.
+_SEARCH_BATCH = 2048
 
 
 def verify_cover(cover: BallCover, pts: np.ndarray) -> dict:
@@ -251,40 +251,116 @@ def verify_cover(cover: BallCover, pts: np.ndarray) -> dict:
     :func:`sample_ellipsoid`, and may check several covers on one draw.
     Each point's exact Euclidean distance to its nearest center: rounding
     p / spacing gives p's nearest grid point, so when that point is a
-    center it is p's nearest center; any other point is compared with every
-    center.  Returns ``violations``, the number of points farther than
+    center it is p's nearest center.  Any other point searches the cells
+    within a radius that starts at one spacing and grows by sqrt(2) until
+    it holds a center, so the search stays within sqrt(2) times the
+    answer.  Returns ``violations``, the number of points farther than
     ``cover.epsilon`` from every center, and ``max_dist``, the largest
     nearest-center distance; an empty cover gives ``len(pts)`` and ``inf``.
     A Monte-Carlo check: zero violations does not prove the cover.
     """
     if cover.size == 0:
         return {"violations": len(pts), "max_dist": float("inf")}
-    s = cover.spacing
-    lo = cover.cells.min(axis=0)
-    occupied = np.zeros(cover.cells.max(axis=0) - lo + 1, dtype=bool)
-    occupied[tuple((cover.cells - lo).T)] = True
-    grid = np.rint(pts / s)
-    slot = grid - lo
-    on_center = np.all((slot >= 0) & (slot < occupied.shape), axis=1)
-    on_center[on_center] = occupied[tuple(slot[on_center].astype(np.intp).T)]
-    sq = np.empty(len(pts))
-    sq[on_center] = _sq_dist(pts[on_center], s * grid[on_center])
-    rest = np.flatnonzero(~on_center)
-    centers = cover.centers.T[None]
-    step = max(1, _BLOCK_ENTRIES // cover.size)
-    for i in range(0, len(rest), step):
-        rows = rest[i:i + step]
-        sq[rows] = _sq_dist(pts[rows, :, None], centers).min(axis=1)
+    tree = _CellTree(cover)
+    sq, on_grid = tree.rounded(pts)
+    rest = np.flatnonzero(~on_grid)
+    for i in range(0, len(rest), _SEARCH_BATCH):
+        rows = rest[i:i + _SEARCH_BATCH]
+        sq[rows] = tree.search(pts[rows])
     nearest = np.sqrt(sq)
     return {"violations": int(np.sum(nearest > cover.epsilon)),
             "max_dist": float(nearest.max())}
 
 
-def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_k (a_k - b_k)^2 over axis 1, added one axis at a time in axis
-    order, so a point and a center give the same float on either path of
-    :func:`verify_cover`."""
-    sq = (a[:, 0] - b[:, 0]) ** 2
-    for k in range(1, a.shape[1]):
-        sq += (a[:, k] - b[:, k]) ** 2
-    return sq
+class _CellTree:
+    """The occupied cell prefixes of a cover, one sorted key array a level.
+
+    The key of a prefix ``(c_0, ..., c_m)`` is its C-order index in the
+    cells' bounding box, so the children of the prefix with key P are the
+    level-(m+1) keys in ``[P * w, P * w + w)``, w the box's width on axis
+    m+1.  Squared distances add one axis at a time in axis order, so every
+    path gives the float of ``sum_k (p_k - spacing * c_k) ** 2``.
+    """
+
+    def __init__(self, cover: BallCover):
+        self.s = cover.spacing
+        self.lo = cover.cells.min(axis=0)
+        self.width = cover.cells.max(axis=0) - self.lo + 1
+        leaf = np.sort(np.ravel_multi_index(tuple((cover.cells - self.lo).T),
+                                            self.width))
+        self.keys = []
+        for m in range(len(self.width)):
+            key = leaf // math.prod(self.width[m + 1:].tolist())
+            self.keys.append(key[np.r_[True, key[1:] != key[:-1]]])
+
+    def rounded(self, pts):
+        """Squared distance to the rounded point ``rint(p / spacing)``, and
+        whether that point is a center."""
+        grid = np.rint(pts / self.s)
+        sq = np.zeros(len(pts))
+        for m in range(pts.shape[1]):
+            sq += (pts[:, m] - self.s * grid[:, m]) ** 2
+        cell = grid - self.lo
+        inside = np.flatnonzero(np.all((cell >= 0) & (cell < self.width), axis=1))
+        key = np.ravel_multi_index(tuple(cell[inside].astype(np.intp).T), self.width)
+        leaf = self.keys[-1]
+        on_grid = np.zeros(len(pts), dtype=bool)
+        on_grid[inside] = leaf[np.minimum(np.searchsorted(leaf, key), len(leaf) - 1)] == key
+        return sq, on_grid
+
+    def search(self, pts):
+        """Squared distance to the nearest center: searches within squared
+        radius spacing**2 * 2**k for k = 0, 1, ... until one holds a center."""
+        sq = np.full(len(pts), np.inf)
+        todo = np.arange(len(pts))
+        bound = self.s ** 2
+        while todo.size:
+            sq[todo] = self._within(pts[todo], bound)
+            todo = todo[np.isinf(sq[todo])]
+            bound *= 2.0
+        return sq
+
+    def _within(self, pts, bound):
+        """Squared distance to the nearest center if it is at most
+        ``bound``, else inf.  Visits only the prefixes ``(c_0, ..., c_{d-2})``
+        whose partial sum is at most ``bound`` (adding squares never lowers
+        a float sum), then takes each one's center nearest on the last axis."""
+        pt = np.arange(len(pts))
+        node = np.zeros(len(pts), dtype=np.int64)
+        acc = np.zeros(len(pts))
+        for m, keys in enumerate(self.keys[:-1]):
+            w = self.width[m]
+            base = node * w
+            x = pts[pt, m] / self.s - self.lo[m]
+            reach = np.sqrt(bound - acc) / self.s
+            # One spare cell each side absorbs rounding; the test below is exact.
+            lo = np.clip(np.floor(x - reach) - 1, 0, w).astype(np.int64)
+            hi = np.clip(np.ceil(x + reach) + 1, -1, w - 1).astype(np.int64)
+            first = np.searchsorted(keys, base + lo)
+            count = np.maximum(np.searchsorted(keys, base + hi, side="right") - first, 0)
+            start = np.cumsum(count) - count
+            child = np.arange(count.sum()) + np.repeat(first - start, count)
+            pt, base, acc = (np.repeat(a, count) for a in (pt, base, acc))
+            node = keys[child]
+            acc = acc + self._step(pts[pt, m], m, base, node)
+            keep = acc <= bound
+            pt, node, acc = pt[keep], node[keep], acc[keep]
+        # On the last axis the nearest center of a row is the first one at
+        # or after the rounded coordinate or the last one before it.
+        m, keys = len(self.keys) - 1, self.keys[-1]
+        w = self.width[m]
+        base = node * w
+        want = np.clip(np.rint(pts[pt, m] / self.s) - self.lo[m], 0, w - 1)
+        i = np.searchsorted(keys, base + want.astype(np.int64))
+        cand = keys[np.clip(np.stack([i, i - 1]), 0, len(keys) - 1)]
+        step = np.where((cand >= base) & (cand < base + w),
+                        self._step(pts[pt, m], m, base, cand), np.inf)
+        acc = acc + step.min(axis=0)
+        best = np.full(len(pts), np.inf)
+        np.minimum.at(best, pt, acc)
+        best[best > bound] = np.inf
+        return best
+
+    def _step(self, coord, m, base, key):
+        """(p_m - c_m) ** 2 for the child ``key`` of the prefix ``base / w``."""
+        return (coord - self.s * (self.lo[m] + key - base)) ** 2

@@ -163,10 +163,25 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
     assert out.strip() == "[]"
 
 
+def _schema_nodes(schema, path="$"):
+    yield path, schema
+    for key, sub in schema.get("properties", {}).items():
+        yield from _schema_nodes(sub, f"{path}.{key}")
+    for key in ("items", "additionalProperties"):
+        if key in schema:
+            yield from _schema_nodes(schema[key], f"{path}.{key}")
+
+
 def test_schemas_pass_the_metaschema():
     # main validates without re-checking the schemas; they are checked here.
-    for schema in SCHEMAS.values():
+    # Every node, also those no config visits, is an object with only the
+    # keywords and types ``validate`` implements.
+    for name, schema in SCHEMAS.items():
         jsonschema.Draft202012Validator.check_schema(schema)
+        for path, node in _schema_nodes(schema, name):
+            assert isinstance(node, dict), path
+            assert set(node) <= effdim.cli._KEYWORDS, path
+            assert node.get("type", "object") in effdim.cli._TYPES, path
 
 
 def _integer_literal(checker, value):
@@ -267,6 +282,9 @@ def test_validator_agrees_with_jsonschema(name, data):
 def test_validator_rejects_unknown_keywords_and_names_the_path():
     with pytest.raises(NotImplementedError):
         validate({"type": "number", "multipleOf": 2}, 4)
+    for schema in ({"type": "string"}, {"type": ["number", "null"]}, True):
+        with pytest.raises(NotImplementedError):
+            validate(schema, 4)
     with pytest.raises(NotImplementedError):
         validate(SCHEMAS["effdim"] | {"properties": {"r_values": {"uniqueItems": True}}},
                  {"spectrum": {"kind": "isotropic"}, "r_values": [1]})
