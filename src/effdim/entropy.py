@@ -215,13 +215,19 @@ def build_cover(e: CovarianceSpectrum, eps: float) -> BallCover:
     if total > _MAX_COVER_CELLS:
         raise CoverTooLarge(
             f"grid would enumerate {total} cells > {_MAX_COVER_CELLS}")
-    grids = [np.arange(-k, k + 1) for k in axes_counts]
-    mesh = np.meshgrid(*grids, indexing="ij")
-    cells = np.stack([m.ravel() for m in mesh], axis=1)
-    # Cell [c - s/2, c + s/2]^d meets E_b iff the per-axis closest point is inside.
-    closest = np.maximum(np.abs(s * cells) - s / 2, 0.0)
-    inside = np.sum((closest / e.sigmas) ** 2, axis=1) <= 1.0
-    return BallCover(epsilon=eps, spacing=s, cells=cells[inside])
+    # Cell [c - s/2, c + s/2]^d meets E_b iff the per-axis closest point is
+    # inside: sum_i (closest_i / b_i)^2 <= 1.  Cells are extended one axis
+    # at a time in meshgrid "ij" order, and a prefix whose partial sum
+    # already exceeds 1 is dropped (every later term is >= 0).
+    cells = np.zeros((1, 0), dtype=np.int64)
+    sums = np.zeros(1)
+    for k, bi in zip(axes_counts, e.sigmas):
+        grid = np.arange(-k, k + 1)
+        term = (np.maximum(np.abs(s * grid) - s / 2, 0.0) / bi) ** 2
+        rows, cols = np.nonzero(sums[:, None] + term <= 1.0)
+        sums = sums[rows] + term[cols]
+        cells = np.column_stack([cells[rows], grid[cols]])
+    return BallCover(epsilon=eps, spacing=s, cells=cells)
 
 
 def sample_ellipsoid(e: CovarianceSpectrum, n: int, rng: RngStream) -> np.ndarray:

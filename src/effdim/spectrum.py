@@ -111,8 +111,9 @@ def sample_gaussian(s: CovarianceSpectrum, n: int, rng: RngStream) -> SampleMatr
     """n i.i.d. N(0, Sigma) rows: standard normals scaled by sigma."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    gen = rng.generator()
-    return SampleMatrix(gen.standard_normal((n, s.dim)) * s.sigmas)
+    z = rng.generator().standard_normal((n, s.dim))
+    z *= s.sigmas
+    return SampleMatrix(z)
 
 
 def max_norm_bound(s: CovarianceSpectrum, n: int, delta: float) -> float:

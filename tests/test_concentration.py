@@ -16,7 +16,9 @@ from effdim.concentration import (
     scaling_experiment,
     _loglog_slope,
     _moment_tensor,
+    _product_means,
 )
+import effdim.concentration
 from effdim.linalg import DimTooLarge
 from effdim.rng import RngStream
 from effdim.spectrum import CovarianceSpectrum, SampleMatrix, make_spectrum, \
@@ -125,6 +127,79 @@ def test_net_oracle_agrees_at_low_dimension():
     # net undershoots by O(resolution * Lipschitz); ascent can land either side
     assert est.value >= oracle - 0.05
     assert est.value <= oracle + 0.05
+
+
+def direct_product_means(rows, X, fs):
+    """Unchunked oracle: each restart's product mean over all rows and its
+    gradient, with the other factors' product taken by np.delete."""
+    R, r, d = X.shape
+    means = np.empty(R)
+    grads = np.empty((R, r, d))
+    for j in range(R):
+        U = rows @ X[j].T  # (n, r)
+        F = np.column_stack([f(U[:, k]) for k, f in enumerate(fs)])
+        means[j] = np.mean(np.prod(F, axis=1))
+        for k, f in enumerate(fs):
+            others = np.prod(np.delete(F, k, axis=1), axis=1)
+            grads[j, k] = rows.T @ (others * f.deriv(U[:, k])) / len(rows)
+    return means, grads
+
+
+MIXED_FACTORS = [
+    [Nonlinearity("relu"), Nonlinearity("clip", 0.7)],
+    [Nonlinearity("identity"), Nonlinearity("relu")],
+    [Nonlinearity("clip", 1.2), Nonlinearity("identity"), Nonlinearity("relu")],
+    [Nonlinearity("relu")] * 3,
+]
+
+
+def _unit_directions(gen, R, r, d):
+    X = gen.standard_normal((R, r, d))
+    return X / np.linalg.norm(X, axis=2, keepdims=True)
+
+
+@pytest.mark.parametrize("fs", MIXED_FACTORS, ids=lambda fs: "-".join(f.kind for f in fs))
+@pytest.mark.parametrize("chunks", [0.5, 1, 2, 2.3])
+def test_product_means_match_the_direct_formula(fs, chunks):
+    # N runs below, equal to, a multiple of and not a multiple of the
+    # kernel's chunk of rows.
+    R, r, d = 2, len(fs), 3
+    chunk = effdim.concentration._PROJ_CHUNK_ENTRIES // (R * r)
+    gen = np.random.default_rng(7)
+    rows = gen.standard_normal((int(chunk * chunks), d)) * [1.5, 1.0, 0.5]
+    X = _unit_directions(gen, R, r, d)
+    means, grads = _product_means(rows, X, fs)
+    want_means, want_grads = direct_product_means(rows, X, fs)
+    np.testing.assert_allclose(means, want_means, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=1e-14)
+    only_means, none = _product_means(rows, X, fs, grads=False)
+    assert none is None
+    np.testing.assert_array_equal(only_means, means)
+
+
+@pytest.mark.parametrize("fs", MIXED_FACTORS, ids=lambda fs: "-".join(f.kind for f in fs))
+def test_product_mean_gradients_match_central_differences(fs):
+    R, r, d = 2, len(fs), 3
+    gen = np.random.default_rng(9)
+    rows = gen.standard_normal((40, d))
+    X = _unit_directions(gen, R, r, d)
+    h = 1e-6
+    # Away from kinks: no projection lies within 10 h ||a||_1 of 0 or a
+    # clip level, so each mean is affine in any one coordinate of X over
+    # [-h, h] and the central difference is exact up to rounding.
+    kinks = [0.0] + [sign * f.bound for f in fs if f.kind == "clip" for sign in (1, -1)]
+    U = np.einsum("nd,jkd->njk", rows, X)
+    gap = min(np.abs(U - kink).min() for kink in kinks)
+    assert gap > 10 * h * np.abs(rows).sum(axis=1).max()
+    _, grads = _product_means(rows, X, fs)
+    fd = np.empty_like(grads)
+    for idx in np.ndindex(X.shape):
+        step = np.zeros_like(X)
+        step[idx] = h
+        up, _ = _product_means(rows, X + step, fs, grads=False)
+        down, _ = _product_means(rows, X - step, fs, grads=False)
+        fd[idx] = (up[idx[0]] - down[idx[0]]) / (2 * h)
+    np.testing.assert_allclose(grads, fd, rtol=1e-6, atol=1e-9)
 
 
 def test_centered_requires_reference():

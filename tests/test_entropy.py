@@ -221,6 +221,35 @@ def test_verify_cover_nearest_center_is_exact_on_grid_subsets(ratios, eps, kind,
     assert abs(report["max_dist"] - nearest.max()) <= 1e-12
 
 
+def meshgrid_cover_cells(axes: np.ndarray, eps: float) -> np.ndarray:
+    """Every grid cell of the bounding box in meshgrid "ij" order, kept iff
+    its per-axis closest point lies in the ellipsoid (the whole-grid form
+    of build_cover's test)."""
+    s = eps / math.sqrt(len(axes))
+    counts = [int(math.floor((b + s / 2) / s)) for b in axes]
+    mesh = np.meshgrid(*[np.arange(-k, k + 1) for k in counts], indexing="ij")
+    cells = np.stack([m.ravel() for m in mesh], axis=1)
+    closest = np.maximum(np.abs(s * cells) - s / 2, 0.0)
+    return cells[np.sum((closest / axes) ** 2, axis=1) <= 1.0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ratios=st.integers(1, 5).flatmap(lambda d: st.lists(
+           st.floats(0.1, _AXIS_OVER_EPS[d]), min_size=d, max_size=d)),
+       eps=st.floats(0.4, 1.5), on_lattice=st.booleans())
+def test_build_cover_cells_equal_the_meshgrid_formula(ratios, eps, on_lattice):
+    axes = eps * np.sort(ratios)[::-1]
+    if on_lattice:
+        # Axes at half-integer multiples of the spacing put cells exactly
+        # on the ellipsoid's boundary.
+        s = eps / math.sqrt(len(axes))
+        axes = s * (np.floor(axes / s) + 0.5)
+    cells = build_cover(CovarianceSpectrum(axes), eps).cells
+    expected = meshgrid_cover_cells(axes, eps)
+    assert cells.dtype == expected.dtype
+    np.testing.assert_array_equal(cells, expected)
+
+
 def test_verify_cover_empty_cover_fails_every_point():
     axes = CovarianceSpectrum(np.array([2.0, 1.0]))
     empty = BallCover(0.5, 0.5 / math.sqrt(2), np.empty((0, 2), dtype=int))
