@@ -1,10 +1,10 @@
 """Effective-dimension toolkit.
 
-Covariance spectra and effective dimensions, metric-entropy bounds and
-constructive coverings for ellipsoids, Monte-Carlo estimation of uniform
-deviation suprema for random tensors and Hessians, Bregman statistical
-preconditioning, and non-isotropic randomized smoothing, plus a
-configuration-driven CLI harness (``effdim``).
+Covariance spectra and effective dimensions, ellipsoid entropy bounds and
+covers, deviation suprema of products of marginals (exact for identity
+factors at r = 2, else lower estimates by search), the Hessian deviation
+of ERM problems (exact at the probe points), Bregman preconditioning,
+non-isotropic randomized smoothing, and a CLI harness (``effdim``).
 """
 
 __version__ = "0.1.0"

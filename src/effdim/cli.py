@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .entropy import CoverTooLarge, build_cover, \
-    eps_entropy_bound, kb_mb, m_eps, sample_ellipsoid, verify_cover
+from .entropy import build_cover, eps_entropy_bound, kb_mb, m_eps, \
+    sample_ellipsoid, verify_cover
 from .concentration import Nonlinearity, SearchConfig, scaling_experiment
 from .linalg import DimTooLarge, NonConvergence
 from .precond import ErmProblem, InnerSolveFailure, Loss, SingularPhi, \
@@ -52,8 +52,8 @@ class ConfigInvalid(Exception):
 
 # Limits the library declares and raises on purpose (exit 3); any other
 # exception escaping a runner is a bug (exit 1).
-DECLARED_LIMITS = (DimTooLarge, CoverTooLarge, InnerSolveFailure,
-                   SingularPhi, NonConvergence)
+DECLARED_LIMITS = (DimTooLarge, InnerSolveFailure, SingularPhi,
+                   NonConvergence)
 
 
 _SPECTRUM_SCHEMA = {
@@ -246,7 +246,7 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -545,7 +545,8 @@ def main(argv=None) -> int:
         traceback.print_exc()
         code = 1
     else:
-        print(json.dumps({"out": str(out), "summary": summary}, sort_keys=True))
+        print(json.dumps({"out": str(out), "summary": summary}, sort_keys=True,
+                         allow_nan=False))
         return 0
     # A failed run leaves no directory behind that it created itself.
     if created:

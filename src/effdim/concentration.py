@@ -280,7 +280,7 @@ def bound_curve(theorem: str, s: CovarianceSpectrum, n: int, r: int,
     """Right-hand side of the printed large-deviation bounds, with unit
     constant.
 
-    ``theorem`` is "1" (centered), "2" (uncentered), or "tensor".  The
+    ``theorem`` is "1" (centered) or "2" (uncentered).  The
     product bound B = B_1...B_r is the high-probability radius to the r-th
     power (delta = 1/n truncation device).
     """
@@ -299,10 +299,6 @@ def bound_curve(theorem: str, s: CovarianceSpectrum, n: int, r: int,
         deff_r = effective_dimension(s, r)
         scale = (B / sigma1**r) ** (1.0 - 2.0 / r)
         return sigma1**r * (1.0 + (deff_r * ln_d + lam) / n * scale)
-    if theorem == "tensor":
-        deff_1 = effective_dimension(s, 1)
-        inner = (deff_1 + ln_d + lam) ** (r + 1) * math.log(n) ** r / n
-        return sigma1**r * math.sqrt(inner)
     raise ValueError(f"unknown theorem {theorem!r}")
 
 
@@ -323,8 +319,8 @@ def scaling_experiment(
     spectrum's data for one trial is ``sample_gaussian(sp, n, stream)`` on
     the trial's own stream, and every call restarts that stream at Philox
     counter 0, so all spectra scale the same standard-normal draws.
-    Requires trials >= 30 for a meaningful slope fit.
-    Returns ``{"rows": [...], "slopes": {spectrum_id: (slope, stderr)}}``;
+    Requires trials >= 30.  Returns ``{"rows": [...], "slopes": {spectrum_id:
+    {"slope", "stderr", "means"}}}``, slope and stderr None without a fit;
     each row's keys are ``seed, trial, spectrum_id, n, value, mode`` in that
     order, and rows are sorted by ``(spectrum_id, n, trial)``.
     Results do not depend on ``jobs``: every task draws only from its own
@@ -377,12 +373,13 @@ def scaling_experiment(
 
 
 def _loglog_slope(ns, means):
-    if len(ns) < 2:
-        return float("nan"), float("nan")
+    """Log-log slope and its stderr; (None, None) for < 2 n or a mean <= 0."""
+    if len(ns) < 2 or min(means) <= 0:
+        return None, None
     x = np.log(np.asarray(ns, dtype=float))
     y = np.log(np.asarray(means, dtype=float))
     A = np.column_stack([x, np.ones_like(x)])
-    coef, res, *_ = np.linalg.lstsq(A, y, rcond=None)
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     dof = max(len(x) - 2, 1)
     resid = y - A @ coef
     s2 = float(resid @ resid) / dof

@@ -20,14 +20,6 @@ from .rng import RngStream
 from .spectrum import CovarianceSpectrum, effective_dimension
 
 
-class CoverTooLarge(Exception):
-    """Grid enumeration would exceed the cell cap."""
-
-
-class TruncationInsufficient(Exception):
-    """Tail envelope cannot certify the requested quantity."""
-
-
 @dataclass(frozen=True)
 class EntropyBound:
     """Unit-entropy bound split into K_b and the c-multiplied bracket."""
@@ -122,75 +114,7 @@ def eps_entropy_bound(s: CovarianceSpectrum, eps: float, r: int = 1,
     return min(exact_sum, closed_form) + c * bracket
 
 
-def spectral_entropy_bound(d_spec: float, eps: float) -> float:
-    """Leading-order infinite-dimensional bound d_spec * ln(1/eps)^2.
-
-    The (1 + o(1)) factor of the asymptotic statement is a caveat, not a
-    number; callers comparing against data must fit their own constant.
-    """
-    if d_spec <= 0:
-        raise ValueError("d_spec must be positive")
-    if not (0 < eps < 1):
-        raise ValueError("eps must lie in (0, 1)")
-    return float(d_spec * math.log(1.0 / eps) ** 2)
-
-
-def infinite_ellipsoid_stats(b_seq, truncation: int,
-                             envelope: tuple[float, float] | None = None):
-    """(K_b, m_b, M_b) for an infinite-dimensional ellipsoid.
-
-    ``b_seq`` supplies axes b_1 >= b_2 >= ... up to ``truncation`` (callable
-    on 1-based indices or array-like).  ``envelope = (amplitude, exponent)``
-    certifies b_i <= amplitude * i^{-exponent} beyond the truncation; the
-    tail of sum b_i^2 is then bounded by the integral of the envelope.
-
-    K_b sums ln+(b_i) (infinite-dimensional convention), m_b counts
-    b_i >= 1/2, and M_b is the least n with certified tail sum <= 1/2.
-    Raises :class:`TruncationInsufficient` when the envelope cannot certify
-    m_b or M_b within the truncation.
-    """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    idx = np.arange(1, truncation + 1, dtype=float)
-    if callable(b_seq):
-        b = np.asarray([float(b_seq(int(i))) for i in idx])
-    else:
-        b = np.asarray(b_seq, dtype=float)[:truncation]
-        if len(b) < truncation:
-            truncation = len(b)
-            idx = idx[:truncation]
-    if np.any(b <= 0) or np.any(np.diff(b) > 1e-15):
-        raise ValueError("b_seq must be positive and non-increasing")
-
-    def tail_sq_bound(n: int) -> float:
-        """Certified upper bound on sum_{i > n} b_i^2."""
-        within = float(np.sum(b[n:] ** 2))
-        if envelope is None:
-            raise TruncationInsufficient("no tail envelope supplied")
-        amp, q = envelope
-        if 2 * q <= 1:
-            raise TruncationInsufficient("envelope exponent too small for a summable tail")
-        beyond = amp**2 * truncation ** (1.0 - 2.0 * q) / (2.0 * q - 1.0)
-        return within + beyond
-
-    if b[-1] >= 0.5:
-        raise TruncationInsufficient("m_b not certified: b still >= 1/2 at truncation")
-    mb = int(np.sum(b >= 0.5))
-    if b[-1] > 1.0:
-        raise TruncationInsufficient("K_b not certified: b still > 1 at truncation")
-    kb = float(np.sum(np.maximum(np.log(b), 0.0)))
-
-    Mb = None
-    for n in range(0, truncation):
-        if tail_sq_bound(n) <= 0.5:
-            Mb = max(n, 1)
-            break
-    if Mb is None:
-        raise TruncationInsufficient("M_b not certified within truncation")
-    return kb, mb, Mb
-
-
-# Grid cells build_cover may enumerate before raising CoverTooLarge.
+# Grid cells build_cover may enumerate before raising DimTooLarge.
 _MAX_COVER_CELLS = 10**7
 
 
@@ -213,7 +137,7 @@ def build_cover(e: CovarianceSpectrum, eps: float) -> BallCover:
     for k in axes_counts:
         total *= 2 * k + 1
     if total > _MAX_COVER_CELLS:
-        raise CoverTooLarge(
+        raise DimTooLarge(
             f"grid would enumerate {total} cells > {_MAX_COVER_CELLS}")
     # Cell [c - s/2, c + s/2]^d meets E_b iff the per-axis closest point is
     # inside: sum_i (closest_i / b_i)^2 <= 1.  Cells are extended one axis

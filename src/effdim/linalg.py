@@ -17,8 +17,8 @@ class NonConvergence(Exception):
 
 
 class DimTooLarge(Exception):
-    """Declared computational limit: a dimension exceeds what is enumerated
-    or stored densely (grid covers, d**p moment tensors)."""
+    """Declared computational limit: a dimension or count exceeds what is
+    enumerated or stored densely (grid covers, d**p moment tensors)."""
 
 
 def _contract_all_but(t: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:

@@ -63,10 +63,6 @@ class SampleMatrix:
     def n(self) -> int:
         return self.rows.shape[0]
 
-    @property
-    def d(self) -> int:
-        return self.rows.shape[1]
-
 
 def effective_dimension(s: CovarianceSpectrum, r: int) -> float:
     """d_eff(r) = sum_i (sigma_i / sigma_1)^{2/r}, in [1, d].

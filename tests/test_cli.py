@@ -127,14 +127,18 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert (out / "keep").is_dir()
 
 
-def test_runtime_failure_exits_3(tmp_path):
-    # cover construction refuses d > 5 at run time, not validation time
-    cfg = write_config(tmp_path, "c.json",
-                       {"axes": [1.0] * 6, "eps": 0.5, "n_samples": 10})
-    assert main(["cover", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--validate-only"]) == 0
-    assert main(["cover", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-    assert not (tmp_path / "o").exists()
+def test_runtime_failure_exits_3(tmp_path, capsys):
+    # cover construction refuses d > 5 and grids over its cell cap at run
+    # time, not validation time
+    for axes, eps in (([1.0] * 6, 0.5), ([1000.0, 1000.0], 0.01)):
+        cfg = write_config(tmp_path, "c.json",
+                           {"axes": axes, "eps": eps, "n_samples": 10})
+        assert main(["cover", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--validate-only"]) == 0
+        capsys.readouterr()
+        assert main(["cover", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "runtime error: DimTooLarge: " in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 def test_unexpected_error_exits_1_with_traceback(tmp_path, monkeypatch, capsys):
@@ -392,6 +396,22 @@ def test_concentration_deterministic_across_jobs_and_reruns(tmp_path):
                      "--seed", "5", "--jobs", jobs]) == 0
         outs.append((out / "deviations.csv").read_bytes())
     assert outs[0] == outs[1] == outs[2]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_single_n_concentration_writes_null_slope(tmp_path, capsys):
+    # One n gives no slope fit; NaN would make summary.json invalid JSON.
+    cfg = write_config(tmp_path, "c.json", SMALL_CONFIGS["concentration"])
+    out = tmp_path / "o"
+    assert main(["concentration", "--config", cfg, "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert printed["summary"] == summary
+    assert summary["iso"]["slope"] is None and summary["iso"]["stderr"] is None
 
 
 def test_smooth_deterministic_across_jobs(tmp_path):

@@ -12,16 +12,12 @@ from hypothesis import assume, given, settings, strategies as st
 import effdim.entropy
 from effdim.entropy import (
     BallCover,
-    CoverTooLarge,
     DimTooLarge,
-    TruncationInsufficient,
     build_cover,
     eps_entropy_bound,
-    infinite_ellipsoid_stats,
     kb_mb,
     m_eps,
     sample_ellipsoid,
-    spectral_entropy_bound,
     unit_entropy_bound,
     verify_cover,
 )
@@ -101,27 +97,6 @@ def test_eps_entropy_bound_at_dim_one_is_ln_inv_eps(tmp_path):
     assert done.stderr == ""
 
 
-def test_spectral_entropy_bound():
-    assert spectral_entropy_bound(3.0, 0.1) == pytest.approx(3.0 * math.log(10.0) ** 2)
-    with pytest.raises(ValueError):
-        spectral_entropy_bound(0.0, 0.1)
-
-
-def test_infinite_ellipsoid_examples():
-    # b_i = 2^{-i}: no axis above 1, only b_1 = 1/2 reaches the 1/2 cutoff
-    kb, mb, _ = infinite_ellipsoid_stats(lambda i: 2.0 ** (-i), truncation=64,
-                                         envelope=(1.0, 1.0))
-    assert kb == 0.0
-    assert mb == 1
-    # b_i = i^{-2}: sum_{i>1} i^{-4} < 1/2 already
-    _, _, Mb = infinite_ellipsoid_stats(lambda i: float(i) ** -2, truncation=64,
-                                        envelope=(1.0, 2.0))
-    assert Mb == 1
-    with pytest.raises(TruncationInsufficient):
-        infinite_ellipsoid_stats(lambda i: 1.0, truncation=32,
-                                 envelope=(1.0, 0.6))
-
-
 def test_build_cover_validity_and_negative_control():
     axes = CovarianceSpectrum(np.array([4.0, 2.0, 0.5]))
     root = RngStream(17)
@@ -146,7 +121,7 @@ def test_build_cover_is_a_cover(axes, eps, seed):
     e = CovarianceSpectrum(np.sort(axes)[::-1])
     try:
         cover = build_cover(e, eps)
-    except CoverTooLarge:
+    except DimTooLarge:
         assume(False)
     report = verify_cover(cover, sample_ellipsoid(e, 2000, RngStream(seed)))
     assert report["violations"] == 0
