@@ -23,6 +23,7 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import operator
 import shutil
 import sys
@@ -418,13 +419,15 @@ def run_smooth(config, seed, jobs):
         b = A @ x_nat
         problem = ErmProblem(A, b, Loss("hinge"), 0.0)
         out_rows = []
-        for k, direction in enumerate(directions):
+        for direction in directions:
             cfg = SmoothingConfig(
                 radius=R, iters=config["iters"], batch=config["batch"],
                 u=config.get("u"),
                 direction=sp if direction == "data" else None,
             )
-            run = rs_optimize(problem, cfg, rng=stream.child(2 + k),
+            # Every direction of a trial draws from one stream: common
+            # random numbers for the paired comparison.
+            run = rs_optimize(problem, cfg, rng=stream.child(2),
                               f_star=0.0, gap_tol=gap_tol)
             hit = iters_to_gap(run, gap_tol)
             out_rows.append({
@@ -448,7 +451,34 @@ def run_smooth(config, seed, jobs):
             "median_iters": float(np.median(hits)) if hits else None,
             "unreached": misses,
         }
+    if {"iso", "data"} <= set(directions):
+        summary["paired"] = _paired_iters(rows, config["iters"])
     return summary, {"smooth.csv": rows}
+
+
+def _paired_iters(rows, iters):
+    """Shaped against isotropic iterations over the trials, paired by trial.
+
+    An unreached run counts as ``iters + 1`` iterations.  ``mean_log_ratio``
+    is the mean of log(iters_data / iters_iso), with its standard error
+    (null for one pair); a run that starts within tolerance counts as one
+    iteration, and then so does its partner, which shares x_0.
+    """
+    by_trial = {}
+    for row in rows:
+        hit = row["iters_to_tol"]
+        by_trial.setdefault(row["trial"], {}).setdefault(
+            row["direction"], iters + 1 if hit < 0 else hit)
+    pairs = [(t["iso"], t["data"]) for t in by_trial.values()]
+    logs = np.array([math.log(max(data, 1) / max(iso, 1)) for iso, data in pairs])
+    k = len(logs)
+    return {
+        "mean_log_ratio": float(logs.mean()),
+        "stderr": float(logs.std(ddof=1) / math.sqrt(k)) if k > 1 else None,
+        "pairs": k,
+        "wins": sum(data < iso for iso, data in pairs),
+        "censored": sum(max(iso, data) > iters for iso, data in pairs),
+    }
 
 
 RUNNERS = {

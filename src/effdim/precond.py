@@ -127,7 +127,8 @@ class ErmProblem:
 
     def value(self, x: np.ndarray) -> float:
         z = self.A @ x
-        return 0.5 * self.lam * float(x @ x) + float(np.mean(self.loss.value(z, self.b)))
+        # sum / n is np.mean's arithmetic without its dispatch on small arrays
+        return 0.5 * self.lam * float(x @ x) + float(self.loss.value(z, self.b).sum()) / self.n
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         z = self.A @ x

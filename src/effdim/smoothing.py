@@ -8,6 +8,17 @@ Sigma^{1/2}, the square root of the data covariance Sigma = diag(sigma^2)
 (see :func:`_draw_directions`).  The optimizer anneals the smoothing width
 along the usual accelerated theta sequence and keeps iterates in a
 Euclidean ball by radial projection.
+
+Stream layout of :func:`rs_optimize`: a run makes one generator from its
+stream and draws in blocks of ``DRAW_BLOCK`` steps: first the sample
+indices, ``integers(0, n, (DRAW_BLOCK, m))``, then the standard normal
+directions, ``standard_normal((DRAW_BLOCK, m, d))``.  Whole blocks are
+always drawn, so step t's draws depend only on the stream and t, never on
+``iters`` or on where the run stops.  A caller that runs both smoothing
+directions of one trial on the same stream gets common random numbers:
+shaped directions are the isotropic ones scaled by sqrt(sigma).
+``DRAW_BLOCK`` is part of the output contract: changing it changes every
+run's draws.
 """
 
 from __future__ import annotations
@@ -44,8 +55,17 @@ class SmoothingRun:
     gaps: list[float]        # true objective at x_t minus the reference optimum
 
 
+# Steps per block of draws in rs_optimize; part of the output contract.
+DRAW_BLOCK = 64
+
+
+def _theta_next(theta: float) -> float:
+    """theta_{t+1} = 2 / (1 + sqrt(1 + 4 / theta_t^2))."""
+    return 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / (theta * theta)))
+
+
 def theta_sequence(T: int) -> np.ndarray:
-    """theta_0 = 1, theta_{t+1} = 2 / (1 + sqrt(1 + 4 / theta_t^2)).
+    """theta_0 = 1 followed by T - 1 steps of :func:`_theta_next`.
 
     Satisfies (1 - theta_{t+1}) / theta_{t+1}^2 = 1 / theta_t^2 and
     theta_t <= 2 / (t + 1).
@@ -55,16 +75,26 @@ def theta_sequence(T: int) -> np.ndarray:
     th = np.empty(T)
     th[0] = 1.0
     for t in range(T - 1):
-        th[t + 1] = 2.0 / (1.0 + math.sqrt(1.0 + 4.0 / th[t] ** 2))
+        th[t + 1] = _theta_next(th[t])
     return th
 
 
-def _draw_directions(gen, m: int, d: int,
+def _draw_directions(gen, shape: tuple[int, ...],
                      direction: CovarianceSpectrum | None) -> np.ndarray:
-    z = gen.standard_normal((m, d))
+    """Standard normal draws of ``shape`` (last axis d), scaled by
+    sqrt(sigma) for shaped directions so that Cov Z = Sigma^{1/2}."""
+    z = gen.standard_normal(shape)
     if direction is None:
         return z
     return z * np.sqrt(direction.sigmas)
+
+
+def _draw_block(gen, steps: int, n: int, m: int, d: int,
+                direction: CovarianceSpectrum | None):
+    """One block of optimizer draws: sample indices (steps, m), then
+    directions (steps, m, d).  The order is part of the stream layout."""
+    idx = gen.integers(0, n, size=(steps, m))
+    return idx, _draw_directions(gen, (steps, m, d), direction)
 
 
 def smooth_value_estimate(f, x: np.ndarray, gamma: float, m: int,
@@ -81,30 +111,25 @@ def smooth_value_estimate(f, x: np.ndarray, gamma: float, m: int,
     if m < 2:
         raise ValueError("need m >= 2 perturbations for a stderr")
     gen = rng.generator()
-    z = _draw_directions(gen, m, len(x), direction)
+    z = _draw_directions(gen, (m, len(x)), direction)
     vals = np.array([func(x + gamma * z[j]) for j in range(m)])
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m))
 
 
-def grad_estimator(problem: ErmProblem, y: np.ndarray, gamma: float, m: int,
-                   rng: RngStream,
-                   direction: CovarianceSpectrum | None = None) -> np.ndarray:
+def grad_estimator(problem: ErmProblem, y: np.ndarray, gamma: float,
+                   idx: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Averaged smoothed stochastic subgradient of the ERM objective.
 
-    Each of the m terms picks a uniform sample index and evaluates the
-    loss subgradient at the perturbed point y + gamma Z_j, so the result
+    Term j takes sample ``idx[j]`` (uniform over the rows) and evaluates
+    the loss subgradient at the perturbed point y + gamma z[j], where the
+    directions ``z`` (m, d) come from :func:`_draw_directions`.  The result
     is unbiased for the gradient of the smoothed single-sample objective.
     """
-    gen = rng.generator()
-    n, d = problem.A.shape
-    idx = gen.integers(0, n, size=m)
-    z = _draw_directions(gen, m, d, direction)
     pts = y + gamma * z
     rows = problem.A[idx]
     margins = np.einsum("jd,jd->j", rows, pts)
     slopes = problem.loss.deriv(margins, problem.b[idx])
-    g = (rows * slopes[:, None]).mean(axis=0)
-    return g + problem.lam * y
+    return slopes @ rows / len(idx) + problem.lam * y
 
 
 def smoothing_bounds(gamma: float, lip: float, d: int,
@@ -153,6 +178,12 @@ def rs_optimize(problem: ErmProblem, cfg: SmoothingConfig,
                 gap_tol: float | None = None) -> SmoothingRun:
     """Accelerated dual averaging on the annealed smoothed objective.
 
+    All draws come from one generator made from ``rng``, in blocks of
+    ``DRAW_BLOCK`` steps (see the module docstring), so step t's draws
+    depend only on ``rng`` and t.  Runs that share ``rng`` share their
+    draws: with the same ``u``, a shaped run perturbs along the isotropic
+    run's directions scaled by sqrt(sigma).
+
     y_t = (1 - theta_t) x_t + theta_t z_t; the smoothed stochastic
     gradient at y_t with width u_t = theta_t * u is accumulated with
     weight 1/theta_t, z_{t+1} minimizes the accumulated linear model plus
@@ -169,34 +200,36 @@ def rs_optimize(problem: ErmProblem, cfg: SmoothingConfig,
     L = float(np.linalg.norm(problem.A, axis=1).max()) + problem.lam * R
     u = cfg.u if cfg.u is not None else _default_width(cfg, problem)
 
-    # theta_T is needed for the final z-step coefficient.
-    th = theta_sequence(T + 1)
+    gen = rng.generator()
+    c_eta = L / (R * math.sqrt(m))
     x = np.zeros(d)
     z = x.copy()
     G = np.zeros(d)
+    theta = 1.0
 
-    xs = [x.copy()]
+    xs = [x]
     gaps = [problem.value(x) - f_star]
     for t in range(T):
-        theta = th[t]
-        u_t = theta * u
+        k = t % DRAW_BLOCK
+        if k == 0:
+            idx, dirs = _draw_block(gen, DRAW_BLOCK, problem.n, m, d,
+                                    cfg.direction)
         y = (1.0 - theta) * x + theta * z
-        g = grad_estimator(problem, y, u_t, m, rng.child(t),
-                           direction=cfg.direction)
+        g = grad_estimator(problem, y, theta * u, idx[k], dirs[k])
         G += g / theta
-        theta_next = th[t + 1]
-        L_next = L / (theta_next * u)
-        eta_next = L * math.sqrt(t + 2.0) / (R * math.sqrt(m))
-        coef = L_next + eta_next / theta_next
-        z = -G / coef
-        nrm = np.linalg.norm(z)
+        theta_next = _theta_next(theta)
+        # coef = L_{t+1} + eta_{t+1} / theta_{t+1}, L_{t+1} = L / (theta_{t+1} u)
+        coef = (L / u + c_eta * math.sqrt(t + 2.0)) / theta_next
+        z = G / -coef
+        nrm = math.sqrt(z @ z)
         if nrm > R:
             z *= R / nrm
         x = (1.0 - theta) * x + theta * z
-        xs.append(x.copy())
+        xs.append(x)
         gaps.append(problem.value(x) - f_star)
         if gap_tol is not None and gaps[-1] <= gap_tol:
             break
+        theta = theta_next
     return SmoothingRun(np.array(xs), gaps)
 
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from effdim.cli import main as cli_main
+from effdim.cli import main as cli_main, run_smooth
 from effdim.concentration import (
     SearchConfig,
     _moment_tensor,
@@ -315,11 +315,11 @@ def test_criterion_10_shaped_smoothing_wins():
         xn = gen.standard_normal(64)
         xn *= 0.5 * R / np.linalg.norm(xn)
         prob = ErmProblem(A, A @ xn, Loss("hinge"), 0.0)
-        for k, (direction, sink) in enumerate(
-                [(None, iso_hits), (sp, data_hits)]):
+        # Both directions draw from one stream, as in the CLI.
+        for direction, sink in [(None, iso_hits), (sp, data_hits)]:
             cfg = SmoothingConfig(radius=R, iters=5000, batch=16,
                                   direction=direction)
-            run = rs_optimize(prob, cfg, rng=stream.child(2 + k),
+            run = rs_optimize(prob, cfg, rng=stream.child(2),
                               f_star=0.0, gap_tol=1e-2)
             hit = iters_to_gap(run, 1e-2)
             sink.append(hit if hit is not None else cfg.iters + 1)
@@ -329,6 +329,36 @@ def test_criterion_10_shaped_smoothing_wins():
     ok = med_data < med_iso and elapsed < 600.0
     report(10, "shaped smoothing beats isotropic", ok,
            f"median iters iso {med_iso:.0f} vs shaped {med_data:.0f}, {elapsed:.0f}s")
+
+
+def test_shaped_smoothing_wins_across_seeds():
+    # Criterion 10's claim over seeds 1000-1007 x 6 trials (48 pairs),
+    # through the CLI runner and its stream layout.
+    t0 = time.time()
+    iters = 5000
+    config = {
+        "spectrum": {"kind": "power_law", "d": 64, "sigma1": 1.0, "alpha": 1.0},
+        "n": 512, "radius": 2.0, "iters": iters, "batch": 16, "trials": 6,
+        "gap_tol": 0.01, "directions": ["iso", "data"],
+    }
+    logs = []
+    for seed in range(1000, 1008):
+        _, outputs = run_smooth(config, seed, 1)
+        hits = {(row["trial"], row["direction"]): row["iters_to_tol"]
+                for row in outputs["smooth.csv"]}
+        hits = {key: iters + 1 if hit < 0 else hit for key, hit in hits.items()}
+        logs += [math.log(hits[t, "data"] / hits[t, "iso"]) for t in range(6)]
+    logs = np.array(logs)
+    mean = float(logs.mean())
+    stderr = float(logs.std(ddof=1) / math.sqrt(len(logs)))
+    # t quantile 0.975 with 47 degrees of freedom (48 pairs)
+    upper = mean + 2.012 * stderr
+    wins = int((logs < 0).sum())
+    elapsed = time.time() - t0
+    ok = len(logs) == 48 and upper < 0.0 and wins >= 40 and elapsed < 300.0
+    report("10b", "shaped smoothing wins across seeds", ok,
+           f"mean log ratio {mean:.4f}, 95% upper {upper:.4f}, "
+           f"wins {wins}/{len(logs)}, {elapsed:.0f}s")
 
 
 def test_criterion_11_cli_determinism(tmp_path):

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -427,6 +429,38 @@ def test_smooth_deterministic_across_jobs(tmp_path):
                      "--seed", "9", "--jobs", jobs]) == 0
         blobs.append((out / "smooth.csv").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_smooth_summary_pairs_directions(tmp_path):
+    # 40 iterations leave some runs unreached: they count as iters + 1.
+    config = {
+        "spectrum": {"kind": "power_law", "d": 8, "sigma1": 1.0, "alpha": 1.0},
+        "n": 32, "radius": 2.0, "iters": 40, "batch": 4, "trials": 6,
+        "gap_tol": 0.05,
+    }
+    out = tmp_path / "o"
+    assert main(["smooth", "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(out), "--seed", "3"]) == 0
+    with open(out / "smooth.csv", newline="") as fh:
+        hits = {(row["trial"], row["direction"]): int(row["iters_to_tol"])
+                for row in csv.DictReader(fh)}
+    hits = {key: 41 if hit < 0 else hit for key, hit in hits.items()}
+    pairs = [(hits[t, "iso"], hits[t, "data"]) for t in map(str, range(6))]
+    logs = [math.log(data / iso) for iso, data in pairs]
+    paired = json.loads((out / "summary.json").read_text())["paired"]
+    assert paired["pairs"] == 6
+    assert paired["wins"] == sum(data < iso for iso, data in pairs)
+    assert paired["censored"] == sum(max(pair) == 41 for pair in pairs)
+    assert paired["censored"] > 0
+    assert paired["mean_log_ratio"] == pytest.approx(np.mean(logs), abs=1e-12)
+    assert paired["stderr"] == pytest.approx(
+        np.std(logs, ddof=1) / math.sqrt(6), abs=1e-12)
+
+    config["directions"] = ["iso"]
+    out = tmp_path / "iso"
+    assert main(["smooth", "--config", write_config(tmp_path, "i.json", config),
+                 "--out", str(out), "--seed", "3"]) == 0
+    assert "paired" not in json.loads((out / "summary.json").read_text())
 
 
 PRECOND_CFG = {

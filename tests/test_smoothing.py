@@ -6,7 +6,9 @@ import pytest
 from effdim.precond import ErmProblem, Loss
 from effdim.rng import RngStream
 from effdim.smoothing import (
+    DRAW_BLOCK,
     SmoothingConfig,
+    _draw_block,
     _draw_directions,
     grad_estimator,
     iters_to_gap,
@@ -33,7 +35,7 @@ def test_shaped_directions_have_covariance_sqrt_sigma():
     # shaped directions have covariance diag(sigma) = Sigma^{1/2}.
     sigmas = np.array([2.0, 1.0, 0.5, 0.25])
     m = 200_000
-    z = _draw_directions(RngStream(41).generator(), m, 4, CovarianceSpectrum(sigmas))
+    z = _draw_directions(RngStream(41).generator(), (m, 4), CovarianceSpectrum(sigmas))
     expected = np.diag(sigmas)
     # entrywise stderr of a zero-mean Gaussian sample covariance
     se = np.sqrt((np.outer(sigmas, sigmas) + expected**2) / m)
@@ -73,8 +75,8 @@ def test_grad_estimator_unbiased_for_ridge():
     prob = ErmProblem(A, np.zeros(16), Loss("ridge"), 0.0)
     y = np.array([1.0, -0.5, 0.25])
     expected = A.T @ A / 16 @ y
-    root = RngStream(6)
-    est = np.mean([grad_estimator(prob, y, 0.3, 64, root.child(k))
+    idx, z = _draw_block(RngStream(6).generator(), 4000, 16, 64, 3, None)
+    est = np.mean([grad_estimator(prob, y, 0.3, idx[k], z[k])
                    for k in range(4000)], axis=0)
     np.testing.assert_allclose(est, expected, atol=0.05)
 
@@ -87,7 +89,8 @@ def test_grad_estimator_variance_scales_inversely_with_batch():
     root = RngStream(8)
 
     def variance(m):
-        draws = np.array([grad_estimator(prob, y, 0.2, m, root.child(1000 * m + k))
+        idx, z = _draw_block(root.child(m).generator(), 800, 64, m, 4, None)
+        draws = np.array([grad_estimator(prob, y, 0.2, idx[k], z[k])
                           for k in range(800)])
         return draws.var(axis=0).sum()
 
@@ -130,6 +133,41 @@ def test_rs_optimize_is_deterministic():
     r1 = rs_optimize(prob, cfg, rng=RngStream(11))
     r2 = rs_optimize(prob, cfg, rng=RngStream(11))
     np.testing.assert_array_equal(r1.xs, r2.xs)
+
+
+def _hinge_problem(d, n, seed):
+    sp = make_spectrum("power_law", d=d, sigma1=1.0, alpha=1.0)
+    A = sample_gaussian(sp, n, RngStream(seed)).rows
+    return sp, ErmProblem(A, A @ np.full(d, 0.3), Loss("hinge"), 0.0)
+
+
+def test_isotropic_spectrum_run_equals_unshaped_run():
+    # Common random numbers: both directions of a trial share the stream,
+    # and shaped directions are the isotropic ones scaled by sqrt(sigma),
+    # so sigma = 1 must reproduce the unshaped run bit for bit.
+    _, prob = _hinge_problem(8, 64, 12)
+    iso = make_spectrum("isotropic", d=8, sigma1=1.0)
+    runs = [rs_optimize(prob, SmoothingConfig(radius=1.5, iters=200, batch=4,
+                                              u=0.5, direction=direction),
+                        rng=RngStream(13), gap_tol=1e-3)
+            for direction in (None, iso)]
+    np.testing.assert_array_equal(runs[0].xs, runs[1].xs)
+    assert runs[0].gaps == runs[1].gaps
+
+
+def test_step_draws_do_not_depend_on_iters():
+    # Whole blocks are drawn, so a shorter run is a prefix of a longer one;
+    # 100 is not a multiple of the block length, so a short last block
+    # would change step 100's draws.
+    assert 100 % DRAW_BLOCK != 0
+    sp, prob = _hinge_problem(8, 64, 14)
+    short, long = (rs_optimize(prob, SmoothingConfig(radius=1.5, iters=iters,
+                                                     batch=4, direction=sp),
+                               rng=RngStream(15))
+                   for iters in (100, 500))
+    assert len(short.gaps) == 101 and len(long.gaps) == 501
+    assert short.gaps == long.gaps[:101]
+    np.testing.assert_array_equal(short.xs, long.xs[:101])
 
 
 def test_config_validation():
