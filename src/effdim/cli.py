@@ -42,7 +42,7 @@ from .precond import ErmProblem, InnerSolveFailure, Loss, SingularPhi, \
     hessian_deviation_sup, kappa_bound, mu_formula, precond_bgd, \
     relative_condition, solve_erm, vanilla_gd
 from .rng import RngStream
-from .smoothing import SmoothingConfig, iters_to_gap, rs_optimize
+from .smoothing import SmoothingConfig, iters_to_gap, rs_lockstep
 from .spectrum import BadSpectrum, CovarianceSpectrum, effective_dimension, \
     make_spectrum, sample_gaussian
 
@@ -410,36 +410,35 @@ def run_smooth(config, seed, jobs):
     gap_tol = config.get("gap_tol", 1e-2)
     root = RngStream(seed)
 
-    def run_trial(trial):
+    cfgs = {direction: SmoothingConfig(
+                radius=R, iters=config["iters"], batch=config["batch"],
+                u=config.get("u"), direction=sp if direction == "data" else None)
+            for direction in directions}
+    runs, keys = [], []
+    for trial in range(config["trials"]):
         stream = root.child(trial)
         A = sample_gaussian(sp, n, stream.child(0)).rows
         gen = stream.child(1).generator()
         x_nat = gen.standard_normal(sp.dim)
         x_nat *= 0.5 * R / np.linalg.norm(x_nat)
-        b = A @ x_nat
-        problem = ErmProblem(A, b, Loss("hinge"), 0.0)
-        out_rows = []
+        problem = ErmProblem(A, A @ x_nat, Loss("hinge"), 0.0)
         for direction in directions:
-            cfg = SmoothingConfig(
-                radius=R, iters=config["iters"], batch=config["batch"],
-                u=config.get("u"),
-                direction=sp if direction == "data" else None,
-            )
             # Every direction of a trial draws from one stream: common
             # random numbers for the paired comparison.
-            run = rs_optimize(problem, cfg, rng=stream.child(2),
-                              f_star=0.0, gap_tol=gap_tol)
-            hit = iters_to_gap(run, gap_tol)
-            out_rows.append({
-                "seed": seed, "trial": trial, "direction": direction,
-                "iters_to_tol": -1 if hit is None else hit,
-                "final_gap": float(run.gaps[-1]),
-            })
-        return out_rows
+            runs.append((problem, cfgs[direction], stream.child(2)))
+            keys.append((trial, direction))
 
-    # Trials run in order: each is a series of small numpy calls that hold
-    # the GIL, so worker threads would only add overhead.
-    rows = [row for trial in range(config["trials"]) for row in run_trial(trial)]
+    # One engine call advances every run together, each step a few numpy
+    # calls over all active runs; worker threads would hold the GIL in
+    # turn on calls this small, so --jobs does not split the runs.
+    rows = []
+    for (trial, direction), run in zip(keys, rs_lockstep(runs, 0.0, gap_tol)):
+        hit = iters_to_gap(run, gap_tol)
+        rows.append({
+            "seed": seed, "trial": trial, "direction": direction,
+            "iters_to_tol": -1 if hit is None else hit,
+            "final_gap": float(run.gaps[-1]),
+        })
     rows.sort(key=lambda row: (row["trial"], row["direction"]))
     summary = {}
     for direction in sorted(set(directions)):

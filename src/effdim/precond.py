@@ -130,6 +130,12 @@ class ErmProblem:
         # sum / n is np.mean's arithmetic without its dispatch on small arrays
         return 0.5 * self.lam * float(x @ x) + float(self.loss.value(z, self.b).sum()) / self.n
 
+    def values(self, X: np.ndarray) -> np.ndarray:
+        """:meth:`value` at each row of X (k, d), with one matmul."""
+        Z = X @ self.A.T
+        return (0.5 * self.lam * np.einsum("kd,kd->k", X, X)
+                + self.loss.value(Z, self.b).sum(axis=1) / self.n)
+
     def grad(self, x: np.ndarray) -> np.ndarray:
         z = self.A @ x
         return self.lam * x + self.A.T @ self.loss.deriv(z, self.b) / self.n

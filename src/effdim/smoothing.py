@@ -5,20 +5,23 @@ f^gamma(x) = E f(x + gamma Z) with Z either standard normal (isotropic)
 or shaped by a covariance spectrum with standard deviations sigma:
 Z = diag(sqrt(sigma)) G for standard normal G, so Cov Z = diag(sigma) =
 Sigma^{1/2}, the square root of the data covariance Sigma = diag(sigma^2)
-(see :func:`_draw_directions`).  The optimizer anneals the smoothing width
+(see :func:`_direction_scale`).  The optimizer anneals the smoothing width
 along the usual accelerated theta sequence and keeps iterates in a
 Euclidean ball by radial projection.
 
 Stream layout of :func:`rs_optimize`: a run makes one generator from its
-stream and draws in blocks of ``DRAW_BLOCK`` steps: first the sample
-indices, ``integers(0, n, (DRAW_BLOCK, m))``, then the standard normal
-directions, ``standard_normal((DRAW_BLOCK, m, d))``.  Whole blocks are
-always drawn, so step t's draws depend only on the stream and t, never on
-``iters`` or on where the run stops.  A caller that runs both smoothing
-directions of one trial on the same stream gets common random numbers:
-shaped directions are the isotropic ones scaled by sqrt(sigma).
-``DRAW_BLOCK`` is part of the output contract: changing it changes every
-run's draws.
+stream and draws in blocks of ``DRAW_BLOCK`` steps.  Each block draws its
+sample indices whole, ``integers(0, n, (DRAW_BLOCK, m))``, then its
+standard normal directions one step at a time, ``standard_normal((m, d))``;
+the values equal those of one whole-block draw
+``standard_normal((DRAW_BLOCK, m, d))``, and the next block's indices
+follow them.  Step t's draws depend only on the stream and t, never on
+``iters`` or on where the run stops.  :func:`rs_lockstep` advances many
+runs together, and runs on one stream share one generator.  A caller that
+runs both smoothing directions of one trial on the same stream gets
+common random numbers: shaped directions are the isotropic ones scaled by
+sqrt(sigma).  ``DRAW_BLOCK`` is part of the output contract: changing it
+changes every run's draws.
 """
 
 from __future__ import annotations
@@ -51,11 +54,11 @@ class SmoothingConfig:
 
 @dataclass(frozen=True)
 class SmoothingRun:
-    xs: np.ndarray           # (T+1, d)
     gaps: list[float]        # true objective at x_t minus the reference optimum
+    x: np.ndarray            # (d,) the last iterate
 
 
-# Steps per block of draws in rs_optimize; part of the output contract.
+# Steps per block of draws and of stop-rule checks; part of the output contract.
 DRAW_BLOCK = 64
 
 
@@ -79,57 +82,33 @@ def theta_sequence(T: int) -> np.ndarray:
     return th
 
 
-def _draw_directions(gen, shape: tuple[int, ...],
-                     direction: CovarianceSpectrum | None) -> np.ndarray:
-    """Standard normal draws of ``shape`` (last axis d), scaled by
-    sqrt(sigma) for shaped directions so that Cov Z = Sigma^{1/2}."""
-    z = gen.standard_normal(shape)
-    if direction is None:
-        return z
-    return z * np.sqrt(direction.sigmas)
+def _direction_scale(direction: CovarianceSpectrum | None, d: int) -> np.ndarray:
+    """Per-coordinate factor that turns standard normal draws into
+    directions: sqrt(sigma) for shaped directions, so that Cov Z =
+    Sigma^{1/2}, and ones for isotropic ones."""
+    return np.ones(d) if direction is None else np.sqrt(direction.sigmas)
 
 
-def _draw_block(gen, steps: int, n: int, m: int, d: int,
-                direction: CovarianceSpectrum | None):
-    """One block of optimizer draws: sample indices (steps, m), then
-    directions (steps, m, d).  The order is part of the stream layout."""
-    idx = gen.integers(0, n, size=(steps, m))
-    return idx, _draw_directions(gen, (steps, m, d), direction)
-
-
-def smooth_value_estimate(f, x: np.ndarray, gamma: float, m: int,
-                          rng: RngStream,
-                          direction: CovarianceSpectrum | None = None):
-    """Monte-Carlo estimate of f^gamma(x); returns (mean, stderr).
-
-    ``f`` is a callable or an :class:`ErmProblem` (its value is used).
-    gamma = 0 short-circuits to (f(x), 0).
-    """
-    func = f.value if isinstance(f, ErmProblem) else f
-    if gamma == 0.0:
-        return float(func(x)), 0.0
-    if m < 2:
-        raise ValueError("need m >= 2 perturbations for a stderr")
-    gen = rng.generator()
-    z = _draw_directions(gen, (m, len(x)), direction)
-    vals = np.array([func(x + gamma * z[j]) for j in range(m)])
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m))
-
-
-def grad_estimator(problem: ErmProblem, y: np.ndarray, gamma: float,
+def grad_estimator(problem: ErmProblem, y: np.ndarray, gamma: np.ndarray,
                    idx: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Averaged smoothed stochastic subgradient of the ERM objective.
+    """Averaged smoothed stochastic subgradients of the ERM objective, one
+    per run.
 
-    Term j takes sample ``idx[j]`` (uniform over the rows) and evaluates
-    the loss subgradient at the perturbed point y + gamma z[j], where the
-    directions ``z`` (m, d) come from :func:`_draw_directions`.  The result
-    is unbiased for the gradient of the smoothed single-sample objective.
+    The leading axis indexes runs: y (runs, d), gamma (runs,), idx
+    (runs, m) and z (runs, m, d).  Term j of run r takes row ``idx[r, j]``
+    and evaluates the loss subgradient at the perturbed point
+    y[r] + gamma[r] z[r, j], where the directions z come from standard
+    normal draws times :func:`_direction_scale`.  With ``idx`` uniform over
+    the rows, row r of the result is unbiased for the gradient of the
+    smoothed single-sample objective at y[r].  Problems with a common loss
+    and lam may be stacked row-wise into ``problem``, each run indexing its
+    own rows.
     """
-    pts = y + gamma * z
+    pts = y[:, None, :] + gamma[:, None, None] * z
     rows = problem.A[idx]
-    margins = np.einsum("jd,jd->j", rows, pts)
+    margins = np.einsum("rjd,rjd->rj", rows, pts)
     slopes = problem.loss.deriv(margins, problem.b[idx])
-    return slopes @ rows / len(idx) + problem.lam * y
+    return (slopes[:, None, :] @ rows)[:, 0] / idx.shape[1] + problem.lam * y
 
 
 def smoothing_bounds(gamma: float, lip: float, d: int,
@@ -178,11 +157,13 @@ def rs_optimize(problem: ErmProblem, cfg: SmoothingConfig,
                 gap_tol: float | None = None) -> SmoothingRun:
     """Accelerated dual averaging on the annealed smoothed objective.
 
-    All draws come from one generator made from ``rng``, in blocks of
-    ``DRAW_BLOCK`` steps (see the module docstring), so step t's draws
-    depend only on ``rng`` and t.  Runs that share ``rng`` share their
-    draws: with the same ``u``, a shaped run perturbs along the isotropic
-    run's directions scaled by sqrt(sigma).
+    A one-run call of :func:`rs_lockstep`.  All draws come from one
+    generator made from ``rng``: each block of ``DRAW_BLOCK`` steps draws
+    its sample indices whole, then its directions one step at a time,
+    which gives the same values as a whole-block draw (see the module
+    docstring).  So step t's draws depend only on ``rng`` and t, and runs
+    that share ``rng`` share their draws: with the same ``u``, a shaped run
+    perturbs along the isotropic run's directions scaled by sqrt(sigma).
 
     y_t = (1 - theta_t) x_t + theta_t z_t; the smoothed stochastic
     gradient at y_t with width u_t = theta_t * u is accumulated with
@@ -191,46 +172,113 @@ def rs_optimize(problem: ErmProblem, cfg: SmoothingConfig,
     (closed form plus radial projection), and
     x_{t+1} = (1 - theta_t) x_t + theta_t z_{t+1}, from x_0 = z_0 = 0.  L is
     max_i ||a_i|| + lam * radius, the Lipschitz constant of the objective
-    on the ball.
+    on the ball.  The run stops after ``cfg.iters`` steps or at the first
+    step t >= 1 whose gap is <= ``gap_tol``.
     """
-    d = problem.d
-    T = cfg.iters
-    m = cfg.batch
-    R = cfg.radius
-    L = float(np.linalg.norm(problem.A, axis=1).max()) + problem.lam * R
-    u = cfg.u if cfg.u is not None else _default_width(cfg, problem)
+    return rs_lockstep([(problem, cfg, rng)], f_star, gap_tol)[0]
 
-    gen = rng.generator()
+
+def rs_lockstep(runs: list[tuple[ErmProblem, SmoothingConfig, RngStream]],
+                f_star: float = 0.0,
+                gap_tol: float | None = None) -> list[SmoothingRun]:
+    """:func:`rs_optimize` for each ``(problem, cfg, rng)`` triple of
+    ``runs``, with every run advanced together.
+
+    Each step is computed for all active runs at once, with rows gathered
+    from one stack of the distinct problems.  Runs whose ``rng`` and
+    sample count agree share one generator, so a trial's draws are made
+    once for both smoothing directions.  The stop rule is checked once per
+    block: each run's block of iterates is evaluated with one matmul and
+    truncated at its first gap <= ``gap_tol``, and a run leaves the batch
+    once it stops.  Each result equals the one its run gets alone.  The
+    runs must share d, loss, lam and batch size.
+    """
+    if not runs:
+        return []
+    problems = [problem for problem, _, _ in runs]
+    cfgs = [cfg for _, cfg, _ in runs]
+    first, m = problems[0], cfgs[0].batch
+    if any((p.d, p.loss, p.lam) != (first.d, first.loss, first.lam)
+           for p in problems) or any(cfg.batch != m for cfg in cfgs):
+        raise ValueError("lockstep runs need a common d, loss, lam and batch")
+    d = first.d
+
+    # Run r reads rows offset[r] + i of one stack of the distinct problems.
+    distinct = list({id(p): p for p in problems}.values())
+    starts = dict(zip(map(id, distinct), np.cumsum([0] + [p.n for p in distinct])))
+    offset = np.array([starts[id(p)] for p in problems])
+    stacked = ErmProblem(np.vstack([p.A for p in distinct]),
+                         np.concatenate([p.b for p in distinct]),
+                         first.loss, first.lam)
+    # One generator per distinct (stream, sample count).
+    keys = {}
+    group = np.array([keys.setdefault((rng, p.n), len(keys))
+                      for p, _, rng in runs])
+    gens = [rng.generator() for rng, _ in keys]
+    sizes = [n for _, n in keys]
+
+    R = np.array([cfg.radius for cfg in cfgs])
+    L = np.array([float(np.linalg.norm(p.A, axis=1).max()) for p in problems])
+    L += first.lam * R
+    u = np.array([cfg.u if cfg.u is not None else _default_width(cfg, p)
+                  for p, cfg in zip(problems, cfgs)])
+    L_over_u = L / u
     c_eta = L / (R * math.sqrt(m))
-    x = np.zeros(d)
-    z = x.copy()
-    G = np.zeros(d)
-    theta = 1.0
+    scale = np.stack([_direction_scale(cfg.direction, d) for cfg in cfgs])
+    iters = np.array([cfg.iters for cfg in cfgs])
 
-    xs = [x]
-    gaps = [problem.value(x) - f_star]
-    for t in range(T):
-        k = t % DRAW_BLOCK
-        if k == 0:
-            idx, dirs = _draw_block(gen, DRAW_BLOCK, problem.n, m, d,
-                                    cfg.direction)
-        y = (1.0 - theta) * x + theta * z
-        g = grad_estimator(problem, y, theta * u, idx[k], dirs[k])
-        G += g / theta
-        theta_next = _theta_next(theta)
-        # coef = L_{t+1} + eta_{t+1} / theta_{t+1}, L_{t+1} = L / (theta_{t+1} u)
-        coef = (L / u + c_eta * math.sqrt(t + 2.0)) / theta_next
-        z = G / -coef
-        nrm = math.sqrt(z @ z)
-        if nrm > R:
-            z *= R / nrm
-        x = (1.0 - theta) * x + theta * z
-        xs.append(x)
-        gaps.append(problem.value(x) - f_star)
-        if gap_tol is not None and gaps[-1] <= gap_tol:
-            break
-        theta = theta_next
-    return SmoothingRun(np.array(xs), gaps)
+    gaps = [[p.value(np.zeros(d)) - f_star] for p in problems]
+    final = [None] * len(runs)
+    live = np.arange(len(runs))
+    x = np.zeros((len(runs), d))
+    z = x.copy()
+    G = x.copy()
+    xs = np.empty((len(runs), DRAW_BLOCK, d))   # the block's iterates
+    theta = 1.0
+    t0 = 0
+    while live.size:
+        steps = min(DRAW_BLOCK, int(iters[live].max()) - t0)
+        streams, slot = np.unique(group[live], return_inverse=True)
+        idx = np.stack([gens[s].integers(0, sizes[s], (DRAW_BLOCK, m))
+                        for s in streams])
+        idx = np.ascontiguousarray((idx[slot] + offset[live, None, None])
+                                   .transpose(1, 0, 2))
+        normals = np.empty((len(streams), m, d))
+        dirs = np.empty((live.size, m, d))
+        rad, lu, ceta, width = R[live], L_over_u[live], c_eta[live], u[live]
+        sc = scale[live, None, :]
+        for k in range(steps):
+            for buf, s in zip(normals, streams):
+                gens[s].standard_normal((m, d), out=buf)
+            np.multiply(normals[slot], sc, out=dirs)
+            y = (1.0 - theta) * x + theta * z
+            G += grad_estimator(stacked, y, theta * width, idx[k], dirs) / theta
+            theta_next = _theta_next(theta)
+            # coef = L_{t+1} + eta_{t+1} / theta_{t+1}, L_{t+1} = L / (theta_{t+1} u)
+            coef = (lu + ceta * math.sqrt(t0 + k + 2.0)) / theta_next
+            z = G / -coef[:, None]
+            # One dot product per run, as z @ z for a single run; the factor
+            # is min(1, R / ||z||) without dividing by a zero norm.
+            nrm = np.sqrt((z[:, None, :] @ z[:, :, None])[:, 0, 0])
+            z *= (rad / np.maximum(nrm, rad))[:, None]
+            x = (1.0 - theta) * x + theta * z
+            xs[:live.size, k] = x
+            theta = theta_next
+
+        keep = []
+        for j, r in enumerate(live):
+            block = xs[j, :min(steps, iters[r] - t0)]
+            vals = problems[r].values(block) - f_star
+            hits = np.flatnonzero(vals <= gap_tol) if gap_tol is not None else []
+            used = hits[0] + 1 if len(hits) else len(block)
+            gaps[r] += vals[:used].tolist()
+            if len(hits) or t0 + len(block) == iters[r]:
+                final[r] = block[used - 1].copy()
+            else:
+                keep.append(j)
+        live, x, z, G = live[keep], x[keep], z[keep], G[keep]
+        t0 += steps
+    return [SmoothingRun(g, x_end) for g, x_end in zip(gaps, final)]
 
 
 def iters_to_gap(run: SmoothingRun, tol: float) -> int | None:

@@ -1,4 +1,4 @@
-"""Enumeration oracles shared by the test modules.
+"""Enumeration and Monte-Carlo oracles shared by the test modules.
 
 Not part of the library: nothing under ``src/`` calls them.
 """
@@ -8,8 +8,38 @@ import math
 import numpy as np
 
 from effdim.linalg import DimTooLarge
+from effdim.precond import ErmProblem
+from effdim.smoothing import (
+    DRAW_BLOCK,
+    _default_width,
+    _direction_scale,
+    _theta_next,
+    grad_estimator,
+)
 
 
+def draw_block(gen, steps, n, m, d, direction):
+    """One whole block of optimizer draws in the smoothing stream layout:
+    sample indices (steps, m), then directions (steps, m, d)."""
+    idx = gen.integers(0, n, size=(steps, m))
+    return idx, gen.standard_normal((steps, m, d)) * _direction_scale(direction, d)
+
+
+def smooth_value_estimate(f, x, gamma, m, rng, direction=None):
+    """Monte-Carlo estimate of f^gamma(x); returns (mean, stderr).
+
+    ``f`` is a callable or an :class:`ErmProblem` (its value is used).
+    gamma = 0 short-circuits to (f(x), 0).
+    """
+    func = f.value if isinstance(f, ErmProblem) else f
+    if gamma == 0.0:
+        return float(func(x)), 0.0
+    if m < 2:
+        raise ValueError("need m >= 2 perturbations for a stderr")
+    z = (rng.generator().standard_normal((m, len(x)))
+         * _direction_scale(direction, len(x)))
+    vals = np.array([func(x + gamma * z[j]) for j in range(m)])
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m))
 
 
 def sphere_net(dim: int, resolution: float) -> np.ndarray:
@@ -55,3 +85,37 @@ def _sphere_net_rec(dim: int, res: float) -> np.ndarray:
     pts = np.vstack(rows)
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     return np.unique(np.round(pts, 12), axis=0)
+
+
+def rs_reference(problem, cfg, rng, f_star=0.0, gap_tol=None):
+    """Step-by-step loop of :func:`effdim.smoothing.rs_optimize` for one
+    run: whole-block draws, one full objective value and stop check per
+    step.  Returns (gaps, last iterate)."""
+    d, m, R = problem.d, cfg.batch, cfg.radius
+    L = float(np.linalg.norm(problem.A, axis=1).max()) + problem.lam * R
+    u = cfg.u if cfg.u is not None else _default_width(cfg, problem)
+    c_eta = L / (R * math.sqrt(m))
+    gen = rng.generator()
+    x = np.zeros(d)
+    z = x.copy()
+    G = x.copy()
+    theta = 1.0
+    gaps = [problem.value(x) - f_star]
+    for t in range(cfg.iters):
+        k = t % DRAW_BLOCK
+        if k == 0:
+            idx, dirs = draw_block(gen, DRAW_BLOCK, problem.n, m, d, cfg.direction)
+        y = (1.0 - theta) * x + theta * z
+        G += grad_estimator(problem, y[None], np.array([theta * u]),
+                            idx[k][None], dirs[k][None])[0] / theta
+        theta_next = _theta_next(theta)
+        z = G / -((L / u + c_eta * math.sqrt(t + 2.0)) / theta_next)
+        nrm = math.sqrt(z @ z)
+        if nrm > R:
+            z *= R / nrm
+        x = (1.0 - theta) * x + theta * z
+        gaps.append(problem.value(x) - f_star)
+        if gap_tol is not None and gaps[-1] <= gap_tol:
+            break
+        theta = theta_next
+    return gaps, x

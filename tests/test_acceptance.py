@@ -43,8 +43,7 @@ from effdim.rng import RngStream
 from effdim.smoothing import (
     SmoothingConfig,
     iters_to_gap,
-    rs_optimize,
-    smooth_value_estimate,
+    rs_lockstep,
     smoothing_bounds,
     theta_sequence,
 )
@@ -55,6 +54,7 @@ from effdim.spectrum import (
     max_norm_bound,
     sample_gaussian,
 )
+from oracles import smooth_value_estimate
 
 
 def empirical_mean_tensor(A: np.ndarray, p: int):
@@ -307,7 +307,7 @@ def test_criterion_10_shaped_smoothing_wins():
     sp = make_spectrum("power_law", d=64, sigma1=1.0, alpha=1.0)
     root = RngStream(1010)
     n, R = 512, 2.0
-    iso_hits, data_hits = [], []
+    runs = []
     for trial in range(10):
         stream = root.child(trial)
         A = sample_gaussian(sp, n, stream.child(0)).rows
@@ -316,13 +316,13 @@ def test_criterion_10_shaped_smoothing_wins():
         xn *= 0.5 * R / np.linalg.norm(xn)
         prob = ErmProblem(A, A @ xn, Loss("hinge"), 0.0)
         # Both directions draw from one stream, as in the CLI.
-        for direction, sink in [(None, iso_hits), (sp, data_hits)]:
-            cfg = SmoothingConfig(radius=R, iters=5000, batch=16,
-                                  direction=direction)
-            run = rs_optimize(prob, cfg, rng=stream.child(2),
-                              f_star=0.0, gap_tol=1e-2)
-            hit = iters_to_gap(run, 1e-2)
-            sink.append(hit if hit is not None else cfg.iters + 1)
+        runs += [(prob, SmoothingConfig(radius=R, iters=5000, batch=16,
+                                        direction=direction), stream.child(2))
+                 for direction in (None, sp)]
+    # All 20 runs go through the CLI's engine in one call.
+    hits = [iters_to_gap(run, 1e-2) for run in rs_lockstep(runs, 0.0, 1e-2)]
+    hits = [5001 if hit is None else hit for hit in hits]
+    iso_hits, data_hits = hits[0::2], hits[1::2]
     med_iso = float(np.median(iso_hits))
     med_data = float(np.median(data_hits))
     elapsed = time.time() - t0

@@ -431,6 +431,28 @@ def test_smooth_deterministic_across_jobs(tmp_path):
     assert blobs[0] == blobs[1]
 
 
+def test_smooth_rows_do_not_depend_on_the_batch():
+    # All runs of a call advance in lockstep; a row must not depend on
+    # which other runs share the batch or on when they stop.
+    config = {
+        "spectrum": {"kind": "power_law", "d": 8, "sigma1": 1.0, "alpha": 1.0},
+        "n": 64, "radius": 2.0, "iters": 300, "batch": 4, "trials": 10,
+        "gap_tol": 0.03, "directions": ["iso", "data"],
+    }
+
+    def rows(**changes):
+        return effdim.cli.run_smooth({**config, **changes}, 5, 1)[1]["smooth.csv"]
+
+    both = rows()
+    # The runs leave the batch in different blocks, and some never stop.
+    assert len({row["iters_to_tol"] // 64 for row in both}) >= 4
+    assert any(row["iters_to_tol"] < 0 for row in both)
+    for direction in ("iso", "data"):
+        assert rows(directions=[direction]) == [
+            row for row in both if row["direction"] == direction]
+    assert rows(trials=6) == [row for row in both if row["trial"] < 6]
+
+
 def test_smooth_summary_pairs_directions(tmp_path):
     # 40 iterations leave some runs unreached: they count as iters + 1.
     config = {

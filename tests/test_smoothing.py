@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,16 +9,16 @@ from effdim.rng import RngStream
 from effdim.smoothing import (
     DRAW_BLOCK,
     SmoothingConfig,
-    _draw_block,
-    _draw_directions,
+    _direction_scale,
     grad_estimator,
     iters_to_gap,
+    rs_lockstep,
     rs_optimize,
-    smooth_value_estimate,
     smoothing_bounds,
     theta_sequence,
 )
 from effdim.spectrum import CovarianceSpectrum, make_spectrum, sample_gaussian
+from oracles import draw_block, rs_reference, smooth_value_estimate
 
 
 def test_theta_identity_and_envelope():
@@ -35,7 +36,8 @@ def test_shaped_directions_have_covariance_sqrt_sigma():
     # shaped directions have covariance diag(sigma) = Sigma^{1/2}.
     sigmas = np.array([2.0, 1.0, 0.5, 0.25])
     m = 200_000
-    z = _draw_directions(RngStream(41).generator(), (m, 4), CovarianceSpectrum(sigmas))
+    z = (RngStream(41).generator().standard_normal((m, 4))
+         * _direction_scale(CovarianceSpectrum(sigmas), 4))
     expected = np.diag(sigmas)
     # entrywise stderr of a zero-mean Gaussian sample covariance
     se = np.sqrt((np.outer(sigmas, sigmas) + expected**2) / m)
@@ -75,8 +77,9 @@ def test_grad_estimator_unbiased_for_ridge():
     prob = ErmProblem(A, np.zeros(16), Loss("ridge"), 0.0)
     y = np.array([1.0, -0.5, 0.25])
     expected = A.T @ A / 16 @ y
-    idx, z = _draw_block(RngStream(6).generator(), 4000, 16, 64, 3, None)
-    est = np.mean([grad_estimator(prob, y, 0.3, idx[k], z[k])
+    idx, z = draw_block(RngStream(6).generator(), 4000, 16, 64, 3, None)
+    est = np.mean([grad_estimator(prob, y[None], np.array([0.3]), idx[k][None],
+                                  z[k][None])[0]
                    for k in range(4000)], axis=0)
     np.testing.assert_allclose(est, expected, atol=0.05)
 
@@ -89,8 +92,9 @@ def test_grad_estimator_variance_scales_inversely_with_batch():
     root = RngStream(8)
 
     def variance(m):
-        idx, z = _draw_block(root.child(m).generator(), 800, 64, m, 4, None)
-        draws = np.array([grad_estimator(prob, y, 0.2, idx[k], z[k])
+        idx, z = draw_block(root.child(m).generator(), 800, 64, m, 4, None)
+        draws = np.array([grad_estimator(prob, y[None], np.array([0.2]),
+                                         idx[k][None], z[k][None])[0]
                           for k in range(800)])
         return draws.var(axis=0).sum()
 
@@ -120,9 +124,14 @@ def test_rs_optimize_reduces_hinge_gap():
     run = rs_optimize(prob, cfg, rng=root.child(2), f_star=0.0, gap_tol=2e-2)
     assert run.gaps[0] > 0.01
     assert min(run.gaps) <= 2e-2
-    assert np.all(np.linalg.norm(run.xs, axis=1) <= 2.0 + 1e-9)
     hit = iters_to_gap(run, 2e-2)
     assert hit is not None and hit == len(run.gaps) - 1  # stopped on tolerance
+    # Shorter runs are prefixes of longer ones, so the last iterates of
+    # runs stopped at several iters are iterates of the 500-step run.
+    for iters in (1, 37, 100, 500):
+        end = rs_optimize(prob, SmoothingConfig(radius=2.0, iters=iters, batch=8),
+                          rng=root.child(2)).x
+        assert np.linalg.norm(end) <= 2.0 + 1e-9
 
 
 def test_rs_optimize_is_deterministic():
@@ -132,7 +141,8 @@ def test_rs_optimize_is_deterministic():
     cfg = SmoothingConfig(radius=1.5, iters=50, batch=4)
     r1 = rs_optimize(prob, cfg, rng=RngStream(11))
     r2 = rs_optimize(prob, cfg, rng=RngStream(11))
-    np.testing.assert_array_equal(r1.xs, r2.xs)
+    assert len(r1.gaps) == 51 and r1.gaps == r2.gaps
+    np.testing.assert_array_equal(r1.x, r2.x)
 
 
 def _hinge_problem(d, n, seed):
@@ -151,8 +161,8 @@ def test_isotropic_spectrum_run_equals_unshaped_run():
                                               u=0.5, direction=direction),
                         rng=RngStream(13), gap_tol=1e-3)
             for direction in (None, iso)]
-    np.testing.assert_array_equal(runs[0].xs, runs[1].xs)
     assert runs[0].gaps == runs[1].gaps
+    np.testing.assert_array_equal(runs[0].x, runs[1].x)
 
 
 def test_step_draws_do_not_depend_on_iters():
@@ -167,7 +177,74 @@ def test_step_draws_do_not_depend_on_iters():
                    for iters in (100, 500))
     assert len(short.gaps) == 101 and len(long.gaps) == 501
     assert short.gaps == long.gaps[:101]
-    np.testing.assert_array_equal(short.xs, long.xs[:101])
+
+
+def test_step_normals_equal_whole_block_draw():
+    # The engine draws a block's indices whole, then its directions one
+    # step at a time; the values, and the next block's indices, equal the
+    # whole-block draw.
+    n, m, d = 50, 4, 3
+    gen = RngStream(16).generator()
+    idx = gen.integers(0, n, (DRAW_BLOCK, m))
+    steps = [gen.standard_normal((m, d)) for _ in range(DRAW_BLOCK)]
+    next_idx = gen.integers(0, n, (DRAW_BLOCK, m))
+    ref = RngStream(16).generator()
+    ref_idx, ref_z = draw_block(ref, DRAW_BLOCK, n, m, d, None)
+    ref_next, _ = draw_block(ref, DRAW_BLOCK, n, m, d, None)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(np.stack(steps), ref_z)
+    np.testing.assert_array_equal(next_idx, ref_next)
+
+
+def test_block_stop_rule_truncates_at_first_crossing():
+    # The stop rule is checked once per block: a run stopped by gap_tol
+    # must equal the prefix of a run without it, both when the first
+    # crossing falls on a block boundary and when it falls inside a block.
+    sp, prob = _hinge_problem(8, 64, 18)
+    cfg = SmoothingConfig(radius=1.5, iters=200, batch=4, direction=sp)
+    ref = rs_optimize(prob, cfg, rng=RngStream(18))
+    for stop in (DRAW_BLOCK, 100):
+        # A tolerance between the step's gap and every earlier gap (the
+        # stop rule skips gap 0) makes ``stop`` the first crossing.
+        earlier = min(ref.gaps[1:stop])
+        assert ref.gaps[stop] < earlier
+        tol = 0.5 * (ref.gaps[stop] + earlier)
+        run = rs_optimize(prob, cfg, rng=RngStream(18), gap_tol=tol)
+        assert run.gaps == ref.gaps[:stop + 1]
+        assert iters_to_gap(run, tol) == iters_to_gap(ref, tol)
+        short = replace(cfg, iters=stop)
+        np.testing.assert_array_equal(
+            run.x, rs_optimize(prob, short, rng=RngStream(18)).x)
+
+
+def test_lockstep_equals_step_by_step_reference():
+    # One engine call over two problems, two streams, both directions and
+    # per-run radius and width; the runs stop in different blocks and some
+    # never reach gap_tol.  The iterates follow the reference loop's
+    # arithmetic; a block's gaps come from one matmul, so they may differ
+    # in the last bits.
+    sp, prob_a = _hinge_problem(8, 64, 20)
+    _, prob_b = _hinge_problem(8, 64, 21)
+    runs = [(prob, SmoothingConfig(radius=radius, iters=300, batch=4, u=u,
+                                   direction=direction), RngStream(seed))
+            for radius, u in ((3.0, None), (1.0, 1.0), (1.5, 0.2))
+            for prob, seed in ((prob_a, 22), (prob_b, 23))
+            for direction in (None, sp)]
+    results = rs_lockstep(runs, 0.0, 0.03)
+    assert len({(len(run.gaps) - 1) // DRAW_BLOCK for run in results}) >= 4
+    for (prob, cfg, rng), run in zip(runs, results):
+        gaps, x = rs_reference(prob, cfg, rng, 0.0, 0.03)
+        assert len(run.gaps) == len(gaps)
+        np.testing.assert_allclose(run.gaps, gaps, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(run.x, x)
+
+
+def test_lockstep_rejects_runs_of_different_shapes():
+    _, prob = _hinge_problem(8, 64, 19)
+    runs = [(prob, SmoothingConfig(radius=1.0, iters=5, batch=batch), RngStream(0))
+            for batch in (4, 8)]
+    with pytest.raises(ValueError):
+        rs_lockstep(runs)
 
 
 def test_config_validation():
