@@ -302,9 +302,10 @@ def run_cover(config, seed, jobs):
         # Negative control: drop the cap of centers with the largest first
         # coordinate.  Uniform deletion cannot damage this grid cover (any
         # point keeps an inward grid neighbor well within eps), so the
-        # control removes a contiguous extreme region instead.
+        # control removes a contiguous extreme region instead.  The sort is
+        # stable, so of the cells tied at the cut the earliest are kept.
         keep = max(1, int(round(cover.size * (1.0 - frac))))
-        order = np.argsort(cover.spacing * cover.cells[:, 0])[:keep]
+        order = np.argsort(cover.spacing * cover.cells[:, 0], kind="stable")[:keep]
         damaged = replace(cover, cells=cover.cells[np.sort(order)])
         bad = verify_cover(damaged, pts)
         rows.append({
@@ -404,71 +405,70 @@ def run_precondition(config, seed, jobs):
 
 def run_smooth(config, seed, jobs):
     sp = _spectrum(config["spectrum"])
-    n = config["n"]
+    n, trials = config["n"], config["trials"]
     R = config["radius"]
-    directions = config.get("directions", ["iso", "data"])
+    # Sorted: each trial's rows list the directions in this order.
+    directions = sorted(config.get("directions", ["iso", "data"]))
     gap_tol = config.get("gap_tol", 1e-2)
     root = RngStream(seed)
 
-    cfgs = {direction: SmoothingConfig(
-                radius=R, iters=config["iters"], batch=config["batch"],
-                u=config.get("u"), direction=sp if direction == "data" else None)
-            for direction in directions}
-    runs, keys = [], []
-    for trial in range(config["trials"]):
+    # Trial k owns rows k*n .. (k+1)*n - 1 of one data array and one stream.
+    A = np.empty((trials * n, sp.dim))
+    b = np.empty(trials * n)
+    streams = []
+    for trial in range(trials):
         stream = root.child(trial)
-        A = sample_gaussian(sp, n, stream.child(0)).rows
+        block = slice(trial * n, (trial + 1) * n)
+        A[block] = sample_gaussian(sp, n, stream.child(0)).rows
         gen = stream.child(1).generator()
         x_nat = gen.standard_normal(sp.dim)
         x_nat *= 0.5 * R / np.linalg.norm(x_nat)
-        problem = ErmProblem(A, A @ x_nat, Loss("hinge"), 0.0)
-        for direction in directions:
-            # Every direction of a trial draws from one stream: common
-            # random numbers for the paired comparison.
-            runs.append((problem, cfgs[direction], stream.child(2)))
-            keys.append((trial, direction))
+        b[block] = A[block] @ x_nat
+        streams.append(stream.child(2))
+    cfgs = [SmoothingConfig(radius=R, iters=config["iters"], batch=config["batch"],
+                            u=config.get("u"),
+                            direction=sp if direction == "data" else None)
+            for direction in directions]
 
     # One engine call advances every run together, each step a few numpy
     # calls over all active runs; worker threads would hold the GIL in
-    # turn on calls this small, so --jobs does not split the runs.
-    rows = []
-    for (trial, direction), run in zip(keys, rs_lockstep(runs, 0.0, gap_tol)):
-        hit = iters_to_gap(run, gap_tol)
-        rows.append({
-            "seed": seed, "trial": trial, "direction": direction,
-            "iters_to_tol": -1 if hit is None else hit,
-            "final_gap": float(run.gaps[-1]),
-        })
-    rows.sort(key=lambda row: (row["trial"], row["direction"]))
+    # turn on calls this small, so --jobs does not split the runs.  Every
+    # direction of a trial draws from the trial's stream: common random
+    # numbers for the paired comparison.
+    out = rs_lockstep(ErmProblem(A, b, Loss("hinge"), 0.0), streams, cfgs,
+                      0.0, gap_tol)
+    hits, rows = [], []   # hits: iters_to_tol by trial and direction
+    for trial, runs in enumerate(out):
+        hits.append([-1 if hit is None else hit
+                     for hit in (iters_to_gap(run, gap_tol) for run in runs)])
+        rows += [{"seed": seed, "trial": trial, "direction": direction,
+                  "iters_to_tol": hit, "final_gap": float(run.gaps[-1])}
+                 for direction, run, hit in zip(directions, runs, hits[-1])]
+    hits = np.array(hits)
     summary = {}
-    for direction in sorted(set(directions)):
-        hits = [row["iters_to_tol"] for row in rows
-                if row["direction"] == direction and row["iters_to_tol"] >= 0]
-        misses = sum(1 for row in rows
-                     if row["direction"] == direction and row["iters_to_tol"] < 0)
+    for direction in dict.fromkeys(directions):
+        col = hits[:, [other == direction for other in directions]]
+        reached = col[col >= 0]
         summary[direction] = {
-            "median_iters": float(np.median(hits)) if hits else None,
-            "unreached": misses,
+            "median_iters": float(np.median(reached)) if reached.size else None,
+            "unreached": int((col < 0).sum()),
         }
     if {"iso", "data"} <= set(directions):
-        summary["paired"] = _paired_iters(rows, config["iters"])
+        pairs = hits[:, [directions.index("iso"), directions.index("data")]]
+        summary["paired"] = _paired_iters(pairs.tolist(), config["iters"])
     return summary, {"smooth.csv": rows}
 
 
-def _paired_iters(rows, iters):
-    """Shaped against isotropic iterations over the trials, paired by trial.
+def _paired_iters(pairs, iters):
+    """Shaped against isotropic iterations over the trials, from each
+    trial's (iso, data) ``iters_to_tol`` pair.
 
-    An unreached run counts as ``iters + 1`` iterations.  ``mean_log_ratio``
-    is the mean of log(iters_data / iters_iso), with its standard error
-    (null for one pair); a run that starts within tolerance counts as one
-    iteration, and then so does its partner, which shares x_0.
+    An unreached run (-1) counts as ``iters + 1`` iterations.
+    ``mean_log_ratio`` is the mean of log(iters_data / iters_iso), with its
+    standard error (null for one pair); a run that starts within tolerance
+    counts as one iteration, and then so does its partner, which shares x_0.
     """
-    by_trial = {}
-    for row in rows:
-        hit = row["iters_to_tol"]
-        by_trial.setdefault(row["trial"], {}).setdefault(
-            row["direction"], iters + 1 if hit < 0 else hit)
-    pairs = [(t["iso"], t["data"]) for t in by_trial.values()]
+    pairs = [[iters + 1 if hit < 0 else hit for hit in pair] for pair in pairs]
     logs = np.array([math.log(max(data, 1) / max(iso, 1)) for iso, data in pairs])
     k = len(logs)
     return {

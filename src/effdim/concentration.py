@@ -13,7 +13,8 @@ What each route returns:
   :class:`CovarianceSpectrum`.
 - Nonlinear factors (relu, clip) give a *lower estimate* by multistart
   projected gradient ascent over the n rows, against an independent
-  Monte-Carlo reference sample, plus its stderr 1/sqrt(N).  One kernel
+  Monte-Carlo reference sample of N rows.  The reference's stderr
+  1/sqrt(N) is not reported: no output carries it.  One kernel
   (:func:`_product_means`) projects both the data and the N-row reference
   in row chunks of about 2**16 entries, so an ascent step allocates no
   array as long as the reference; the final evaluation takes means only.
@@ -322,7 +323,8 @@ def scaling_experiment(
     Requires trials >= 30.  Returns ``{"rows": [...], "slopes": {spectrum_id:
     {"slope", "stderr", "means"}}}``, slope and stderr None without a fit;
     each row's keys are ``seed, trial, spectrum_id, n, value, mode`` in that
-    order, and rows are sorted by ``(spectrum_id, n, trial)``.
+    order, with ``seed`` the master seed of ``rng``, and rows are sorted by
+    ``(spectrum_id, n, trial)``.
     Results do not depend on ``jobs``: every task draws only from its own
     child stream and rows are sorted after the map.
     """
@@ -354,7 +356,7 @@ def scaling_experiment(
                 search=search, rng=stream.child(1),
             )
             out.append({
-                "seed": stream.stream_id, "trial": trial, "spectrum_id": sid,
+                "seed": rng.master_seed, "trial": trial, "spectrum_id": sid,
                 "n": n, "value": est.value, "mode": est.mode,
             })
         return out

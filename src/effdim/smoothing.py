@@ -16,12 +16,13 @@ standard normal directions one step at a time, ``standard_normal((m, d))``;
 the values equal those of one whole-block draw
 ``standard_normal((DRAW_BLOCK, m, d))``, and the next block's indices
 follow them.  Step t's draws depend only on the stream and t, never on
-``iters`` or on where the run stops.  :func:`rs_lockstep` advances many
-runs together, and runs on one stream share one generator.  A caller that
-runs both smoothing directions of one trial on the same stream gets
-common random numbers: shaped directions are the isotropic ones scaled by
-sqrt(sigma).  ``DRAW_BLOCK`` is part of the output contract: changing it
-changes every run's draws.
+``iters`` or on where the run stops.  :func:`rs_lockstep` advances every
+config on every trial together: the trials are equal consecutive blocks
+of rows of one data array, each with one stream, and all configs of a
+trial draw from that trial's one generator.  So the configs of a trial
+use common random numbers: shaped directions are the isotropic ones
+scaled by sqrt(sigma).  ``DRAW_BLOCK`` is part of the output contract:
+changing it changes every run's draws.
 """
 
 from __future__ import annotations
@@ -100,9 +101,9 @@ def grad_estimator(problem: ErmProblem, y: np.ndarray, gamma: np.ndarray,
     y[r] + gamma[r] z[r, j], where the directions z come from standard
     normal draws times :func:`_direction_scale`.  With ``idx`` uniform over
     the rows, row r of the result is unbiased for the gradient of the
-    smoothed single-sample objective at y[r].  Problems with a common loss
-    and lam may be stacked row-wise into ``problem``, each run indexing its
-    own rows.
+    smoothed single-sample objective at y[r].  ``problem`` may hold the
+    rows of several trials, as in :func:`rs_lockstep`: each run then
+    indexes only its own trial's block of rows.
     """
     pts = y[:, None, :] + gamma[:, None, None] * z
     rows = problem.A[idx]
@@ -157,9 +158,9 @@ def rs_optimize(problem: ErmProblem, cfg: SmoothingConfig,
                 gap_tol: float | None = None) -> SmoothingRun:
     """Accelerated dual averaging on the annealed smoothed objective.
 
-    A one-run call of :func:`rs_lockstep`.  All draws come from one
-    generator made from ``rng``: each block of ``DRAW_BLOCK`` steps draws
-    its sample indices whole, then its directions one step at a time,
+    The one-trial, one-config call of :func:`rs_lockstep`.  All draws come
+    from one generator made from ``rng``: each block of ``DRAW_BLOCK`` steps
+    draws its sample indices whole, then its directions one step at a time,
     which gives the same values as a whole-block draw (see the module
     docstring).  So step t's draws depend only on ``rng`` and t, and runs
     that share ``rng`` share their draws: with the same ``u``, a shaped run
@@ -175,59 +176,50 @@ def rs_optimize(problem: ErmProblem, cfg: SmoothingConfig,
     on the ball.  The run stops after ``cfg.iters`` steps or at the first
     step t >= 1 whose gap is <= ``gap_tol``.
     """
-    return rs_lockstep([(problem, cfg, rng)], f_star, gap_tol)[0]
+    return rs_lockstep(problem, [rng], [cfg], f_star, gap_tol)[0][0]
 
 
-def rs_lockstep(runs: list[tuple[ErmProblem, SmoothingConfig, RngStream]],
+def rs_lockstep(data: ErmProblem, streams: list[RngStream],
+                cfgs: list[SmoothingConfig],
                 f_star: float = 0.0,
-                gap_tol: float | None = None) -> list[SmoothingRun]:
-    """:func:`rs_optimize` for each ``(problem, cfg, rng)`` triple of
-    ``runs``, with every run advanced together.
+                gap_tol: float | None = None) -> list[list[SmoothingRun]]:
+    """:func:`rs_optimize` for every trial and config, with every run
+    advanced together; ``out[k][j]`` is config j on trial k.
 
-    Each step is computed for all active runs at once, with rows gathered
-    from one stack of the distinct problems.  Runs whose ``rng`` and
-    sample count agree share one generator, so a trial's draws are made
-    once for both smoothing directions.  The stop rule is checked once per
-    block: each run's block of iterates is evaluated with one matmul and
-    truncated at its first gap <= ``gap_tol``, and a run leaves the batch
-    once it stops.  Each result equals the one its run gets alone.  The
-    runs must share d, loss, lam and batch size.
+    The rows of ``data`` split into ``len(streams)`` equal consecutive
+    blocks: trial k is block k, a view of ``data``, with generator
+    ``streams[k]``.  Every config runs on every trial, and all configs of a
+    trial draw from that trial's one generator, so they share its draws.
+    Each step is computed for all active runs at once.  The stop rule is
+    checked once per block: each run's block of iterates is evaluated with
+    one matmul and truncated at its first gap <= ``gap_tol``, and a run
+    leaves the batch once it stops.  Each result equals :func:`rs_optimize`
+    on its trial's rows alone.  The configs must share a batch size.
     """
-    if not runs:
-        return []
-    problems = [problem for problem, _, _ in runs]
-    cfgs = [cfg for _, cfg, _ in runs]
-    first, m = problems[0], cfgs[0].batch
-    if any((p.d, p.loss, p.lam) != (first.d, first.loss, first.lam)
-           for p in problems) or any(cfg.batch != m for cfg in cfgs):
-        raise ValueError("lockstep runs need a common d, loss, lam and batch")
-    d = first.d
+    K, J = len(streams), len(cfgs)
+    if not K or data.n % K:
+        raise ValueError("data must split into one equal block of rows per stream")
+    if not J or any(cfg.batch != cfgs[0].batch for cfg in cfgs):
+        raise ValueError("lockstep configs need a common batch size")
+    n, d, m = data.n // K, data.d, cfgs[0].batch
+    trials = [ErmProblem(data.A[k * n:(k + 1) * n], data.b[k * n:(k + 1) * n],
+                         data.loss, data.lam) for k in range(K)]
+    gens = [rng.generator() for rng in streams]
 
-    # Run r reads rows offset[r] + i of one stack of the distinct problems.
-    distinct = list({id(p): p for p in problems}.values())
-    starts = dict(zip(map(id, distinct), np.cumsum([0] + [p.n for p in distinct])))
-    offset = np.array([starts[id(p)] for p in problems])
-    stacked = ErmProblem(np.vstack([p.A for p in distinct]),
-                         np.concatenate([p.b for p in distinct]),
-                         first.loss, first.lam)
-    # One generator per distinct (stream, sample count).
-    keys = {}
-    group = np.array([keys.setdefault((rng, p.n), len(keys))
-                      for p, _, rng in runs])
-    gens = [rng.generator() for rng, _ in keys]
-    sizes = [n for _, n in keys]
-
-    R = np.array([cfg.radius for cfg in cfgs])
-    L = np.array([float(np.linalg.norm(p.A, axis=1).max()) for p in problems])
-    L += first.lam * R
+    # Run r is config r % J on trial r // J, and reads rows n * (r // J) + i.
+    trial = np.repeat(np.arange(K), J)
+    runs = [(trials[k], cfg) for k in range(K) for cfg in cfgs]
+    R = np.array([cfg.radius for _, cfg in runs])
+    L = np.array([float(np.linalg.norm(p.A, axis=1).max()) for p in trials])[trial]
+    L += data.lam * R
     u = np.array([cfg.u if cfg.u is not None else _default_width(cfg, p)
-                  for p, cfg in zip(problems, cfgs)])
+                  for p, cfg in runs])
     L_over_u = L / u
     c_eta = L / (R * math.sqrt(m))
-    scale = np.stack([_direction_scale(cfg.direction, d) for cfg in cfgs])
-    iters = np.array([cfg.iters for cfg in cfgs])
+    scale = np.stack([_direction_scale(cfg.direction, d) for _, cfg in runs])
+    iters = np.array([cfg.iters for _, cfg in runs])
 
-    gaps = [[p.value(np.zeros(d)) - f_star] for p in problems]
+    gaps = [[p.value(np.zeros(d)) - f_star] for p, _ in runs]
     final = [None] * len(runs)
     live = np.arange(len(runs))
     x = np.zeros((len(runs), d))
@@ -238,21 +230,20 @@ def rs_lockstep(runs: list[tuple[ErmProblem, SmoothingConfig, RngStream]],
     t0 = 0
     while live.size:
         steps = min(DRAW_BLOCK, int(iters[live].max()) - t0)
-        streams, slot = np.unique(group[live], return_inverse=True)
-        idx = np.stack([gens[s].integers(0, sizes[s], (DRAW_BLOCK, m))
-                        for s in streams])
-        idx = np.ascontiguousarray((idx[slot] + offset[live, None, None])
+        active, slot = np.unique(trial[live], return_inverse=True)
+        idx = np.stack([gens[k].integers(0, n, (DRAW_BLOCK, m)) for k in active])
+        idx = np.ascontiguousarray((idx[slot] + n * trial[live, None, None])
                                    .transpose(1, 0, 2))
-        normals = np.empty((len(streams), m, d))
+        normals = np.empty((len(active), m, d))
         dirs = np.empty((live.size, m, d))
         rad, lu, ceta, width = R[live], L_over_u[live], c_eta[live], u[live]
         sc = scale[live, None, :]
         for k in range(steps):
-            for buf, s in zip(normals, streams):
+            for buf, s in zip(normals, active):
                 gens[s].standard_normal((m, d), out=buf)
             np.multiply(normals[slot], sc, out=dirs)
             y = (1.0 - theta) * x + theta * z
-            G += grad_estimator(stacked, y, theta * width, idx[k], dirs) / theta
+            G += grad_estimator(data, y, theta * width, idx[k], dirs) / theta
             theta_next = _theta_next(theta)
             # coef = L_{t+1} + eta_{t+1} / theta_{t+1}, L_{t+1} = L / (theta_{t+1} u)
             coef = (lu + ceta * math.sqrt(t0 + k + 2.0)) / theta_next
@@ -268,7 +259,7 @@ def rs_lockstep(runs: list[tuple[ErmProblem, SmoothingConfig, RngStream]],
         keep = []
         for j, r in enumerate(live):
             block = xs[j, :min(steps, iters[r] - t0)]
-            vals = problems[r].values(block) - f_star
+            vals = runs[r][0].values(block) - f_star
             hits = np.flatnonzero(vals <= gap_tol) if gap_tol is not None else []
             used = hits[0] + 1 if len(hits) else len(block)
             gaps[r] += vals[:used].tolist()
@@ -278,7 +269,8 @@ def rs_lockstep(runs: list[tuple[ErmProblem, SmoothingConfig, RngStream]],
                 keep.append(j)
         live, x, z, G = live[keep], x[keep], z[keep], G[keep]
         t0 += steps
-    return [SmoothingRun(g, x_end) for g, x_end in zip(gaps, final)]
+    out = [SmoothingRun(g, x_end) for g, x_end in zip(gaps, final)]
+    return [out[k * J:(k + 1) * J] for k in range(K)]
 
 
 def iters_to_gap(run: SmoothingRun, tol: float) -> int | None:

@@ -306,23 +306,28 @@ def test_criterion_10_shaped_smoothing_wins():
     t0 = time.time()
     sp = make_spectrum("power_law", d=64, sigma1=1.0, alpha=1.0)
     root = RngStream(1010)
-    n, R = 512, 2.0
-    runs = []
-    for trial in range(10):
+    n, R, trials = 512, 2.0, 10
+    A = np.empty((trials * n, 64))
+    b = np.empty(trials * n)
+    streams = []
+    for trial in range(trials):
         stream = root.child(trial)
-        A = sample_gaussian(sp, n, stream.child(0)).rows
+        block = slice(trial * n, (trial + 1) * n)
+        A[block] = sample_gaussian(sp, n, stream.child(0)).rows
         gen = stream.child(1).generator()
         xn = gen.standard_normal(64)
         xn *= 0.5 * R / np.linalg.norm(xn)
-        prob = ErmProblem(A, A @ xn, Loss("hinge"), 0.0)
-        # Both directions draw from one stream, as in the CLI.
-        runs += [(prob, SmoothingConfig(radius=R, iters=5000, batch=16,
-                                        direction=direction), stream.child(2))
-                 for direction in (None, sp)]
-    # All 20 runs go through the CLI's engine in one call.
-    hits = [iters_to_gap(run, 1e-2) for run in rs_lockstep(runs, 0.0, 1e-2)]
-    hits = [5001 if hit is None else hit for hit in hits]
-    iso_hits, data_hits = hits[0::2], hits[1::2]
+        b[block] = A[block] @ xn
+        # Both directions draw from the trial's stream, as in the CLI.
+        streams.append(stream.child(2))
+    cfgs = [SmoothingConfig(radius=R, iters=5000, batch=16, direction=direction)
+            for direction in (None, sp)]
+    # All 10 trials x 2 directions go through the CLI's engine in one call.
+    out = rs_lockstep(ErmProblem(A, b, Loss("hinge"), 0.0), streams, cfgs,
+                      0.0, 1e-2)
+    hits = [[5001 if hit is None else hit
+             for hit in (iters_to_gap(run, 1e-2) for run in runs)] for runs in out]
+    iso_hits, data_hits = zip(*hits)
     med_iso = float(np.median(iso_hits))
     med_data = float(np.median(data_hits))
     elapsed = time.time() - t0

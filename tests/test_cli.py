@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -371,6 +372,18 @@ def test_seed_comes_from_the_flag_only(tmp_path, monkeypatch):
         assert json.loads((out / "manifest.json").read_text())["seed"] == seed
 
 
+@pytest.mark.parametrize("name", sorted(effdim.cli.RUNNERS))
+def test_csv_seed_column_is_the_flag(name, tmp_path):
+    # The seed column records the master seed, so two seeds give two columns.
+    cfg = write_config(tmp_path, "c.json", SMALL_CONFIGS[name])
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        assert main([name, "--config", cfg, "--out", str(out), "--seed", seed]) == 0
+        for table in CSV_HEADERS[name]:
+            with open(out / table, newline="") as fh:
+                assert {row["seed"] for row in csv.DictReader(fh)} == {seed}
+
+
 def test_cover_negative_control(tmp_path):
     cfg = write_config(tmp_path, "c.json",
                        {"axes": [4.0, 2.0, 0.5], "eps": 1.0,
@@ -383,6 +396,33 @@ def test_cover_negative_control(tmp_path):
     damaged = lines[2].split(",")
     assert int(intact[3]) == 0
     assert int(damaged[3]) > 0
+
+
+def test_cover_negative_control_keeps_the_earliest_tied_cells(monkeypatch):
+    # Many cells share the first coordinate at the cut; the control keeps
+    # the earliest of them in cover order, whatever order the cells come
+    # in.  A shuffled cover makes an unstable sort pick other tied cells.
+    build = effdim.cli.build_cover
+
+    def shuffled(axes, eps):
+        cover = build(axes, eps)
+        return replace(cover, cells=np.random.default_rng(0).permutation(cover.cells))
+
+    monkeypatch.setattr(effdim.cli, "build_cover", shuffled)
+    covers = []
+    verify = effdim.cli.verify_cover
+    monkeypatch.setattr(effdim.cli, "verify_cover",
+                        lambda cover, pts: covers.append(cover) or verify(cover, pts))
+    effdim.cli.run_cover({"axes": [4.0, 2.0, 1.0], "eps": 1.0, "n_samples": 10,
+                          "delete_fraction": 0.1}, 1, 1)
+    full, damaged = covers
+    first = full.cells[:, 0]
+    cut = damaged.cells[:, 0].max()
+    below, tied = np.flatnonzero(first < cut), np.flatnonzero(first == cut)
+    kept_ties = damaged.size - len(below)
+    assert 0 < kept_ties < len(tied)
+    expected = np.sort(np.concatenate([below, tied[:kept_ties]]))
+    np.testing.assert_array_equal(damaged.cells, full.cells[expected])
 
 
 def test_concentration_deterministic_across_jobs_and_reruns(tmp_path):
@@ -451,6 +491,10 @@ def test_smooth_rows_do_not_depend_on_the_batch():
         assert rows(directions=[direction]) == [
             row for row in both if row["direction"] == direction]
     assert rows(trials=6) == [row for row in both if row["trial"] < 6]
+    # Rows come sorted by (trial, direction), whatever the config's order.
+    keys = [(row["trial"], row["direction"]) for row in both]
+    assert keys == sorted(keys)
+    assert rows(directions=["data", "iso"]) == both
 
 
 def test_smooth_summary_pairs_directions(tmp_path):

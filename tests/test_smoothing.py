@@ -217,34 +217,57 @@ def test_block_stop_rule_truncates_at_first_crossing():
             run.x, rs_optimize(prob, short, rng=RngStream(18)).x)
 
 
-def test_lockstep_equals_step_by_step_reference():
-    # One engine call over two problems, two streams, both directions and
-    # per-run radius and width; the runs stop in different blocks and some
-    # never reach gap_tol.  The iterates follow the reference loop's
-    # arithmetic; a block's gaps come from one matmul, so they may differ
-    # in the last bits.
+def _two_trials():
+    """Two hinge trials of 64 rows each, stacked into one data array."""
     sp, prob_a = _hinge_problem(8, 64, 20)
     _, prob_b = _hinge_problem(8, 64, 21)
-    runs = [(prob, SmoothingConfig(radius=radius, iters=300, batch=4, u=u,
-                                   direction=direction), RngStream(seed))
+    data = ErmProblem(np.vstack([prob_a.A, prob_b.A]),
+                      np.concatenate([prob_a.b, prob_b.b]), Loss("hinge"), 0.0)
+    cfgs = [SmoothingConfig(radius=radius, iters=300, batch=4, u=u,
+                            direction=direction)
             for radius, u in ((3.0, None), (1.0, 1.0), (1.5, 0.2))
-            for prob, seed in ((prob_a, 22), (prob_b, 23))
             for direction in (None, sp)]
-    results = rs_lockstep(runs, 0.0, 0.03)
-    assert len({(len(run.gaps) - 1) // DRAW_BLOCK for run in results}) >= 4
-    for (prob, cfg, rng), run in zip(runs, results):
-        gaps, x = rs_reference(prob, cfg, rng, 0.0, 0.03)
-        assert len(run.gaps) == len(gaps)
-        np.testing.assert_allclose(run.gaps, gaps, rtol=1e-12, atol=0.0)
-        np.testing.assert_array_equal(run.x, x)
+    return data, [prob_a, prob_b], [RngStream(22), RngStream(23)], cfgs
+
+
+def test_lockstep_equals_step_by_step_reference():
+    # One engine call over 2 trials x 6 configs: per-config radius and
+    # width, both directions; the runs stop in different blocks and some
+    # never reach gap_tol.  The iterates follow the reference loop's
+    # arithmetic on each trial's rows; a block's gaps come from one matmul,
+    # so they may differ in the last bits.
+    data, trials, streams, cfgs = _two_trials()
+    out = rs_lockstep(data, streams, cfgs, 0.0, 0.03)
+    assert [len(runs) for runs in out] == [len(cfgs)] * len(trials)
+    assert len({(len(run.gaps) - 1) // DRAW_BLOCK
+                for runs in out for run in runs}) >= 4
+    for prob, rng, runs in zip(trials, streams, out):
+        for cfg, run in zip(cfgs, runs):
+            gaps, x = rs_reference(prob, cfg, rng, 0.0, 0.03)
+            assert len(run.gaps) == len(gaps)
+            np.testing.assert_allclose(run.gaps, gaps, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(run.x, x)
+
+
+def test_lockstep_run_equals_its_trial_alone():
+    # out[k][j] is config j run by itself on trial k's rows, bit for bit:
+    # neither the other trials' rows nor the other runs of the batch change it.
+    data, trials, streams, cfgs = _two_trials()
+    out = rs_lockstep(data, streams, cfgs, 0.0, 0.03)
+    for prob, rng, runs in zip(trials, streams, out):
+        for cfg, run in zip(cfgs, runs):
+            alone = rs_optimize(prob, cfg, rng, 0.0, 0.03)
+            assert run.gaps == alone.gaps
+            np.testing.assert_array_equal(run.x, alone.x)
 
 
 def test_lockstep_rejects_runs_of_different_shapes():
     _, prob = _hinge_problem(8, 64, 19)
-    runs = [(prob, SmoothingConfig(radius=1.0, iters=5, batch=batch), RngStream(0))
-            for batch in (4, 8)]
+    cfg = SmoothingConfig(radius=1.0, iters=5, batch=4)
     with pytest.raises(ValueError):
-        rs_lockstep(runs)
+        rs_lockstep(prob, [RngStream(0), RngStream(1), RngStream(2)], [cfg])
+    with pytest.raises(ValueError):
+        rs_lockstep(prob, [RngStream(0)], [cfg, replace(cfg, batch=8)])
 
 
 def test_config_validation():
