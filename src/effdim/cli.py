@@ -160,7 +160,7 @@ SCHEMAS = {
             "batch": {"type": "integer", "minimum": 1},
             "trials": {"type": "integer", "minimum": 1},
             "gap_tol": {"type": "number", "exclusiveMinimum": 0},
-            "directions": {"type": "array", "minItems": 1,
+            "directions": {"type": "array", "minItems": 1, "uniqueItems": True,
                            "items": {"enum": ["iso", "data"]}},
             "u": {"type": "number", "exclusiveMinimum": 0},
         },
@@ -180,7 +180,7 @@ _TYPES = {
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
 }
 _KEYWORDS = {"type", "enum", "minimum", "exclusiveMinimum", "maximum",
-             "minItems", "minProperties", "items", "properties",
+             "minItems", "uniqueItems", "minProperties", "items", "properties",
              "additionalProperties", "required"}
 
 
@@ -188,9 +188,10 @@ def validate(schema: dict, value, path: str = "$") -> None:
     """Raise ConfigInvalid, naming the path, if ``value`` breaks ``schema``.
 
     The subset of JSON Schema draft 2020-12 in ``_KEYWORDS``, except that an
-    integer must be written as one.  A schema node that is not an object,
-    or has another keyword or type, is a programming error
-    (NotImplementedError), so a schema cannot outgrow the subset.
+    integer must be written as one and ``uniqueItems`` compares with ``==``
+    (true equals 1).  A schema node that is not an object, or has another
+    keyword or type, is a programming error (NotImplementedError), so a
+    schema cannot outgrow the subset.
     """
     if not isinstance(schema, dict):
         raise NotImplementedError(f"schema {schema!r} at {path}")
@@ -211,6 +212,8 @@ def validate(schema: dict, value, path: str = "$") -> None:
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
             raise ConfigInvalid(f"{path}: fewer than {schema['minItems']} items")
+        if schema.get("uniqueItems") and any(x in value[:i] for i, x in enumerate(value)):
+            raise ConfigInvalid(f"{path}: items are not unique")
         for i, item in enumerate(value):
             if "items" in schema:
                 validate(schema["items"], item, f"{path}[{i}]")
@@ -271,16 +274,14 @@ def run_entropy(config, seed, jobs):
     sp = _spectrum(config["spectrum"])
     r = config.get("r", 1)
     c = config.get("c", 1.0)
-    rows = []
-    for eps in config["eps_grid"]:
-        rows.append({
-            "seed": seed, "trial": 0, "eps": float(eps),
-            "m_eps": m_eps(sp, eps),
-            "bound": eps_entropy_bound(sp, eps, r=r, c=c),
-        })
+    eps_grid = config["eps_grid"]
+    rows = [{"seed": seed, "trial": 0, "eps": float(eps), "m_eps": m_eps(sp, eps),
+             "bound": bound}
+            for eps, bound in zip(eps_grid, eps_entropy_bound(sp, eps_grid, r=r, c=c))]
     rows.sort(key=lambda row: -row["eps"])
-    kb, mb = kb_mb(CovarianceSpectrum(sp.sigmas / sp.sigmas[0]))
-    summary = {"d": sp.dim, "r": r, "c": c, "kb_unit": kb, "mb_unit": mb}
+    # K_b and m_b of the unit-normalised spectrum: sigma_i / sigma_1 <= 1,
+    # so no axis exceeds 1 and both are 0 by construction.
+    summary = {"d": sp.dim, "r": r, "c": c, "kb_unit": 0.0, "mb_unit": 0}
     return summary, {"entropy.csv": rows}
 
 
@@ -446,8 +447,7 @@ def run_smooth(config, seed, jobs):
                  for direction, run, hit in zip(directions, runs, hits[-1])]
     hits = np.array(hits)
     summary = {}
-    for direction in dict.fromkeys(directions):
-        col = hits[:, [other == direction for other in directions]]
+    for direction, col in zip(directions, hits.T):
         reached = col[col >= 0]
         summary[direction] = {
             "median_iters": float(np.median(reached)) if reached.size else None,

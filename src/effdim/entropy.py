@@ -77,27 +77,33 @@ def m_eps(s: CovarianceSpectrum, eps: float) -> int:
     """Exact count of sigma_i > eps * sigma_1."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return int(np.sum(s.sigmas > eps * s.sigmas[0]))
+    return int(np.count_nonzero(s.sigmas > eps * s.sigmas[0]))
 
 
-def eps_entropy_bound(s: CovarianceSpectrum, eps: float, r: int = 1,
-                      c: float = 1.0) -> float:
-    """Entropy bound for covering the unit sphere in the Sigma-metric.
+def eps_entropy_bound(s: CovarianceSpectrum, eps_grid, r: int = 1,
+                      c: float = 1.0) -> list[float]:
+    """Entropy bounds for covering the unit sphere in the Sigma-metric, one
+    per eps of ``eps_grid``; d_eff(r) is computed once for the grid.
 
-    Returns the minimum of the exact per-axis sum form and the closed-form
+    Each is the minimum of the exact per-axis sum form and the closed-form
     d_eff(r) bound, each plus the shared c-bracket.  At d = 1 the sphere is
     two points of a segment and the bracket is 0, so the bound is ln(1/eps),
     the right order for covering a segment.  Also checks the
     companion inequality m_eps <= 1 + (d_eff(r) - 1) * eps^{-2/r} and raises
     ArithmeticError if it fails.
     """
-    if not (0 < eps <= 1):
+    if not all(0 < eps <= 1 for eps in eps_grid):
         raise ValueError("eps must lie in (0, 1]")
     if r < 1:
         raise ValueError("r must be >= 1")
+    deff = effective_dimension(s, r)
+    return [_eps_bound(s, eps, r, c, deff) for eps in eps_grid]
+
+
+def _eps_bound(s: CovarianceSpectrum, eps: float, r: int, c: float, deff: float) -> float:
+    """The bound at one eps; its work array is freed before the next eps."""
     d = s.dim
     me = m_eps(s, eps)
-    deff = effective_dimension(s, r)
     cap = 1 + (deff - 1) * eps ** (-2.0 / r)
     if not me <= cap + 1e-9:
         raise ArithmeticError(f"m_eps inequality violated: {me} > {cap}")
@@ -106,7 +112,9 @@ def eps_entropy_bound(s: CovarianceSpectrum, eps: float, r: int = 1,
     bracket = ln_d + math.sqrt(max(ln_inv_eps, 0.0) * ln_d * me)
     if d == 1:
         return ln_inv_eps + c * bracket
-    exact_sum = float(np.sum(np.log(s.sigmas[:me] / (eps * s.sigmas[0])))) if me else 0.0
+    # m_eps reaches d as eps shrinks: the log-ratios are taken in place.
+    w = s.sigmas[:me] / (eps * s.sigmas[0])
+    exact_sum = float(np.log(w, out=w).sum())
     a = eps ** (-2.0 / r) * (deff - 1.0)
     lead = min(d - 1.0, a / math.e) / (2.0 / r)
     log_term = math.log(max(math.e, a / (d - 1.0)))
@@ -166,8 +174,9 @@ def sample_ellipsoid(e: CovarianceSpectrum, n: int, rng: RngStream) -> np.ndarra
     gen = rng.generator()
     z = gen.standard_normal((n, e.dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    radii = gen.uniform(size=(n, 1)) ** (1.0 / e.dim)
-    return z * radii * e.sigmas
+    z *= gen.uniform(size=(n, 1)) ** (1.0 / e.dim)
+    z *= e.sigmas
+    return z
 
 
 # Points per batch of verify_cover's bounded search.

@@ -5,7 +5,8 @@ positive), never as variances, to keep the squared/unsquared convention in
 one place.  The covariance is ``diag(sigma**2)``: every quantity here depends
 on Sigma only through its spectrum, so no rotation is stored.  The same
 sigma are the semi-axes of the ellipsoid Sigma^{1/2} B (see
-:mod:`effdim.entropy`).
+:mod:`effdim.entropy`).  A d-sized computation here holds the spectrum plus
+at most one work array of its size.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ class CovarianceSpectrum:
         object.__setattr__(self, "sigmas", s)
         if s.ndim != 1 or len(s) < 1:
             raise BadSpectrum("sigmas must be a nonempty 1-d array")
-        if not np.all(s > 0):
+        if not s.min() > 0:
             raise BadSpectrum("sigmas must be strictly positive")
-        if np.any(np.diff(s) > 0):
+        if np.any(s[1:] > s[:-1]):
             raise BadSpectrum("sigmas must be non-increasing")
 
     @property
@@ -68,12 +69,15 @@ def effective_dimension(s: CovarianceSpectrum, r: int) -> float:
     """d_eff(r) = sum_i (sigma_i / sigma_1)^{2/r}, in [1, d].
 
     Computed in log-space so extreme condition numbers do not underflow to
-    spurious zeros; scale-invariant in the spectrum by construction.
+    spurious zeros; scale-invariant in the spectrum by construction.  Holds
+    one work array the size of the spectrum.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    log_ratio = np.log(s.sigmas) - np.log(s.sigmas[0])
-    return float(np.sum(np.exp((2.0 / r) * log_ratio)))
+    w = np.log(s.sigmas)
+    w -= np.log(s.sigmas[0])
+    w *= 2.0 / r
+    return float(np.exp(w, out=w).sum())
 
 
 def make_spectrum(kind, d: int | None = None, sigma1: float = 1.0,
@@ -99,7 +103,9 @@ def make_spectrum(kind, d: int | None = None, sigma1: float = 1.0,
         if alpha is None or alpha <= 0:
             raise BadSpectrum("power_law requires alpha > 0")
         i = np.arange(1, d + 1, dtype=float)
-        return CovarianceSpectrum(sigma1 * i**-alpha)
+        i **= -alpha
+        i *= sigma1
+        return CovarianceSpectrum(i)
     raise BadSpectrum(f"unknown spectrum kind {kind!r}")
 
 

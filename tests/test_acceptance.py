@@ -111,9 +111,8 @@ def test_criterion_2_entropy_bounds():
         sp = CovarianceSpectrum(np.sort(gen.uniform(1e-2, 1e2, d))[::-1])
         for r in (1, 2, 3):
             deff = effective_dimension(sp, r)
-            vals = []
+            vals = eps_entropy_bound(sp, eps_grid, r=r)
             for eps in eps_grid:
-                vals.append(eps_entropy_bound(sp, eps, r=r))
                 ok &= m_eps(sp, eps) <= 1 + (deff - 1) * eps ** (-2.0 / r) + 1e-9
             ok &= all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
     elapsed = time.time() - t0

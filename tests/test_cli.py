@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import effdim.cli
 from effdim.cli import SCHEMAS, ConfigInvalid, main, validate
+from effdim.entropy import kb_mb
 from effdim.precond import Loss, kappa_bound, mu_formula
 from effdim.rng import RngStream
-from effdim.spectrum import make_spectrum, sample_gaussian
+from effdim.spectrum import CovarianceSpectrum, make_spectrum, sample_gaussian
 
 
 def write_config(tmp_path: Path, name: str, obj: dict) -> str:
@@ -89,6 +90,11 @@ NON_FINITE = [
 EPS_ABOVE_ONE = ("entropy", '{"spectrum": {"kind": "isotropic", "d": 3},'
                             ' "eps_grid": [2.0]}')
 
+# A repeated direction would run, write and count the same runs twice.
+REPEATED_DIRECTION = ("smooth", '{"spectrum": {"kind": "isotropic", "d": 2},'
+                                ' "n": 8, "radius": 1.0, "iters": 5, "batch": 2,'
+                                ' "trials": 1, "directions": ["data", "iso", "data"]}')
+
 # Draft 2020-12 counts 30.0 as an integer; a run would then crash with a
 # TypeError where the library needs an int.  Integers must be written as one.
 INTEGRAL_FLOATS = [
@@ -108,7 +114,8 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                         {"spectrum": {"kind": "bogus"}, "r_values": [1]})
     assert main(["effdim", "--config", cfg2]) == 2
     assert main(["effdim", "--config", str(tmp_path / "missing.json")]) == 2
-    for k, (subcommand, text) in enumerate(NON_FINITE + [EPS_ABOVE_ONE]
+    for k, (subcommand, text) in enumerate(NON_FINITE + [EPS_ABOVE_ONE,
+                                                         REPEATED_DIRECTION]
                                            + INTEGRAL_FLOATS):
         cfg = tmp_path / f"nonfinite{k}.json"
         cfg.write_text(text)
@@ -219,7 +226,8 @@ def instances(schema):
         return ints | st.floats(lo, hi, exclude_min="exclusiveMinimum" in schema)
     if kind == "array":
         return st.lists(instances(schema["items"]),
-                        min_size=schema.get("minItems", 0), max_size=3)
+                        min_size=schema.get("minItems", 0), max_size=3,
+                        unique=schema.get("uniqueItems", False))
     props = schema.get("properties", {})
     required = schema.get("required", [])
     fixed = st.fixed_dictionaries(
@@ -241,7 +249,7 @@ BAD_VALUES = [True, False, None, "bogus", [], {}, -1, 0, 0.0, 0.5, 1, 1.0,
 
 
 def _nodes(value, path=()):
-    yield path
+    yield path, value
     children = value.items() if isinstance(value, dict) else (
         enumerate(value) if isinstance(value, list) else ())
     for key, item in children:
@@ -274,14 +282,16 @@ def _accepts(schema, config) -> bool:
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(SCHEMAS)), data=st.data())
 def test_validator_agrees_with_jsonschema(name, data):
-    # One valid config, then each node deleted or replaced by each BAD_VALUE.
+    # One valid config, then each node deleted, replaced by each BAD_VALUE,
+    # or, if a nonempty list, given a repeat of its first item.
     schema = SCHEMAS[name]
     oracle = Oracle(schema)
     config = data.draw(instances(schema))
     assert oracle.is_valid(config)
     assert _accepts(schema, config)
-    for path in _nodes(config):
-        for op in BAD_VALUES + (["delete"] if path else []):
+    for path, node in _nodes(config):
+        repeated = [node + node[:1]] if isinstance(node, list) and node else []
+        for op in BAD_VALUES + repeated + (["delete"] if path else []):
             mutated = _mutate(config, path, op)
             assert _accepts(schema, mutated) == oracle.is_valid(mutated), (path, op)
 
@@ -293,7 +303,7 @@ def test_validator_rejects_unknown_keywords_and_names_the_path():
         with pytest.raises(NotImplementedError):
             validate(schema, 4)
     with pytest.raises(NotImplementedError):
-        validate(SCHEMAS["effdim"] | {"properties": {"r_values": {"uniqueItems": True}}},
+        validate(SCHEMAS["effdim"] | {"properties": {"r_values": {"maxItems": 3}}},
                  {"spectrum": {"kind": "isotropic"}, "r_values": [1]})
     bad = {"spectra": {"iso": {"kind": "isotropic", "d": 0}},
            "n_grid": [8], "trials": 30, "r": 2}
@@ -382,6 +392,20 @@ def test_csv_seed_column_is_the_flag(name, tmp_path):
         for table in CSV_HEADERS[name]:
             with open(out / table, newline="") as fh:
                 assert {row["seed"] for row in csv.DictReader(fh)} == {seed}
+
+
+@pytest.mark.parametrize("spectrum", [
+    {"kind": "custom", "values": [4.0, 2.0, 0.5]},
+    {"kind": "power_law", "d": 50, "sigma1": 7.0, "alpha": 1.0},
+    {"kind": "isotropic", "d": 3, "sigma1": 0.2},
+])
+def test_entropy_unit_kb_mb_are_zero(spectrum):
+    # K_b and m_b of sigma / sigma_1: no axis of it exceeds 1, whatever sigma_1.
+    summary, _ = effdim.cli.run_entropy({"spectrum": spectrum, "eps_grid": [0.5]}, 0, 1)
+    sp = effdim.cli._spectrum(spectrum)
+    assert kb_mb(CovarianceSpectrum(sp.sigmas / sp.sigmas[0])) == (0.0, 0)
+    assert (summary["kb_unit"], summary["mb_unit"]) == (0.0, 0)
+    assert type(summary["kb_unit"]) is float and type(summary["mb_unit"]) is int
 
 
 def test_cover_negative_control(tmp_path):

@@ -65,7 +65,7 @@ def test_eps_entropy_bound_monotone_and_meps_inequality():
         sig = np.sort(gen.uniform(0.01, 10.0, d))[::-1]
         s = make_spectrum("custom", values=sig)
         for r in (1, 2, 3):
-            vals = [eps_entropy_bound(s, eps, r=r) for eps in eps_grid]
+            vals = eps_entropy_bound(s, eps_grid, r=r)
             assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
@@ -76,15 +76,16 @@ def test_eps_entropy_bound_raises_when_meps_inequality_fails(monkeypatch):
     monkeypatch.setattr(effdim.entropy, "effective_dimension", lambda s, r: 1.0)
     s = make_spectrum("custom", values=[2.0, 1.0, 0.5])
     with pytest.raises(ArithmeticError):
-        eps_entropy_bound(s, 0.1)
+        eps_entropy_bound(s, [0.1])
 
 
 def test_eps_entropy_bound_at_dim_one_is_ln_inv_eps(tmp_path):
     # A segment needs about 1/eps balls: the bound is ln(1/eps), and a d = 1
     # run says nothing on stderr.
     s = make_spectrum("isotropic", d=1, sigma1=1.0)
-    for eps in (1.0, 0.5, 0.01):
-        assert eps_entropy_bound(s, eps, c=3.0) == math.log(1.0 / eps)
+    eps_grid = [1.0, 0.5, 0.01]
+    assert eps_entropy_bound(s, eps_grid, c=3.0) == [math.log(1.0 / eps)
+                                                     for eps in eps_grid]
     cfg = tmp_path / "c.json"
     cfg.write_text('{"spectrum": {"kind": "isotropic", "d": 1}, "eps_grid": [0.5, 0.1]}')
     code = "import sys; from effdim.cli import main; sys.exit(main(sys.argv[1:]))"

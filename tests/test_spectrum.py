@@ -1,7 +1,11 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from effdim.cli import run_effdim, run_entropy
 from effdim.rng import RngStream
 from effdim.spectrum import (
     BadSpectrum,
@@ -83,3 +87,64 @@ def test_max_norm_bound_validation():
         max_norm_bound(s, 10, 1.5)
     with pytest.raises(ValueError):
         max_norm_bound(s, 0, 0.1)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_effective_dimension_of_a_large_power_law_matches_fsum(alpha):
+    # sigma_i / sigma_1 = i^-alpha, so d_eff(r) = sum_i i^(-2 alpha / r),
+    # summed here exactly rounded in pure Python.
+    d = 10**6
+    s = make_spectrum("power_law", d=d, sigma1=3.0, alpha=alpha)
+    for r in (1, 2, 3, 8):
+        exact = math.fsum(i ** (-2.0 * alpha / r) for i in range(1, d + 1))
+        assert effective_dimension(s, r) == pytest.approx(exact, rel=1e-12)
+
+
+_EDGE_VALUES = [0.0, -0.0, -1.0, 1.0, 2.0, 0.5, math.nan, math.inf, -math.inf]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_EDGE_VALUES) | st.floats(), min_size=1,
+                max_size=8),
+       st.booleans())
+def test_spectrum_validation_matches_the_elementwise_checks(values, descending):
+    # Sorting makes ties and accepted spectra common; NaN and the infinities
+    # stay wherever the sort puts them.
+    s = np.array(sorted(values, reverse=True) if descending else values)
+    with np.errstate(invalid="ignore"):
+        expected_bad = not np.all(s > 0) or bool(np.any(np.diff(s) > 0))
+    try:
+        CovarianceSpectrum(s)
+    except BadSpectrum:
+        assert expected_bad
+    else:
+        assert not expected_bad
+
+
+def _traced_peak(f, *args, **kwargs) -> int:
+    """Bytes f holds at its peak beyond what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        f(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_spectrum_layer_holds_one_work_array():
+    # tracemalloc counts numpy's buffers exactly; one float per axis is 8d
+    # bytes.  Building a spectrum holds it plus the order check's d-byte
+    # mask; a runner holds it plus one work array.
+    d = 200_000
+    spec = {"kind": "power_law", "d": d, "sigma1": 1.0, "alpha": 0.5}
+    assert _traced_peak(make_spectrum, "power_law", d=d, alpha=0.5) <= 1.01 * 9 * d
+    s = make_spectrum("power_law", d=d, alpha=0.5)
+    assert _traced_peak(effective_dimension, s, 3) <= 1.1 * 8 * d
+    assert _traced_peak(run_effdim, {"spectrum": spec, "r_values": [1, 2, 8]},
+                        0, 1) <= 2.1 * 8 * d
+    # Both small eps count every axis, so each exact sum spans the spectrum.
+    assert _traced_peak(run_entropy, {"spectrum": spec, "r": 2,
+                                      "eps_grid": [0.5, 0.001, 0.0005]},
+                        0, 1) <= 2.1 * 8 * d
