@@ -34,8 +34,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .entropy import build_cover, eps_entropy_bound, kb_mb, m_eps, \
-    sample_ellipsoid, verify_cover
+from .entropy import build_cover, eps_entropy_bound, kb_mb, sample_ellipsoid, \
+    verify_cover
 from .concentration import Nonlinearity, SearchConfig, scaling_experiment
 from .linalg import DimTooLarge, NonConvergence
 from .precond import ErmProblem, InnerSolveFailure, Loss, SingularPhi, \
@@ -275,13 +275,11 @@ def run_entropy(config, seed, jobs):
     r = config.get("r", 1)
     c = config.get("c", 1.0)
     eps_grid = config["eps_grid"]
-    rows = [{"seed": seed, "trial": 0, "eps": float(eps), "m_eps": m_eps(sp, eps),
-             "bound": bound}
-            for eps, bound in zip(eps_grid, eps_entropy_bound(sp, eps_grid, r=r, c=c))]
+    rows = [{"seed": seed, "trial": 0, "eps": float(eps), "m_eps": me, "bound": bound}
+            for eps, (me, bound) in zip(eps_grid,
+                                        eps_entropy_bound(sp, eps_grid, r=r, c=c))]
     rows.sort(key=lambda row: -row["eps"])
-    # K_b and m_b of the unit-normalised spectrum: sigma_i / sigma_1 <= 1,
-    # so no axis exceeds 1 and both are 0 by construction.
-    summary = {"d": sp.dim, "r": r, "c": c, "kb_unit": 0.0, "mb_unit": 0}
+    summary = {"d": sp.dim, "r": r, "c": c}
     return summary, {"entropy.csv": rows}
 
 
@@ -306,7 +304,7 @@ def run_cover(config, seed, jobs):
         # control removes a contiguous extreme region instead.  The sort is
         # stable, so of the cells tied at the cut the earliest are kept.
         keep = max(1, int(round(cover.size * (1.0 - frac))))
-        order = np.argsort(cover.spacing * cover.cells[:, 0], kind="stable")[:keep]
+        order = np.argsort(cover.cells[:, 0], kind="stable")[:keep]
         damaged = replace(cover, cells=cover.cells[np.sort(order)])
         bad = verify_cover(damaged, pts)
         rows.append({

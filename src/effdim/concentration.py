@@ -37,10 +37,6 @@ from .spectrum import CovarianceSpectrum, SampleMatrix, effective_dimension, \
     max_norm_bound, sample_gaussian
 
 
-class RefUnavailable(Exception):
-    """Centered mode requested without a usable reference-expectation source."""
-
-
 @dataclass(frozen=True)
 class Nonlinearity:
     """1-Lipschitz scalar function with f(0) = 0: identity, relu, or clip(B)."""
@@ -88,7 +84,6 @@ class SearchConfig:
 class DeviationEstimate:
     value: float
     mode: str  # "centered" | "uncentered"
-    stderr: float = 0.0  # Monte-Carlo stderr of the reference, 0 when exact
 
 
 def _pairings(items: list[int]):
@@ -117,7 +112,7 @@ def empirical_sup_deviation(
     factors take a :class:`CovarianceSpectrum` (the exact Gaussian moment
     tensor), nonlinear factors a :class:`SampleMatrix` of independent draws
     (a Monte-Carlo reference with stderr 1/sqrt(N)); any other ``ref``
-    raises :class:`RefUnavailable`.  Identity factors are exact at r = 2 and a
+    raises ValueError.  Identity factors are exact at r = 2 and a
     block-ascent lower estimate on the d**r deviation tensor at r >= 3;
     nonlinear factors are a projected-ascent lower estimate (see the module
     docstring).
@@ -129,8 +124,8 @@ def empirical_sup_deviation(
     identity = all(f.kind == "identity" for f in fs)
     ref_type = CovarianceSpectrum if identity else SampleMatrix
     if centered and not isinstance(ref, ref_type):
-        raise RefUnavailable(f"centered mode with these factors needs a "
-                             f"{ref_type.__name__} reference")
+        raise ValueError(f"centered mode with these factors needs a "
+                         f"{ref_type.__name__} reference")
     mode = "centered" if centered else "uncentered"
     A = samples.rows
     d = A.shape[1]
@@ -142,7 +137,6 @@ def empirical_sup_deviation(
         value = tensor_opnorm(dev, restarts=search.restarts, iters=search.iters, rng=rng)
         return DeviationEstimate(value=value, mode=mode)
     ref_rows = ref.rows if centered else None
-    stderr = 0.0 if ref_rows is None else float(1.0 / math.sqrt(len(ref_rows)))
 
     sigma1 = math.sqrt(max(float(np.mean(A**2) * d), 1e-30))
     step = search.step if search.step is not None else 0.1 / sigma1**r
@@ -172,7 +166,7 @@ def empirical_sup_deviation(
 
     if centered:
         best = max(best, 0.0)
-    return DeviationEstimate(value=best, mode=mode, stderr=stderr)
+    return DeviationEstimate(value=best, mode=mode)
 
 
 # Rows of the Monte-Carlo reference drawn per trial for nonlinear factors.

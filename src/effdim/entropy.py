@@ -81,9 +81,10 @@ def m_eps(s: CovarianceSpectrum, eps: float) -> int:
 
 
 def eps_entropy_bound(s: CovarianceSpectrum, eps_grid, r: int = 1,
-                      c: float = 1.0) -> list[float]:
-    """Entropy bounds for covering the unit sphere in the Sigma-metric, one
-    per eps of ``eps_grid``; d_eff(r) is computed once for the grid.
+                      c: float = 1.0) -> list[tuple[int, float]]:
+    """Entropy bounds for covering the unit sphere in the Sigma-metric: one
+    ``(m_eps, bound)`` pair per eps of ``eps_grid``, with m_eps the count of
+    :func:`m_eps` that the bound uses; d_eff(r) is computed once for the grid.
 
     Each is the minimum of the exact per-axis sum form and the closed-form
     d_eff(r) bound, each plus the shared c-bracket.  At d = 1 the sphere is
@@ -100,8 +101,10 @@ def eps_entropy_bound(s: CovarianceSpectrum, eps_grid, r: int = 1,
     return [_eps_bound(s, eps, r, c, deff) for eps in eps_grid]
 
 
-def _eps_bound(s: CovarianceSpectrum, eps: float, r: int, c: float, deff: float) -> float:
-    """The bound at one eps; its work array is freed before the next eps."""
+def _eps_bound(s: CovarianceSpectrum, eps: float, r: int, c: float,
+               deff: float) -> tuple[int, float]:
+    """m_eps and the bound at one eps; its work array is freed before the
+    next eps."""
     d = s.dim
     me = m_eps(s, eps)
     cap = 1 + (deff - 1) * eps ** (-2.0 / r)
@@ -111,7 +114,7 @@ def _eps_bound(s: CovarianceSpectrum, eps: float, r: int, c: float, deff: float)
     ln_d = math.log(d)
     bracket = ln_d + math.sqrt(max(ln_inv_eps, 0.0) * ln_d * me)
     if d == 1:
-        return ln_inv_eps + c * bracket
+        return me, ln_inv_eps + c * bracket
     # m_eps reaches d as eps shrinks: the log-ratios are taken in place.
     w = s.sigmas[:me] / (eps * s.sigmas[0])
     exact_sum = float(np.log(w, out=w).sum())
@@ -119,7 +122,7 @@ def _eps_bound(s: CovarianceSpectrum, eps: float, r: int, c: float, deff: float)
     lead = min(d - 1.0, a / math.e) / (2.0 / r)
     log_term = math.log(max(math.e, a / (d - 1.0)))
     closed_form = ln_inv_eps + lead * log_term
-    return min(exact_sum, closed_form) + c * bracket
+    return me, min(exact_sum, closed_form) + c * bracket
 
 
 # Grid cells build_cover may enumerate before raising DimTooLarge.
@@ -179,8 +182,9 @@ def sample_ellipsoid(e: CovarianceSpectrum, n: int, rng: RngStream) -> np.ndarra
     return z
 
 
-# Points per batch of verify_cover's bounded search.
-_SEARCH_BATCH = 2048
+# Points per batch of verify_cover: its temporaries are a few batch-sized
+# arrays, whatever the number of points.
+_VERIFY_BATCH = 8192
 
 
 def verify_cover(cover: BallCover, pts: np.ndarray) -> dict:
@@ -201,14 +205,16 @@ def verify_cover(cover: BallCover, pts: np.ndarray) -> dict:
     if cover.size == 0:
         return {"violations": len(pts), "max_dist": float("inf")}
     tree = _CellTree(cover)
-    sq, on_grid = tree.rounded(pts)
-    rest = np.flatnonzero(~on_grid)
-    for i in range(0, len(rest), _SEARCH_BATCH):
-        rows = rest[i:i + _SEARCH_BATCH]
-        sq[rows] = tree.search(pts[rows])
-    nearest = np.sqrt(sq)
-    return {"violations": int(np.sum(nearest > cover.epsilon)),
-            "max_dist": float(nearest.max())}
+    violations, max_dist = 0, -math.inf
+    for i in range(0, len(pts), _VERIFY_BATCH):
+        batch = pts[i:i + _VERIFY_BATCH]
+        sq, on_grid = tree.rounded(batch)
+        rest = np.flatnonzero(~on_grid)
+        sq[rest] = tree.search(batch[rest])
+        nearest = np.sqrt(sq)
+        violations += int(np.sum(nearest > cover.epsilon))
+        max_dist = max(max_dist, float(nearest.max()))
+    return {"violations": violations, "max_dist": max_dist}
 
 
 class _CellTree:

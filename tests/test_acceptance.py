@@ -2,51 +2,28 @@
 
 Each test prints a single PASS/FAIL line (run pytest with -s or rely on
 captured output on failure).  Budgets are generous but every test is
-expected to run well inside its stated wall-clock limit.
+expected to run well inside its stated wall-clock limit.  A criterion on
+a subcommand's output calls that subcommand's runner (``effdim.cli.run_*``),
+so it checks the pipeline the CLI runs, not a copy of it.
 """
 
 import json
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
-import pytest
 
-from effdim.cli import main as cli_main, run_smooth
+from effdim.cli import main as cli_main, run_cover, run_precondition, run_smooth
 from effdim.concentration import (
     SearchConfig,
     _moment_tensor,
     gaussian_moment_tensor,
     scaling_experiment,
 )
-from effdim.entropy import (
-    build_cover,
-    eps_entropy_bound,
-    kb_mb,
-    m_eps,
-    sample_ellipsoid,
-    unit_entropy_bound,
-    verify_cover,
-)
-from effdim.precond import (
-    ErmProblem,
-    Loss,
-    hessian_deviation_sup,
-    kappa_bound,
-    precond_bgd,
-    relative_condition,
-    solve_erm,
-    vanilla_gd,
-)
+from effdim.entropy import eps_entropy_bound, kb_mb, m_eps, unit_entropy_bound
+from effdim.precond import ErmProblem, Loss
 from effdim.rng import RngStream
-from effdim.smoothing import (
-    SmoothingConfig,
-    iters_to_gap,
-    rs_lockstep,
-    smoothing_bounds,
-    theta_sequence,
-)
+from effdim.smoothing import smoothing_bounds, theta_sequence
 from effdim.spectrum import (
     CovarianceSpectrum,
     effective_dimension,
@@ -55,6 +32,14 @@ from effdim.spectrum import (
     sample_gaussian,
 )
 from oracles import smooth_value_estimate
+
+# Criterion 10's smoothing problem; criterion 10b runs it at six trials
+# over eight seeds, and criterion 11 through the CLI.
+SMOOTH_CONFIG = {
+    "spectrum": {"kind": "power_law", "d": 64, "sigma1": 1.0, "alpha": 1.0},
+    "n": 512, "radius": 2.0, "iters": 5000, "batch": 16, "trials": 10,
+    "gap_tol": 0.01, "directions": ["iso", "data"],
+}
 
 
 def empirical_mean_tensor(A: np.ndarray, p: int):
@@ -111,7 +96,7 @@ def test_criterion_2_entropy_bounds():
         sp = CovarianceSpectrum(np.sort(gen.uniform(1e-2, 1e2, d))[::-1])
         for r in (1, 2, 3):
             deff = effective_dimension(sp, r)
-            vals = eps_entropy_bound(sp, eps_grid, r=r)
+            vals = [bound for _, bound in eps_entropy_bound(sp, eps_grid, r=r)]
             for eps in eps_grid:
                 ok &= m_eps(sp, eps) <= 1 + (deff - 1) * eps ** (-2.0 / r) + 1e-9
             ok &= all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
@@ -122,22 +107,17 @@ def test_criterion_2_entropy_bounds():
 
 def test_criterion_3_cover_validity():
     t0 = time.time()
-    axes = CovarianceSpectrum(np.array([4.0, 2.0, 0.5]))
-    root = RngStream(303)
-    cover = build_cover(axes, 1.0)
-    pts = sample_ellipsoid(axes, 100_000, root.child(1))
-    rep = verify_cover(cover, pts)
+    _, outputs = run_cover({"axes": [4.0, 2.0, 0.5], "eps": 1.0, "n_samples": 100_000,
+                            "delete_fraction": 0.1}, 303, 1)
+    cover, bad = outputs["cover.csv"]  # the cover, then its negative control
     volumetric = sum(math.log(b) for b in (4.0, 2.0) )  # ln(b_i/eps), b_i > eps
-    ok = rep["violations"] == 0
-    ok &= math.log(cover.size) >= volumetric
-    keep = np.sort(np.argsort(cover.centers[:, 0])[: int(cover.size * 0.9)])
-    damaged = replace(cover, cells=cover.cells[keep])
-    bad = verify_cover(damaged, pts)
+    ok = cover["violations"] == 0
+    ok &= math.log(cover["size"]) >= volumetric
     ok &= bad["violations"] > 0
     elapsed = time.time() - t0
     ok &= elapsed < 60.0
     report(3, "cover validity", ok,
-           f"size {cover.size}, control violations {bad['violations']}, {elapsed:.1f}s")
+           f"size {cover['size']}, control violations {bad['violations']}, {elapsed:.1f}s")
 
 
 def test_criterion_4_deviation_scaling():
@@ -213,48 +193,37 @@ def test_criterion_7_max_norm_bound():
 
 def test_criterion_8_preconditioning():
     t0 = time.time()
-    sp = make_spectrum("power_law", d=20, sigma1=1.0, alpha=1.0)
-    root = RngStream(808)
-    n = 2000
-    lam = 1e-2
-    A = sample_gaussian(sp, n, root.child(0)).rows
-    A_aux = sample_gaussian(sp, n, root.child(1)).rows
-    gen = root.child(2).generator()
-    x_nat = gen.standard_normal(20)
-    x_nat /= np.linalg.norm(x_nat)
-    prob = ErmProblem(A, np.where(A @ x_nat >= 0, 1.0, -1.0), Loss("logistic"), lam)
-    aux = ErmProblem(A_aux, np.where(A_aux @ x_nat >= 0, 1.0, -1.0),
-                     Loss("logistic"), lam)
-    pg = root.child(3).generator()
-    probes = pg.standard_normal((50, 20))
-    probes *= (pg.uniform(0, 1, 50) ** (1.0 / 20)
-               / np.linalg.norm(probes, axis=1))[:, None]
-    mu = hessian_deviation_sup(prob, aux, np.vstack([np.zeros(20), probes]))
-    phi = replace(aux, lam=aux.lam + mu)
-    cond = relative_condition(prob, phi, probes)
+    config = {
+        "spectrum": {"kind": "power_law", "d": 20, "sigma1": 1.0, "alpha": 1.0},
+        "n": 2000, "n_aux": 2000, "loss": "logistic", "lam": 1e-2, "probes": 50,
+    }
+    # The per-round contraction, on a run down to 1e-12; gradient descent
+    # takes one round.
+    cond, outputs = run_precondition(
+        {**config, "gap_tol": 1e-12, "iters": 200, "gd_iters": 1}, 808, 1)
     ok = cond["L_rel"] <= 1.0 + 1e-9
-    ok &= cond["sigma_rel"] >= 1.0 / kappa_bound(lam, mu) - 1e-9
+    ok &= cond["sigma_rel"] >= 1.0 / cond["kappa"] - 1e-9
 
-    f_star = prob.value(solve_erm(prob))
-    run_p = precond_bgd(prob, phi, iters=200, f_star=f_star, gap_tol=1e-12)
-    rate_cap = 1.0 - 1.0 / kappa_bound(lam, mu) + 0.05
+    gaps = [row["gap"] for row in outputs["precondition.csv"]
+            if row["method"] == "precond_bgd"]
+    rate_cap = 1.0 - 1.0 / cond["kappa"] + 0.05
     worst_ratio = 0.0
-    for g0, g1 in zip(run_p.gaps, run_p.gaps[1:]):
+    for g0, g1 in zip(gaps, gaps[1:]):
         if g0 <= 1e-11:
             break
         worst_ratio = max(worst_ratio, g1 / g0)
     ok &= worst_ratio <= rate_cap
 
-    run_fast = precond_bgd(prob, phi, iters=500, f_star=f_star, gap_tol=1e-6)
-    run_gd = vanilla_gd(prob, iters=500_000, f_star=f_star, gap_tol=1e-6)
-    ok &= run_fast.gaps[-1] <= 1e-6 and run_gd.gaps[-1] <= 1e-6
-    ok &= run_fast.rounds < run_gd.rounds
+    runs, _ = run_precondition(
+        {**config, "gap_tol": 1e-6, "iters": 500, "gd_iters": 500_000}, 808, 1)
+    ok &= runs["reached_precond"] and runs["reached_gd"]
+    ok &= runs["rounds_precond"] < runs["rounds_gd"]
     elapsed = time.time() - t0
     ok &= elapsed < 300.0
     report(8, "statistical preconditioning", ok,
-           f"mu {mu:.4f}, kappa {kappa_bound(lam, mu):.3f}, L_rel {cond['L_rel']:.6f}, "
+           f"mu {cond['mu']:.4f}, kappa {cond['kappa']:.3f}, L_rel {cond['L_rel']:.6f}, "
            f"worst ratio {worst_ratio:.3f} <= {rate_cap:.3f}, rounds "
-           f"{run_fast.rounds} vs {run_gd.rounds}, {elapsed:.0f}s")
+           f"{runs['rounds_precond']} vs {runs['rounds_gd']}, {elapsed:.0f}s")
 
 
 def test_criterion_9_smoothing_bounds():
@@ -303,32 +272,13 @@ def test_criterion_9_smoothing_bounds():
 
 def test_criterion_10_shaped_smoothing_wins():
     t0 = time.time()
-    sp = make_spectrum("power_law", d=64, sigma1=1.0, alpha=1.0)
-    root = RngStream(1010)
-    n, R, trials = 512, 2.0, 10
-    A = np.empty((trials * n, 64))
-    b = np.empty(trials * n)
-    streams = []
-    for trial in range(trials):
-        stream = root.child(trial)
-        block = slice(trial * n, (trial + 1) * n)
-        A[block] = sample_gaussian(sp, n, stream.child(0)).rows
-        gen = stream.child(1).generator()
-        xn = gen.standard_normal(64)
-        xn *= 0.5 * R / np.linalg.norm(xn)
-        b[block] = A[block] @ xn
-        # Both directions draw from the trial's stream, as in the CLI.
-        streams.append(stream.child(2))
-    cfgs = [SmoothingConfig(radius=R, iters=5000, batch=16, direction=direction)
-            for direction in (None, sp)]
-    # All 10 trials x 2 directions go through the CLI's engine in one call.
-    out = rs_lockstep(ErmProblem(A, b, Loss("hinge"), 0.0), streams, cfgs,
-                      0.0, 1e-2)
-    hits = [[5001 if hit is None else hit
-             for hit in (iters_to_gap(run, 1e-2) for run in runs)] for runs in out]
-    iso_hits, data_hits = zip(*hits)
-    med_iso = float(np.median(iso_hits))
-    med_data = float(np.median(data_hits))
+    _, outputs = run_smooth(SMOOTH_CONFIG, 1010, 1)
+    hits = {"iso": [], "data": []}
+    for row in outputs["smooth.csv"]:
+        hit = row["iters_to_tol"]
+        hits[row["direction"]].append(5001 if hit < 0 else hit)
+    med_iso = float(np.median(hits["iso"]))
+    med_data = float(np.median(hits["data"]))
     elapsed = time.time() - t0
     ok = med_data < med_iso and elapsed < 600.0
     report(10, "shaped smoothing beats isotropic", ok,
@@ -339,12 +289,8 @@ def test_shaped_smoothing_wins_across_seeds():
     # Criterion 10's claim over seeds 1000-1007 x 6 trials (48 pairs),
     # through the CLI runner and its stream layout.
     t0 = time.time()
-    iters = 5000
-    config = {
-        "spectrum": {"kind": "power_law", "d": 64, "sigma1": 1.0, "alpha": 1.0},
-        "n": 512, "radius": 2.0, "iters": iters, "batch": 16, "trials": 6,
-        "gap_tol": 0.01, "directions": ["iso", "data"],
-    }
+    config = {**SMOOTH_CONFIG, "trials": 6}
+    iters = config["iters"]
     logs = []
     for seed in range(1000, 1008):
         _, outputs = run_smooth(config, seed, 1)
@@ -375,11 +321,7 @@ def test_criterion_11_cli_determinism(tmp_path):
         "search": {"restarts": 4, "iters": 40},
     }))
     smooth_cfg = tmp_path / "smooth.json"
-    smooth_cfg.write_text(json.dumps({
-        "spectrum": {"kind": "power_law", "d": 64, "sigma1": 1.0, "alpha": 1.0},
-        "n": 512, "radius": 2.0, "iters": 5000, "batch": 16, "trials": 10,
-        "gap_tol": 0.01, "directions": ["iso", "data"],
-    }))
+    smooth_cfg.write_text(json.dumps(SMOOTH_CONFIG))
     ok = True
     for name, cfg, csv_name in [("conc", conc_cfg, "deviations.csv"),
                                 ("smooth", smooth_cfg, "smooth.csv")]:

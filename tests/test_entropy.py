@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -65,7 +66,7 @@ def test_eps_entropy_bound_monotone_and_meps_inequality():
         sig = np.sort(gen.uniform(0.01, 10.0, d))[::-1]
         s = make_spectrum("custom", values=sig)
         for r in (1, 2, 3):
-            vals = eps_entropy_bound(s, eps_grid, r=r)
+            vals = [bound for _, bound in eps_entropy_bound(s, eps_grid, r=r)]
             assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
 
@@ -84,7 +85,7 @@ def test_eps_entropy_bound_at_dim_one_is_ln_inv_eps(tmp_path):
     # run says nothing on stderr.
     s = make_spectrum("isotropic", d=1, sigma1=1.0)
     eps_grid = [1.0, 0.5, 0.01]
-    assert eps_entropy_bound(s, eps_grid, c=3.0) == [math.log(1.0 / eps)
+    assert eps_entropy_bound(s, eps_grid, c=3.0) == [(m_eps(s, eps), math.log(1.0 / eps))
                                                      for eps in eps_grid]
     cfg = tmp_path / "c.json"
     cfg.write_text('{"spectrum": {"kind": "isotropic", "d": 1}, "eps_grid": [0.5, 0.1]}')
@@ -150,7 +151,9 @@ def nearest_center_oracle(pts, centers):
     return np.array([np.sqrt(((centers - p) ** 2).sum(axis=1)).min() for p in pts])
 
 
-def test_verify_cover_matches_brute_force_oracle():
+def test_verify_cover_matches_brute_force_oracle(monkeypatch):
+    # Small batches: the points span several of them, the last one partial.
+    monkeypatch.setattr(effdim.entropy, "_VERIFY_BATCH", 700)
     axes = CovarianceSpectrum(np.array([4.0, 2.0, 0.5]))
     cover = build_cover(axes, 1.0)
     keep = np.sort(np.argsort(cover.centers[:, 0])[: int(cover.size * 0.9)])
@@ -231,6 +234,21 @@ def test_verify_cover_empty_cover_fails_every_point():
     empty = BallCover(0.5, 0.5 / math.sqrt(2), np.empty((0, 2), dtype=int))
     assert verify_cover(empty, sample_ellipsoid(axes, 100, RngStream(3))) == {
         "violations": 100, "max_dist": float("inf")}
+
+
+def test_verify_cover_peak_memory_is_below_its_points():
+    # One batch of points at a time: the check's traced peak stays under the
+    # size of the (n, d) points it checks.
+    axes = CovarianceSpectrum(np.array([4.0, 2.0, 1.0, 0.5, 0.25]))
+    cover = build_cover(axes, 1.0)
+    pts = sample_ellipsoid(axes, 60_000, RngStream(1))
+    tracemalloc.start()
+    try:
+        verify_cover(cover, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < pts.nbytes
 
 
 def test_sample_ellipsoid_radial_law():
