@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 import effdim.cli
 from effdim.cli import SCHEMAS, ConfigInvalid, main, validate
+from effdim.entropy import kb_mb
 from effdim.precond import Loss, kappa_bound, mu_formula
 from effdim.rng import RngStream
-from effdim.spectrum import make_spectrum, sample_gaussian
+from effdim.spectrum import CovarianceSpectrum, make_spectrum, sample_gaussian
 
 
 def write_config(tmp_path: Path, name: str, obj: dict) -> str:
@@ -393,10 +394,17 @@ def test_csv_seed_column_is_the_flag(name, tmp_path):
                 assert {row["seed"] for row in csv.DictReader(fh)} == {seed}
 
 
-def test_entropy_summary_has_no_unit_kb_mb():
-    # K_b and m_b of sigma / sigma_1 are 0.0 and 0 for every spectrum, since
-    # no axis of sigma / sigma_1 exceeds 1, so the summary does not carry them.
-    summary, _ = effdim.cli.run_entropy(SMALL_CONFIGS["entropy"], 0, 1)
+@pytest.mark.parametrize("spectrum", [
+    {"kind": "custom", "values": [4.0, 2.0, 0.5]},
+    {"kind": "power_law", "d": 50, "sigma1": 7.0, "alpha": 1.0},
+    {"kind": "isotropic", "d": 3, "sigma1": 0.2},
+])
+def test_entropy_unit_kb_mb_are_zero(spectrum):
+    # K_b and m_b of sigma / sigma_1: no axis of it exceeds 1, whatever sigma_1,
+    # so both are 0.0 and 0 and the summary does not carry them.
+    summary, _ = effdim.cli.run_entropy({"spectrum": spectrum, "eps_grid": [0.5]}, 0, 1)
+    sp = effdim.cli._spectrum(spectrum)
+    assert kb_mb(CovarianceSpectrum(sp.sigmas / sp.sigmas[0])) == (0.0, 0)
     assert set(summary) == {"d", "r", "c"}
 
 
