@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from .entropy import build_cover, eps_entropy_bound, kb_mb, sample_ellipsoid, \
-    verify_cover
+    unit_entropy_bound, verify_cover
 from .concentration import Nonlinearity, SearchConfig, scaling_experiment
 from .linalg import DimTooLarge, NonConvergence
 from .precond import ErmProblem, InnerSolveFailure, Loss, SingularPhi, \
@@ -51,10 +51,10 @@ class ConfigInvalid(Exception):
     pass
 
 
-# Limits the library declares and raises on purpose (exit 3); any other
-# exception escaping a runner is a bug (exit 1).
+# Limits the library declares and raises on purpose (exit 3), float64
+# overflow among them; any other exception escaping a runner is a bug (exit 1).
 DECLARED_LIMITS = (DimTooLarge, InnerSolveFailure, SingularPhi,
-                   NonConvergence)
+                   NonConvergence, OverflowError)
 
 
 _SPECTRUM_SCHEMA = {
@@ -316,6 +316,7 @@ def run_cover(config, seed, jobs):
         "size": cover.size, "ln_size": float(np.log(cover.size)),
         "violations": rows[0]["violations"],
         "volumetric_lower": float(np.sum(np.log(axes.sigmas / eps))),
+        "unit_entropy_bound": unit_entropy_bound(CovarianceSpectrum(axes.sigmas / eps)).total,
         "kb": kb, "mb": mb,
     }
     return summary, {"cover.csv": rows}

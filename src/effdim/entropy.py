@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import DimTooLarge
 from .rng import RngStream
-from .spectrum import CovarianceSpectrum, effective_dimension
+from .spectrum import CovarianceSpectrum, block_sum, effective_dimension
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,17 @@ class BallCover:
 
 def kb_mb(e: CovarianceSpectrum) -> tuple[float, int]:
     """m_b = #{i : b_i > 1}; K_b = sum of ln(b_i) over those axes."""
-    mb = int(np.sum(e.sigmas > 1.0))
-    kb = float(np.sum(np.log(e.sigmas[:mb]))) if mb else 0.0
-    return kb, mb
+    mb = e.dim - int(np.searchsorted(e.sigmas[::-1], 1.0, side="right"))
+    return _log_sum(e.sigmas[:mb], 1.0), mb
+
+
+def _log_sum(x: np.ndarray, scale: float) -> float:
+    """sum_i ln(x_i / scale), one block at a time."""
+    def log_ratio(v):
+        w = v / scale
+        return np.log(w, out=w)
+
+    return block_sum(log_ratio, x)
 
 
 def unit_entropy_bound(e: CovarianceSpectrum, c: float = 1.0) -> EntropyBound:
@@ -74,10 +82,10 @@ def unit_entropy_bound(e: CovarianceSpectrum, c: float = 1.0) -> EntropyBound:
 
 
 def m_eps(s: CovarianceSpectrum, eps: float) -> int:
-    """Exact count of sigma_i > eps * sigma_1."""
+    """Exact count of sigma_i > eps * sigma_1, by binary search."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return int(np.count_nonzero(s.sigmas > eps * s.sigmas[0]))
+    return s.dim - int(np.searchsorted(s.sigmas[::-1], eps * s.sigmas[0], side="right"))
 
 
 def eps_entropy_bound(s: CovarianceSpectrum, eps_grid, r: int = 1,
@@ -103,8 +111,7 @@ def eps_entropy_bound(s: CovarianceSpectrum, eps_grid, r: int = 1,
 
 def _eps_bound(s: CovarianceSpectrum, eps: float, r: int, c: float,
                deff: float) -> tuple[int, float]:
-    """m_eps and the bound at one eps; its work array is freed before the
-    next eps."""
+    """m_eps and the bound at one eps."""
     d = s.dim
     me = m_eps(s, eps)
     cap = 1 + (deff - 1) * eps ** (-2.0 / r)
@@ -115,9 +122,7 @@ def _eps_bound(s: CovarianceSpectrum, eps: float, r: int, c: float,
     bracket = ln_d + math.sqrt(max(ln_inv_eps, 0.0) * ln_d * me)
     if d == 1:
         return me, ln_inv_eps + c * bracket
-    # m_eps reaches d as eps shrinks: the log-ratios are taken in place.
-    w = s.sigmas[:me] / (eps * s.sigmas[0])
-    exact_sum = float(np.log(w, out=w).sum())
+    exact_sum = _log_sum(s.sigmas[:me], eps * s.sigmas[0])
     a = eps ** (-2.0 / r) * (deff - 1.0)
     lead = min(d - 1.0, a / math.e) / (2.0 / r)
     log_term = math.log(max(math.e, a / (d - 1.0)))

@@ -42,10 +42,10 @@ def tensor_opnorm(
     """Operator norm sup |t(x_1, ..., x_p)| over unit vectors x_k.
 
     For p = 2 this is exact: the largest |eigenvalue| of the symmetric
-    matrix t.  Raises ValueError if t is not symmetric within a relative
-    1e-12, and :class:`NonConvergence` if the eigensolver fails.  For
-    p >= 3 (NP-hard in general) it is a lower estimate by multilinear
-    block-coordinate ascent: each sweep sets, in turn,
+    matrix t.  Raises OverflowError if t has an inf or NaN entry, ValueError
+    if t is not symmetric within a relative 1e-12, and :class:`NonConvergence`
+    if the eigensolver fails.  For p >= 3 (NP-hard in general) it is a lower
+    estimate by multilinear block-coordinate ascent: each sweep sets, in turn,
     x_k <- t(..., ·, ...) / ||·||, the exact maximizer over block k with the
     others fixed, so the value never decreases.  Starts are
     ``rng.generator().standard_normal((restarts, p, d))`` normalized per
@@ -55,6 +55,8 @@ def tensor_opnorm(
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     p = t.ndim
+    if not np.isfinite(t).all():
+        raise OverflowError("tensor has inf/NaN entries: its scale overflows float64")
     if p == 2:
         if not np.abs(t - t.T).max() <= 1e-12 * (1 + np.abs(t).max()):
             raise ValueError("matrix is not symmetric")

@@ -148,7 +148,10 @@ def _default_width(cfg: SmoothingConfig, problem: ErmProblem) -> float:
     sigma1 = float(sp.sigmas[0])
     d1 = effective_dimension(sp, 1)
     d2 = effective_dimension(sp, 2)
-    shape = math.sqrt(sigma1**3 * (d1 + math.log(max(problem.n, 2))) * d2)
+    try:
+        shape = math.sqrt(sigma1**3 * (d1 + math.log(max(problem.n, 2))) * d2)
+    except OverflowError:
+        raise OverflowError(f"sigma1**3 overflows float64 at sigma1 {sigma1:g}") from None
     return cfg.radius / math.sqrt(max(shape, 1e-12))
 
 

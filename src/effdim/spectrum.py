@@ -5,8 +5,8 @@ positive), never as variances, to keep the squared/unsquared convention in
 one place.  The covariance is ``diag(sigma**2)``: every quantity here depends
 on Sigma only through its spectrum, so no rotation is stored.  The same
 sigma are the semi-axes of the ellipsoid Sigma^{1/2} B (see
-:mod:`effdim.entropy`).  A d-sized computation here holds the spectrum plus
-at most one work array of its size.
+:mod:`effdim.entropy`).  A d-sized pass, here or there, runs over blocks of
+``BLOCK`` entries: it holds the spectrum plus one 512 KiB block.
 """
 
 from __future__ import annotations
@@ -16,6 +16,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rng import RngStream
+
+
+BLOCK = 2**16
+
+
+def block_sum(f, x: np.ndarray) -> float:
+    """``f(x).sum()`` for an elementwise f, bit for bit, applying f one block
+    at a time.  Splits x as numpy's pairwise float64 sum (``pairwise_sum``,
+    loops_utils.h) does: halve, round the first half down to a multiple of
+    8, recurse, add; below ``BLOCK`` entries np.sum recurses the same way."""
+    if len(x) <= BLOCK:
+        return float(f(x).sum())
+    half = len(x) // 2 - len(x) // 2 % 8
+    return block_sum(f, x[:half]) + block_sum(f, x[half:])
 
 
 class BadSpectrum(Exception):
@@ -35,8 +49,10 @@ class CovarianceSpectrum:
             raise BadSpectrum("sigmas must be a nonempty 1-d array")
         if not s.min() > 0:
             raise BadSpectrum("sigmas must be strictly positive")
-        if np.any(s[1:] > s[:-1]):
-            raise BadSpectrum("sigmas must be non-increasing")
+        for i in range(0, len(s), BLOCK):
+            w = s[i:i + BLOCK + 1]  # overlaps the next block by one entry
+            if np.any(w[1:] > w[:-1]):
+                raise BadSpectrum("sigmas must be non-increasing")
 
     @property
     def dim(self) -> int:
@@ -69,15 +85,18 @@ def effective_dimension(s: CovarianceSpectrum, r: int) -> float:
     """d_eff(r) = sum_i (sigma_i / sigma_1)^{2/r}, in [1, d].
 
     Computed in log-space so extreme condition numbers do not underflow to
-    spurious zeros; scale-invariant in the spectrum by construction.  Holds
-    one work array the size of the spectrum.
+    spurious zeros; scale-invariant in the spectrum by construction.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
-    w = np.log(s.sigmas)
-    w -= np.log(s.sigmas[0])
-    w *= 2.0 / r
-    return float(np.exp(w, out=w).sum())
+
+    def power(v):
+        w = np.log(v)
+        w -= np.log(s.sigmas[0])
+        w *= 2.0 / r
+        return np.exp(w, out=w)
+
+    return block_sum(power, s.sigmas)
 
 
 def make_spectrum(kind, d: int | None = None, sigma1: float = 1.0,

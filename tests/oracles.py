@@ -18,6 +18,25 @@ from effdim.smoothing import (
 )
 
 
+def effective_dimension_whole(s, r):
+    """d_eff(r) by one pass over the whole spectrum: one work array its size."""
+    w = np.log(s.sigmas)
+    w -= np.log(s.sigmas[0])
+    w *= 2.0 / r
+    return float(np.exp(w, out=w).sum())
+
+
+def log_sum_whole(x, scale):
+    """sum_i ln(x_i / scale) over one work array the size of x."""
+    w = x / scale
+    return float(np.log(w, out=w).sum())
+
+
+def count_above_whole(x, t):
+    """#{i : x_i > t} by a mask the size of x."""
+    return int(np.count_nonzero(x > t))
+
+
 def draw_block(gen, steps, n, m, d, direction):
     """One whole block of optimizer draws in the smoothing stream layout:
     sample indices (steps, m), then directions (steps, m, d)."""

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import effdim.cli
 from effdim.cli import SCHEMAS, ConfigInvalid, main, validate
-from effdim.entropy import kb_mb
+from effdim.entropy import kb_mb, unit_entropy_bound
 from effdim.precond import Loss, kappa_bound, mu_formula
 from effdim.rng import RngStream
 from effdim.spectrum import CovarianceSpectrum, make_spectrum, sample_gaussian
@@ -149,6 +149,42 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
         assert main(["cover", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "runtime error: DimTooLarge: " in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+# Valid configs whose sigma1 overflows float64 on the way: in the moment
+# tensor (concentration), the data Hessians (precondition) or sigma1**3 in
+# the default shaped width (smooth).
+HUGE_SIGMA1 = {
+    "concentration": {
+        "spectra": {"p": {"kind": "power_law", "d": 5, "sigma1": 1e200, "alpha": 1.0}},
+        "n_grid": [64], "trials": 30, "r": 2, "centered": True,
+        "search": {"restarts": 2, "iters": 5}},
+    "precondition": {
+        "spectrum": {"kind": "power_law", "d": 5, "sigma1": 1e200, "alpha": 1.0},
+        "n": 200, "n_aux": 200, "loss": "logistic", "lam": 0.01, "probes": 3},
+    "smooth": {
+        "spectrum": {"kind": "power_law", "d": 5, "sigma1": 1e150, "alpha": 1.0},
+        "n": 64, "radius": 2.0, "iters": 100, "batch": 4, "trials": 2,
+        "directions": ["iso", "data"]},
+}
+
+
+# numpy warns as the tensors overflow; the run then stops at the named limit.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_huge_sigma1_exits_3_naming_the_overflow(tmp_path, capsys):
+    for name, config in HUGE_SIGMA1.items():
+        out = tmp_path / name
+        assert main([name, "--config", write_config(tmp_path, "c.json", config),
+                     "--out", str(out)]) == 3, name
+        assert "runtime error: OverflowError: " in capsys.readouterr().err
+        assert not out.exists()
+    # effdim and entropy are scale-invariant and take any finite sigma1.
+    spectrum = {"kind": "power_law", "d": 50, "sigma1": 1e300, "alpha": 0.5}
+    for name, config in (("effdim", {"spectrum": spectrum, "r_values": [1, 2]}),
+                         ("entropy", {"spectrum": spectrum, "eps_grid": [0.5, 0.01]})):
+        assert main([name, "--config", write_config(tmp_path, "c.json", config),
+                     "--out", str(tmp_path / name)]) == 0
 
 
 def test_unexpected_error_exits_1_with_traceback(tmp_path, monkeypatch, capsys):
@@ -420,6 +456,13 @@ def test_cover_negative_control(tmp_path):
     damaged = lines[2].split(",")
     assert int(intact[3]) == 0
     assert int(damaged[3]) > 0
+
+
+def test_cover_summary_reports_the_unit_entropy_bound_of_axes_over_eps():
+    config = {"axes": [4.0, 2.0, 0.5], "eps": 0.5, "n_samples": 1000}
+    summary, _ = effdim.cli.run_cover(config, 0, 1)
+    bound = unit_entropy_bound(CovarianceSpectrum(np.array([8.0, 4.0, 1.0])))
+    assert summary["unit_entropy_bound"] == bound.total
 
 
 def test_cover_negative_control_keeps_the_earliest_tied_cells(monkeypatch):

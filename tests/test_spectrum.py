@@ -5,16 +5,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import effdim.entropy
 from effdim.cli import run_effdim, run_entropy
+from effdim.entropy import eps_entropy_bound, kb_mb, m_eps
 from effdim.rng import RngStream
 from effdim.spectrum import (
+    BLOCK,
     BadSpectrum,
     CovarianceSpectrum,
+    block_sum,
     effective_dimension,
     make_spectrum,
     max_norm_bound,
     sample_gaussian,
 )
+from oracles import count_above_whole, effective_dimension_whole, log_sum_whole
 
 
 def test_effective_dimension_hand_values():
@@ -148,3 +153,84 @@ def test_spectrum_layer_holds_one_work_array():
     assert _traced_peak(run_entropy, {"spectrum": spec, "r": 2,
                                       "eps_grid": [0.5, 0.001, 0.0005]},
                         0, 1) <= 2.1 * 8 * d
+
+
+def test_spectrum_layer_holds_only_its_spectrum():
+    # Every d-sized pass runs over blocks of BLOCK entries (512 KiB), so a
+    # call holds the spectrum, 8d bytes, plus far less than 2 MB.
+    limit = 2 * 2**20
+    for d in (200_000, 10**6):
+        spec = {"kind": "power_law", "d": d, "sigma1": 1.0, "alpha": 0.5}
+        assert _traced_peak(make_spectrum, "power_law", d=d, alpha=0.5) <= 8 * d + limit
+        s = make_spectrum("power_law", d=d, alpha=0.5)
+        assert _traced_peak(effective_dimension, s, 3) < limit
+        assert _traced_peak(run_effdim, {"spectrum": spec, "r_values": [1, 2, 8]},
+                            0, 1) <= 8 * d + limit
+        # eps = 0.0005 counts every axis, so its exact sum spans the spectrum.
+        assert _traced_peak(run_entropy, {"spectrum": spec, "r": 2,
+                                          "eps_grid": [0.5, 0.001, 0.0005]},
+                            0, 1) <= 8 * d + limit
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 129, BLOCK - 1, BLOCK, BLOCK + 1,
+                               2 * BLOCK + 3, 999_983, 10**6 + 3])
+def test_block_sum_is_the_whole_array_sum(n):
+    # Terms spanning ten decades make the sum depend on its order.
+    gen = RngStream(n).generator()
+    x = gen.standard_normal(n) * 10.0 ** gen.uniform(-5, 5, n)
+    assert block_sum(lambda v: v, x) == float(x.sum())
+
+
+def _spectra(d):
+    """Power laws, an isotropic spectrum and one with long ties, of size d."""
+    for alpha in (0.01, 0.5, 1.0, 2.0):
+        yield make_spectrum("power_law", d=d, sigma1=3.0, alpha=alpha)
+    yield make_spectrum("isotropic", d=d, sigma1=2.0)
+    # Ties at 1.0 and at eps * sigma_1 for eps = 1/3, 1/6 and 1/3000.
+    steps = np.array([3.0, 1.5, 1.0, 0.5, 1e-3])
+    yield make_spectrum("custom", values=steps[np.arange(d) * len(steps) // d])
+
+
+@pytest.mark.parametrize("d", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 10**6 + 3])
+def test_blocked_passes_are_bit_equal_to_the_whole_array_oracles(d, monkeypatch):
+    eps_grid = [1.0, 0.5, 1.0 / 3.0, 1.0 / 6.0, 0.01, 1.0 / 3000.0, 1e-9]
+    for s in _spectra(d):
+        for r in (1, 2, 2.5, 3, 8):
+            assert effective_dimension(s, r) == effective_dimension_whole(s, r)
+        for eps in eps_grid:
+            t = eps * s.sigmas[0]
+            me = count_above_whole(s.sigmas, t)
+            assert m_eps(s, eps) == me
+            assert effdim.entropy._log_sum(s.sigmas[:me], t) == log_sum_whole(s.sigmas[:me], t)
+        mb = count_above_whole(s.sigmas, 1.0)
+        assert kb_mb(s) == (log_sum_whole(s.sigmas[:mb], 1.0), mb)
+        blocked = [eps_entropy_bound(s, eps_grid, r=r) for r in (1, 3)]
+        with monkeypatch.context() as m:
+            m.setattr(effdim.entropy, "effective_dimension", effective_dimension_whole)
+            m.setattr(effdim.entropy, "_log_sum", log_sum_whole)
+            m.setattr(effdim.entropy, "m_eps",
+                      lambda s, eps: count_above_whole(s.sigmas, eps * s.sigmas[0]))
+            assert blocked == [eps_entropy_bound(s, eps_grid, r=r) for r in (1, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from([4.0, 3.0, 1.0, 0.7, 0.1, 1e-300]) | st.floats(1e-8, 1e8),
+                min_size=1, max_size=40),
+       st.integers(0, 39), st.floats(1e-12, 1.0))
+def test_m_eps_binary_search_matches_the_mask_count(values, i, eps):
+    # Ties are common, and half the eps are sigma_i / sigma_1 of an axis.
+    sig = np.sort(np.asarray(values))[::-1]
+    s = CovarianceSpectrum(sig)
+    for e in (sig[i % len(sig)] / sig[0], eps):
+        assert m_eps(s, e) == count_above_whole(sig, e * sig[0])
+
+
+def test_order_check_sees_every_adjacent_pair_across_blocks():
+    d = 2 * BLOCK + 3
+    sig = np.linspace(2.0, 1.0, d)
+    CovarianceSpectrum(sig)
+    for i in (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, d - 1):
+        bad = sig.copy()
+        bad[i] = bad[i - 1] * 1.5  # the one increasing pair is (i - 1, i)
+        with pytest.raises(BadSpectrum):
+            CovarianceSpectrum(bad)
