@@ -241,7 +241,11 @@ def _spectrum(cfg: dict) -> CovarianceSpectrum:
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
-    """The header is the key order of the first row."""
+    """The header is the key order of the first row.  A NaN or infinite
+    float raises ValueError, as it does in :func:`_write_json`."""
+    if not all(math.isfinite(v) for row in rows for v in row.values()
+               if isinstance(v, float)):
+        raise ValueError(f"{path.name}: out of range float values are not allowed")
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, list(rows[0]), lineterminator="\n")
         writer.writeheader()
@@ -425,17 +429,16 @@ def run_smooth(config, seed, jobs):
         x_nat *= 0.5 * R / np.linalg.norm(x_nat)
         b[block] = A[block] @ x_nat
         streams.append(stream.child(2))
-    cfgs = [SmoothingConfig(radius=R, iters=config["iters"], batch=config["batch"],
-                            u=config.get("u"),
-                            direction=sp if direction == "data" else None)
-            for direction in directions]
+    cfg = SmoothingConfig(radius=R, iters=config["iters"], batch=config["batch"],
+                          u=config.get("u"))
 
     # One engine call advances every run together, each step a few numpy
     # calls over all active runs; worker threads would hold the GIL in
     # turn on calls this small, so --jobs does not split the runs.  Every
     # direction of a trial draws from the trial's stream: common random
     # numbers for the paired comparison.
-    out = rs_lockstep(ErmProblem(A, b, Loss("hinge"), 0.0), streams, cfgs,
+    out = rs_lockstep(ErmProblem(A, b, Loss("hinge"), 0.0), streams, cfg,
+                      [sp if direction == "data" else None for direction in directions],
                       0.0, gap_tol)
     hits, rows = [], []   # hits: iters_to_tol by trial and direction
     for trial, runs in enumerate(out):

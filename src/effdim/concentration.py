@@ -361,8 +361,14 @@ def scaling_experiment(
     for sid in spectra:
         means = []
         for n in n_grid:
-            vals = [row["value"] for row in rows if row["spectrum_id"] == sid and row["n"] == n]
-            means.append((n, float(np.mean(vals)), float(np.std(vals))))
+            vals = np.array([row["value"] for row in rows
+                             if row["spectrum_id"] == sid and row["n"] == n])
+            # The squares inside np.std overflow for values near 1e154 and
+            # above; scaling by an exact power of two first keeps them finite
+            # and leaves the std of normal floats bit-equal.
+            k = np.frexp(np.abs(vals).max())[1]
+            std = np.ldexp(np.std(np.ldexp(vals, -k)), k)
+            means.append((n, float(np.mean(vals)), float(std)))
         slope, stderr = _loglog_slope([m[0] for m in means], [m[1] for m in means])
         slopes[sid] = {"slope": slope, "stderr": stderr, "means": means}
     return {"rows": rows, "slopes": slopes}

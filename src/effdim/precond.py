@@ -162,11 +162,6 @@ def kappa_bound(lam: float, mu: float) -> float:
     return 1.0 + 2.0 * mu / lam
 
 
-def bregman_div(phi, x: np.ndarray, y: np.ndarray) -> float:
-    """D_phi(x, y) = phi(x) - phi(y) - <grad phi(y), x - y>."""
-    return float(phi.value(x) - phi.value(y) - phi.grad(y) @ (x - y))
-
-
 def relative_condition(problem: ErmProblem, phi, probes) -> dict:
     """Relative smoothness / strong-convexity over a set of probe points.
 

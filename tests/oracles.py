@@ -1,4 +1,4 @@
-"""Enumeration and Monte-Carlo oracles shared by the test modules.
+"""Enumeration, Monte-Carlo and step-by-step oracles shared by the test modules.
 
 Not part of the library: nothing under ``src/`` calls them.
 """
@@ -35,6 +35,26 @@ def log_sum_whole(x, scale):
 def count_above_whole(x, t):
     """#{i : x_i > t} by a mask the size of x."""
     return int(np.count_nonzero(x > t))
+
+
+def theta_sequence(T):
+    """theta_0 = 1 followed by T - 1 steps of the engine's theta update.
+
+    Satisfies (1 - theta_{t+1}) / theta_{t+1}^2 = 1 / theta_t^2 and
+    theta_t <= 2 / (t + 1).
+    """
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    th = np.empty(T)
+    th[0] = 1.0
+    for t in range(T - 1):
+        th[t + 1] = _theta_next(th[t])
+    return th
+
+
+def bregman_div(phi, x, y):
+    """D_phi(x, y) = phi(x) - phi(y) - <grad phi(y), x - y>."""
+    return float(phi.value(x) - phi.value(y) - phi.grad(y) @ (x - y))
 
 
 def draw_block(gen, steps, n, m, d, direction):
@@ -106,13 +126,14 @@ def _sphere_net_rec(dim: int, res: float) -> np.ndarray:
     return np.unique(np.round(pts, 12), axis=0)
 
 
-def rs_reference(problem, cfg, rng, f_star=0.0, gap_tol=None):
-    """Step-by-step loop of :func:`effdim.smoothing.rs_optimize` for one
-    run: whole-block draws, one full objective value and stop check per
-    step.  Returns (gaps, last iterate)."""
+def rs_reference(problem, cfg, direction, rng, f_star=0.0, gap_tol=None):
+    """Step-by-step loop of :func:`effdim.smoothing.rs_lockstep` for one
+    trial and one direction (None for isotropic, else a spectrum): whole-
+    block draws, one full objective value and stop check per step.
+    Returns (gaps, last iterate)."""
     d, m, R = problem.d, cfg.batch, cfg.radius
     L = float(np.linalg.norm(problem.A, axis=1).max()) + problem.lam * R
-    u = cfg.u if cfg.u is not None else _default_width(cfg, problem)
+    u = cfg.u if cfg.u is not None else _default_width(R, direction, problem)
     c_eta = L / (R * math.sqrt(m))
     gen = rng.generator()
     x = np.zeros(d)
@@ -123,7 +144,7 @@ def rs_reference(problem, cfg, rng, f_star=0.0, gap_tol=None):
     for t in range(cfg.iters):
         k = t % DRAW_BLOCK
         if k == 0:
-            idx, dirs = draw_block(gen, DRAW_BLOCK, problem.n, m, d, cfg.direction)
+            idx, dirs = draw_block(gen, DRAW_BLOCK, problem.n, m, d, direction)
         y = (1.0 - theta) * x + theta * z
         G += grad_estimator(problem, y[None], np.array([theta * u]),
                             idx[k][None], dirs[k][None])[0] / theta

@@ -23,7 +23,7 @@ from effdim.concentration import (
 from effdim.entropy import eps_entropy_bound, kb_mb, m_eps, unit_entropy_bound
 from effdim.precond import ErmProblem, Loss
 from effdim.rng import RngStream
-from effdim.smoothing import smoothing_bounds, theta_sequence
+from effdim.smoothing import smoothing_bounds
 from effdim.spectrum import (
     CovarianceSpectrum,
     effective_dimension,
@@ -31,7 +31,7 @@ from effdim.spectrum import (
     max_norm_bound,
     sample_gaussian,
 )
-from oracles import smooth_value_estimate
+from oracles import smooth_value_estimate, theta_sequence
 
 # Criterion 10's smoothing problem; criterion 10b runs it at six trials
 # over eight seeds, and criterion 11 through the CLI.

@@ -187,6 +187,43 @@ def test_huge_sigma1_exits_3_naming_the_overflow(tmp_path, capsys):
                      "--out", str(tmp_path / name)]) == 0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma1", [1e100, 1e150])
+def test_concentration_below_the_tensor_overflow_runs_clean(sigma1, tmp_path, capsys):
+    # The deviations are finite up to ~1e300; their squares, inside the std
+    # of a (spectrum, n) cell, would not be.
+    config = {**HUGE_SIGMA1["concentration"], "n_grid": [20]}
+    config["spectra"] = {"p": {**config["spectra"]["p"], "sigma1": sigma1}}
+    out = tmp_path / "o"
+    assert main(["concentration", "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    (cell,) = json.loads((out / "summary.json").read_text())["p"]["means"]
+    assert 0 < cell["std"] < cell["mean"] < math.inf
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma1", [1e-170, 1e-200, 1e-300])
+def test_smooth_with_underflowing_rows_exits_3(sigma1, tmp_path, capsys):
+    # The row norms square to 0, so the Lipschitz constant of the hinge
+    # objective is 0: a named limit before any step, not a NaN final_gap.
+    config = {**HUGE_SIGMA1["smooth"], "n": 8, "iters": 50, "trials": 1}
+    config["spectrum"] = {**config["spectrum"], "sigma1": sigma1}
+    out = tmp_path / "o"
+    assert main(["smooth", "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(out)]) == 3
+    assert "runtime error: OverflowError: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_csv_refuses_non_finite_floats(tmp_path):
+    # As summary.json does: a CSV never holds nan or inf.
+    for bad in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        with pytest.raises(ValueError, match="out of range"):
+            effdim.cli._write_csv(tmp_path / "t.csv",
+                                  [{"seed": 0, "value": 1.0}, {"seed": 0, "value": bad}])
+
+
 def test_unexpected_error_exits_1_with_traceback(tmp_path, monkeypatch, capsys):
     def broken(config, seed, jobs):
         raise TypeError("bug in a runner")

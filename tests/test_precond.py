@@ -10,7 +10,6 @@ from effdim.precond import (
     InnerSolveFailure,
     Loss,
     SingularPhi,
-    bregman_div,
     hessian_deviation_sup,
     kappa_bound,
     mu_formula,
@@ -22,6 +21,7 @@ from effdim.precond import (
 )
 from effdim.rng import RngStream
 from effdim.spectrum import make_spectrum, sample_gaussian
+from oracles import bregman_div
 
 
 def _small_problem(loss_kind="logistic", n=80, d=6, lam=0.1, seed=1):

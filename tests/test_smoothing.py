@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,12 +12,10 @@ from effdim.smoothing import (
     grad_estimator,
     iters_to_gap,
     rs_lockstep,
-    rs_optimize,
     smoothing_bounds,
-    theta_sequence,
 )
 from effdim.spectrum import CovarianceSpectrum, make_spectrum, sample_gaussian
-from oracles import draw_block, rs_reference, smooth_value_estimate
+from oracles import draw_block, rs_reference, smooth_value_estimate, theta_sequence
 
 
 def test_theta_identity_and_envelope():
@@ -113,7 +110,7 @@ def test_smoothing_bounds_shapes():
         smoothing_bounds(0.1, 1.0, 16, spectrum=sp)  # missing n
 
 
-def test_rs_optimize_reduces_hinge_gap():
+def test_lockstep_reduces_hinge_gap():
     sp = make_spectrum("power_law", d=16, sigma1=1.0, alpha=1.0)
     root = RngStream(9)
     A = sample_gaussian(sp, 128, root.child(0)).rows
@@ -121,7 +118,7 @@ def test_rs_optimize_reduces_hinge_gap():
     xn *= 1.0 / np.linalg.norm(xn)
     prob = ErmProblem(A, A @ xn, Loss("hinge"), 0.0)
     cfg = SmoothingConfig(radius=2.0, iters=800, batch=8)
-    run = rs_optimize(prob, cfg, rng=root.child(2), f_star=0.0, gap_tol=2e-2)
+    run = rs_lockstep(prob, [root.child(2)], cfg, [None], 0.0, 2e-2)[0][0]
     assert run.gaps[0] > 0.01
     assert min(run.gaps) <= 2e-2
     hit = iters_to_gap(run, 2e-2)
@@ -129,18 +126,17 @@ def test_rs_optimize_reduces_hinge_gap():
     # Shorter runs are prefixes of longer ones, so the last iterates of
     # runs stopped at several iters are iterates of the 500-step run.
     for iters in (1, 37, 100, 500):
-        end = rs_optimize(prob, SmoothingConfig(radius=2.0, iters=iters, batch=8),
-                          rng=root.child(2)).x
-        assert np.linalg.norm(end) <= 2.0 + 1e-9
+        end = rs_lockstep(prob, [root.child(2)],
+                          SmoothingConfig(radius=2.0, iters=iters, batch=8), [None])
+        assert np.linalg.norm(end[0][0].x) <= 2.0 + 1e-9
 
 
-def test_rs_optimize_is_deterministic():
+def test_lockstep_is_deterministic():
     sp = make_spectrum("isotropic", d=6, sigma1=1.0)
     A = sample_gaussian(sp, 64, RngStream(10)).rows
     prob = ErmProblem(A, A @ np.full(6, 0.2), Loss("hinge"), 0.0)
     cfg = SmoothingConfig(radius=1.5, iters=50, batch=4)
-    r1 = rs_optimize(prob, cfg, rng=RngStream(11))
-    r2 = rs_optimize(prob, cfg, rng=RngStream(11))
+    r1, r2 = (rs_lockstep(prob, [RngStream(11)], cfg, [None])[0][0] for _ in range(2))
     assert len(r1.gaps) == 51 and r1.gaps == r2.gaps
     np.testing.assert_array_equal(r1.x, r2.x)
 
@@ -154,15 +150,17 @@ def _hinge_problem(d, n, seed):
 def test_isotropic_spectrum_run_equals_unshaped_run():
     # Common random numbers: both directions of a trial share the stream,
     # and shaped directions are the isotropic ones scaled by sqrt(sigma),
-    # so sigma = 1 must reproduce the unshaped run bit for bit.
+    # so sigma = 1 must reproduce the unshaped run bit for bit, whether the
+    # two run in one call or each alone.
     _, prob = _hinge_problem(8, 64, 12)
     iso = make_spectrum("isotropic", d=8, sigma1=1.0)
-    runs = [rs_optimize(prob, SmoothingConfig(radius=1.5, iters=200, batch=4,
-                                              u=0.5, direction=direction),
-                        rng=RngStream(13), gap_tol=1e-3)
+    cfg = SmoothingConfig(radius=1.5, iters=200, batch=4, u=0.5)
+    runs = [rs_lockstep(prob, [RngStream(13)], cfg, [direction], 0.0, 1e-3)[0][0]
             for direction in (None, iso)]
-    assert runs[0].gaps == runs[1].gaps
-    np.testing.assert_array_equal(runs[0].x, runs[1].x)
+    runs += rs_lockstep(prob, [RngStream(13)], cfg, [None, iso], 0.0, 1e-3)[0]
+    for run in runs[1:]:
+        assert run.gaps == runs[0].gaps
+        np.testing.assert_array_equal(run.x, runs[0].x)
 
 
 def test_step_draws_do_not_depend_on_iters():
@@ -171,9 +169,9 @@ def test_step_draws_do_not_depend_on_iters():
     # would change step 100's draws.
     assert 100 % DRAW_BLOCK != 0
     sp, prob = _hinge_problem(8, 64, 14)
-    short, long = (rs_optimize(prob, SmoothingConfig(radius=1.5, iters=iters,
-                                                     batch=4, direction=sp),
-                               rng=RngStream(15))
+    short, long = (rs_lockstep(prob, [RngStream(15)],
+                               SmoothingConfig(radius=1.5, iters=iters, batch=4),
+                               [sp])[0][0]
                    for iters in (100, 500))
     assert len(short.gaps) == 101 and len(long.gaps) == 501
     assert short.gaps == long.gaps[:101]
@@ -201,73 +199,92 @@ def test_block_stop_rule_truncates_at_first_crossing():
     # must equal the prefix of a run without it, both when the first
     # crossing falls on a block boundary and when it falls inside a block.
     sp, prob = _hinge_problem(8, 64, 18)
-    cfg = SmoothingConfig(radius=1.5, iters=200, batch=4, direction=sp)
-    ref = rs_optimize(prob, cfg, rng=RngStream(18))
+
+    def run(iters, gap_tol=None):
+        cfg = SmoothingConfig(radius=1.5, iters=iters, batch=4)
+        return rs_lockstep(prob, [RngStream(18)], cfg, [sp], 0.0, gap_tol)[0][0]
+
+    ref = run(200)
     for stop in (DRAW_BLOCK, 100):
         # A tolerance between the step's gap and every earlier gap (the
         # stop rule skips gap 0) makes ``stop`` the first crossing.
         earlier = min(ref.gaps[1:stop])
         assert ref.gaps[stop] < earlier
         tol = 0.5 * (ref.gaps[stop] + earlier)
-        run = rs_optimize(prob, cfg, rng=RngStream(18), gap_tol=tol)
-        assert run.gaps == ref.gaps[:stop + 1]
-        assert iters_to_gap(run, tol) == iters_to_gap(ref, tol)
-        short = replace(cfg, iters=stop)
-        np.testing.assert_array_equal(
-            run.x, rs_optimize(prob, short, rng=RngStream(18)).x)
+        stopped = run(200, tol)
+        assert stopped.gaps == ref.gaps[:stop + 1]
+        assert iters_to_gap(stopped, tol) == iters_to_gap(ref, tol)
+        np.testing.assert_array_equal(stopped.x, run(stop).x)
 
 
 def _two_trials():
-    """Two hinge trials of 64 rows each, stacked into one data array."""
+    """Two hinge trials of 64 rows each, stacked into one data array; three
+    configs of different radius and width; both directions."""
     sp, prob_a = _hinge_problem(8, 64, 20)
     _, prob_b = _hinge_problem(8, 64, 21)
     data = ErmProblem(np.vstack([prob_a.A, prob_b.A]),
                       np.concatenate([prob_a.b, prob_b.b]), Loss("hinge"), 0.0)
-    cfgs = [SmoothingConfig(radius=radius, iters=300, batch=4, u=u,
-                            direction=direction)
-            for radius, u in ((3.0, None), (1.0, 1.0), (1.5, 0.2))
-            for direction in (None, sp)]
-    return data, [prob_a, prob_b], [RngStream(22), RngStream(23)], cfgs
+    cfgs = [SmoothingConfig(radius=radius, iters=300, batch=4, u=u)
+            for radius, u in ((3.0, None), (1.0, 1.0), (1.5, 0.2))]
+    return data, [prob_a, prob_b], [RngStream(22), RngStream(23)], cfgs, [None, sp]
 
 
 def test_lockstep_equals_step_by_step_reference():
-    # One engine call over 2 trials x 6 configs: per-config radius and
-    # width, both directions; the runs stop in different blocks and some
-    # never reach gap_tol.  The iterates follow the reference loop's
-    # arithmetic on each trial's rows; a block's gaps come from one matmul,
-    # so they may differ in the last bits.
-    data, trials, streams, cfgs = _two_trials()
-    out = rs_lockstep(data, streams, cfgs, 0.0, 0.03)
-    assert [len(runs) for runs in out] == [len(cfgs)] * len(trials)
-    assert len({(len(run.gaps) - 1) // DRAW_BLOCK
-                for runs in out for run in runs}) >= 4
-    for prob, rng, runs in zip(trials, streams, out):
-        for cfg, run in zip(cfgs, runs):
-            gaps, x = rs_reference(prob, cfg, rng, 0.0, 0.03)
-            assert len(run.gaps) == len(gaps)
-            np.testing.assert_allclose(run.gaps, gaps, rtol=1e-12, atol=0.0)
-            np.testing.assert_array_equal(run.x, x)
+    # One engine call per config over 2 trials x 2 directions; over the
+    # three calls the runs stop in different blocks and some never reach
+    # gap_tol.  The iterates follow the reference loop's arithmetic on each
+    # trial's rows; a block's gaps come from one matmul, so they may differ
+    # in the last bits.
+    data, trials, streams, cfgs, directions = _two_trials()
+    stop_blocks = set()
+    for cfg in cfgs:
+        out = rs_lockstep(data, streams, cfg, directions, 0.0, 0.03)
+        assert [len(runs) for runs in out] == [len(directions)] * len(trials)
+        stop_blocks |= {(len(run.gaps) - 1) // DRAW_BLOCK
+                        for runs in out for run in runs}
+        for prob, rng, runs in zip(trials, streams, out):
+            for direction, run in zip(directions, runs):
+                gaps, x = rs_reference(prob, cfg, direction, rng, 0.0, 0.03)
+                assert len(run.gaps) == len(gaps)
+                np.testing.assert_allclose(run.gaps, gaps, rtol=1e-12, atol=0.0)
+                np.testing.assert_array_equal(run.x, x)
+    assert len(stop_blocks) >= 4
 
 
 def test_lockstep_run_equals_its_trial_alone():
-    # out[k][j] is config j run by itself on trial k's rows, bit for bit:
+    # out[k][j] is direction j run by itself on trial k's rows, bit for bit:
     # neither the other trials' rows nor the other runs of the batch change it.
-    data, trials, streams, cfgs = _two_trials()
-    out = rs_lockstep(data, streams, cfgs, 0.0, 0.03)
-    for prob, rng, runs in zip(trials, streams, out):
-        for cfg, run in zip(cfgs, runs):
-            alone = rs_optimize(prob, cfg, rng, 0.0, 0.03)
-            assert run.gaps == alone.gaps
-            np.testing.assert_array_equal(run.x, alone.x)
+    data, trials, streams, cfgs, directions = _two_trials()
+    for cfg in cfgs:
+        out = rs_lockstep(data, streams, cfg, directions, 0.0, 0.03)
+        for prob, rng, runs in zip(trials, streams, out):
+            for direction, run in zip(directions, runs):
+                alone = rs_lockstep(prob, [rng], cfg, [direction], 0.0, 0.03)[0][0]
+                assert run.gaps == alone.gaps
+                np.testing.assert_array_equal(run.x, alone.x)
 
 
 def test_lockstep_rejects_runs_of_different_shapes():
     _, prob = _hinge_problem(8, 64, 19)
     cfg = SmoothingConfig(radius=1.0, iters=5, batch=4)
     with pytest.raises(ValueError):
-        rs_lockstep(prob, [RngStream(0), RngStream(1), RngStream(2)], [cfg])
+        rs_lockstep(prob, [RngStream(0), RngStream(1), RngStream(2)], cfg, [None])
     with pytest.raises(ValueError):
-        rs_lockstep(prob, [RngStream(0)], [cfg, replace(cfg, batch=8)])
+        rs_lockstep(prob, [RngStream(0)], cfg, [])
+
+
+@pytest.mark.filterwarnings("error")
+def test_lockstep_names_an_underflowing_lipschitz_constant():
+    # Rows of norm ~1e-200 square to 0, so L = max_i ||a_i|| = 0 for the
+    # unregularized hinge loss: the engine stops before any step instead of
+    # dividing by it.
+    sp = make_spectrum("power_law", d=5, sigma1=1e-200, alpha=1.0)
+    A = sample_gaussian(sp, 8, RngStream(24)).rows
+    assert np.abs(A).max() > 0
+    prob = ErmProblem(A, A @ np.ones(5), Loss("hinge"), 0.0)
+    cfg = SmoothingConfig(radius=1.0, iters=50, batch=4)
+    with pytest.raises(OverflowError, match="underflows"):
+        rs_lockstep(prob, [RngStream(25)], cfg, [None, sp])
 
 
 def test_config_validation():
