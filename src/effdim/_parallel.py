@@ -2,11 +2,14 @@
 
 Tasks must derive their randomness from their own argument (for example a
 child RngStream), never from shared mutable state, so results are
-identical for any worker count.
+identical for any worker count.  Each task runs in a copy of the caller's
+context, so numpy's error state (``np.errstate``) holds in every worker
+as it does in the caller.
 """
 
 from __future__ import annotations
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 
 
@@ -14,5 +17,6 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    ctx = contextvars.copy_context()
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(lambda item: ctx.copy().run(fn, item), items))

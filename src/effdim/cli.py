@@ -37,14 +37,13 @@ from . import __version__
 from .entropy import build_cover, eps_entropy_bound, kb_mb, sample_ellipsoid, \
     unit_entropy_bound, verify_cover
 from .concentration import Nonlinearity, SearchConfig, scaling_experiment
-from .linalg import DimTooLarge, NonConvergence
-from .precond import ErmProblem, InnerSolveFailure, Loss, SingularPhi, \
-    hessian_deviation_sup, kappa_bound, mu_formula, precond_bgd, \
-    relative_condition, solve_erm, vanilla_gd
+from .linalg import LimitExceeded
+from .precond import ErmProblem, Loss, hessian_deviation_sup, kappa_bound, \
+    mu_formula, precond_bgd, relative_condition, solve_erm, vanilla_gd
 from .rng import RngStream
 from .smoothing import SmoothingConfig, iters_to_gap, rs_lockstep
-from .spectrum import BadSpectrum, CovarianceSpectrum, effective_dimension, \
-    make_spectrum, sample_gaussian
+from .spectrum import CovarianceSpectrum, effective_dimension, make_spectrum, \
+    sample_gaussian
 
 
 class ConfigInvalid(Exception):
@@ -52,9 +51,9 @@ class ConfigInvalid(Exception):
 
 
 # Limits the library declares and raises on purpose (exit 3), float64
-# overflow among them; any other exception escaping a runner is a bug (exit 1).
-DECLARED_LIMITS = (DimTooLarge, InnerSolveFailure, SingularPhi,
-                   NonConvergence, OverflowError)
+# overflow among them: ``main`` runs each runner with numpy overflow raising
+# FloatingPointError.  Any other exception escaping a runner is a bug (exit 1).
+DECLARED_LIMITS = (LimitExceeded, OverflowError, FloatingPointError)
 
 
 _SPECTRUM_SCHEMA = {
@@ -236,7 +235,7 @@ def _spectrum(cfg: dict) -> CovarianceSpectrum:
             cfg["kind"], d=cfg.get("d"), sigma1=cfg.get("sigma1", 1.0),
             alpha=cfg.get("alpha"), values=cfg.get("values"),
         )
-    except BadSpectrum as exc:
+    except ValueError as exc:
         raise ConfigInvalid(f"spectrum: {exc}") from exc
 
 
@@ -290,7 +289,7 @@ def run_entropy(config, seed, jobs):
 def run_cover(config, seed, jobs):
     try:
         axes = CovarianceSpectrum(config["axes"])
-    except BadSpectrum as exc:
+    except ValueError as exc:
         raise ConfigInvalid(f"axes: {exc}") from exc
     eps = config["eps"]
     cover = build_cover(axes, eps)
@@ -550,7 +549,8 @@ def main(argv=None) -> int:
     try:
         out.mkdir(parents=True, exist_ok=True)
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        summary, tables = RUNNERS[args.subcommand](config, seed, jobs)
+        with np.errstate(over="raise"):
+            summary, tables = RUNNERS[args.subcommand](config, seed, jobs)
         for name, rows in tables.items():
             _write_csv(out / name, rows)
         _write_json(out / "summary.json", summary)

@@ -8,7 +8,7 @@ What each route returns:
   that is one d x d eigensolve, so the value is *exact*.  For r >= 3 it is
   a *lower estimate* by multilinear block ascent on the d**r tensor (exact
   maximization is NP-hard for three or more factors).  D is stored densely,
-  so d**r is capped at 2**25 entries (:class:`linalg.DimTooLarge`).  The
+  so d**r is capped at 2**25 entries (:class:`linalg.LimitExceeded`).  The
   reference is the exact Gaussian moment tensor of a
   :class:`CovarianceSpectrum`.
 - Nonlinear factors (relu, clip) give a *lower estimate* by multistart
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import parallel_map
-from .linalg import DimTooLarge, tensor_opnorm
+from .linalg import LimitExceeded, tensor_opnorm
 from .rng import RngStream
 from .spectrum import CovarianceSpectrum, SampleMatrix, effective_dimension, \
     max_norm_bound, sample_gaussian
@@ -223,7 +223,7 @@ def _product_means(rows: np.ndarray, X: np.ndarray, fs: list[Nonlinearity],
 
 def _check_tensor_size(d: int, p: int) -> None:
     if d**p > _MAX_TENSOR_ENTRIES:
-        raise DimTooLarge(
+        raise LimitExceeded(
             f"an order-{p} tensor in dimension {d} has {d**p} entries, "
             f"above the dense limit of {_MAX_TENSOR_ENTRIES}"
         )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DimTooLarge
+from .linalg import LimitExceeded
 from .rng import RngStream
 from .spectrum import CovarianceSpectrum, block_sum, effective_dimension
 
@@ -130,7 +130,7 @@ def _eps_bound(s: CovarianceSpectrum, eps: float, r: int, c: float,
     return me, min(exact_sum, closed_form) + c * bracket
 
 
-# Grid cells build_cover may enumerate before raising DimTooLarge.
+# Grid cells build_cover may enumerate before raising LimitExceeded.
 _MAX_COVER_CELLS = 10**7
 
 
@@ -143,7 +143,7 @@ def build_cover(e: CovarianceSpectrum, eps: float) -> BallCover:
     guaranteed by this geometry; nothing is random.
     """
     if e.dim > 5:
-        raise DimTooLarge(f"build_cover supports d <= 5, got {e.dim}")
+        raise LimitExceeded(f"build_cover supports d <= 5, got {e.dim}")
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = e.dim
@@ -153,7 +153,7 @@ def build_cover(e: CovarianceSpectrum, eps: float) -> BallCover:
     for k in axes_counts:
         total *= 2 * k + 1
     if total > _MAX_COVER_CELLS:
-        raise DimTooLarge(
+        raise LimitExceeded(
             f"grid would enumerate {total} cells > {_MAX_COVER_CELLS}")
     # Cell [c - s/2, c + s/2]^d meets E_b iff the per-axis closest point is
     # inside: sum_i (closest_i / b_i)^2 <= 1.  Cells are extended one axis

@@ -12,13 +12,9 @@ import numpy as np
 from .rng import RngStream
 
 
-class NonConvergence(Exception):
-    """Eigensolver failed to converge."""
-
-
-class DimTooLarge(Exception):
-    """Declared computational limit: a dimension or count exceeds what is
-    enumerated or stored densely (grid covers, d**p moment tensors)."""
+class LimitExceeded(Exception):
+    """Declared computational limit, named by the message: a size beyond
+    what is stored or enumerated densely, or a solver that fails."""
 
 
 def _contract_all_but(t: np.ndarray, X: np.ndarray, k: int) -> np.ndarray:
@@ -43,7 +39,7 @@ def tensor_opnorm(
 
     For p = 2 this is exact: the largest |eigenvalue| of the symmetric
     matrix t.  Raises OverflowError if t has an inf or NaN entry, ValueError
-    if t is not symmetric within a relative 1e-12, and :class:`NonConvergence`
+    if t is not symmetric within a relative 1e-12, and :class:`LimitExceeded`
     if the eigensolver fails.  For p >= 3 (NP-hard in general) it is a lower
     estimate by multilinear block-coordinate ascent: each sweep sets, in turn,
     x_k <- t(..., ·, ...) / ||·||, the exact maximizer over block k with the
@@ -63,7 +59,7 @@ def tensor_opnorm(
         try:
             return float(np.abs(np.linalg.eigvalsh(t)).max())
         except np.linalg.LinAlgError as exc:
-            raise NonConvergence(str(exc)) from exc
+            raise LimitExceeded(f"eigensolver: {exc}") from exc
     X = rng.generator().standard_normal((restarts, p, t.shape[0]))
     X /= np.linalg.norm(X, axis=2, keepdims=True)
     start_vals = np.einsum("ri,ri->r", _contract_all_but(t, X, 0), X[:, 0])

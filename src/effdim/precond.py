@@ -32,16 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .concentration import bound_curve
-from .linalg import tensor_opnorm
+from .linalg import LimitExceeded, tensor_opnorm
 from .spectrum import CovarianceSpectrum, effective_dimension
-
-
-class SingularPhi(Exception):
-    """The Hessian of phi is not positive definite at a probe point."""
-
-
-class InnerSolveFailure(Exception):
-    """Damped Newton failed to solve the Bregman proximal subproblem."""
 
 
 _LOGISTIC_HESS_LIP = 1.0 / (6.0 * math.sqrt(3.0))  # max |d/dz sigmoid'(z)|
@@ -158,7 +150,7 @@ class ErmProblem:
 def kappa_bound(lam: float, mu: float) -> float:
     """Relative condition bound 1 + 2 mu / lam of F against phi."""
     if lam <= 0:
-        raise SingularPhi("kappa bound requires lam > 0")
+        raise ValueError("kappa bound requires lam > 0")
     return 1.0 + 2.0 * mu / lam
 
 
@@ -167,7 +159,7 @@ def relative_condition(problem: ErmProblem, phi, probes) -> dict:
 
     Returns generalized-eigenvalue extremes of (hess F, hess phi) at each
     probe: L_rel = max over probes of the largest eigenvalue, sigma_rel =
-    min over probes of the smallest.  Raises SingularPhi when the
+    min over probes of the smallest.  Raises :class:`LimitExceeded` when the
     preconditioner Hessian is not positive definite at some probe.
     """
     L_vals, s_vals = [], []
@@ -176,7 +168,7 @@ def relative_condition(problem: ErmProblem, phi, probes) -> dict:
         try:
             L = np.linalg.cholesky(phi.hessian(x))
         except np.linalg.LinAlgError as exc:
-            raise SingularPhi("preconditioner Hessian not positive definite") from exc
+            raise LimitExceeded("preconditioner Hessian not positive definite") from exc
         # Reduce to the standard problem L^{-1} HF L^{-T}, as LAPACK's sygv does.
         M = np.linalg.solve(L, np.linalg.solve(L, HF).T)
         eig = np.linalg.eigvalsh(M)
@@ -250,7 +242,7 @@ def newton_minimize(value, grad, hess, x0: np.ndarray,
         try:
             L = np.linalg.cholesky(H)
         except np.linalg.LinAlgError as exc:
-            raise InnerSolveFailure("Hessian factorization failed") from exc
+            raise LimitExceeded("Newton: Hessian factorization failed") from exc
         step = np.linalg.solve(L.T, np.linalg.solve(L, g))
         t = 1.0
         f0 = value(x)
@@ -260,12 +252,12 @@ def newton_minimize(value, grad, hess, x0: np.ndarray,
                 break
             t *= 0.5
         else:
-            raise InnerSolveFailure("line search stalled")
+            raise LimitExceeded("Newton: line search stalled")
         x = x - t * step
     g = grad(x)
     if np.linalg.norm(g) <= math.sqrt(tol) * scale:
         return x
-    raise InnerSolveFailure(f"no convergence in {_NEWTON_MAX_ITER} Newton steps")
+    raise LimitExceeded(f"Newton: no convergence in {_NEWTON_MAX_ITER} steps")
 
 
 def solve_erm(problem: ErmProblem) -> np.ndarray:

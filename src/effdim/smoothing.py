@@ -135,6 +135,14 @@ def _default_width(radius: float, direction: CovarianceSpectrum | None,
     return radius / math.sqrt(max(shape, 1e-12))
 
 
+def _max_row_norm(A: np.ndarray) -> float:
+    """max_i ||a_i||.  Scaling by an exact power of two first keeps the
+    squares inside the norm from underflowing (or overflowing), and leaves
+    the norm of normal floats bit-equal."""
+    k = np.frexp(np.abs(A).max())[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(A, -k), axis=1), k).max())
+
+
 def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig,
                 directions: list[CovarianceSpectrum | None],
                 f_star: float = 0.0,
@@ -157,9 +165,9 @@ def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig
     (closed form plus radial projection), and
     x_{t+1} = (1 - theta_t) x_t + theta_t z_{t+1}, from x_0 = z_0 = 0.  L is
     max_i ||a_i|| + lam * radius, the Lipschitz constant of the objective
-    on the ball; an L that underflows to 0 raises OverflowError.  A run
-    stops after ``cfg.iters`` steps or at the first step t >= 1 whose gap
-    is <= ``gap_tol``.
+    on the ball; an L of 0 raises OverflowError.  A run stops after
+    ``cfg.iters`` steps or at the first step t >= 1 whose gap is <=
+    ``gap_tol``.
 
     Each step is computed for all active runs at once.  The stop rule is
     checked once per block: each run's block of iterates is evaluated with
@@ -180,11 +188,11 @@ def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig
     # Run r is direction r % J on trial r // J, and reads rows n * (r // J) + i.
     trial = np.repeat(np.arange(K), J)
     runs = [(trials[k], direction) for k in range(K) for direction in directions]
-    L = np.array([float(np.linalg.norm(p.A, axis=1).max()) for p in trials])[trial]
+    L = np.array([_max_row_norm(p.A) for p in trials])[trial]
     L += data.lam * R
     if not L.all():
         raise OverflowError("the Lipschitz constant max_i ||a_i|| + lam * radius "
-                            "underflows float64 to 0")
+                            "is 0: every row is zero or underflows float64")
     u = np.array([cfg.u if cfg.u is not None else _default_width(R, direction, p)
                   for p, direction in runs])
     L_over_u = L / u

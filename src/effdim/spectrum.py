@@ -32,10 +32,6 @@ def block_sum(f, x: np.ndarray) -> float:
     return block_sum(f, x[:half]) + block_sum(f, x[half:])
 
 
-class BadSpectrum(Exception):
-    """Spectrum values violate positivity or descending order."""
-
-
 @dataclass(frozen=True)
 class CovarianceSpectrum:
     """Ordered spectrum sigma_1 >= ... >= sigma_d > 0."""
@@ -46,13 +42,13 @@ class CovarianceSpectrum:
         s = np.asarray(self.sigmas, dtype=float)
         object.__setattr__(self, "sigmas", s)
         if s.ndim != 1 or len(s) < 1:
-            raise BadSpectrum("sigmas must be a nonempty 1-d array")
+            raise ValueError("sigmas must be a nonempty 1-d array")
         if not s.min() > 0:
-            raise BadSpectrum("sigmas must be strictly positive")
+            raise ValueError("sigmas must be strictly positive")
         for i in range(0, len(s), BLOCK):
             w = s[i:i + BLOCK + 1]  # overlaps the next block by one entry
             if np.any(w[1:] > w[:-1]):
-                raise BadSpectrum("sigmas must be non-increasing")
+                raise ValueError("sigmas must be non-increasing")
 
     @property
     def dim(self) -> int:
@@ -110,22 +106,22 @@ def make_spectrum(kind, d: int | None = None, sigma1: float = 1.0,
     """
     if kind == "custom":
         if values is None:
-            raise BadSpectrum("custom spectrum requires values")
+            raise ValueError("custom spectrum requires values")
         return CovarianceSpectrum(np.asarray(values, dtype=float))
     if d is None or d < 1:
-        raise BadSpectrum("d must be >= 1")
+        raise ValueError("d must be >= 1")
     if sigma1 <= 0:
-        raise BadSpectrum("sigma1 must be positive")
+        raise ValueError("sigma1 must be positive")
     if kind == "isotropic":
         return CovarianceSpectrum(np.full(d, float(sigma1)))
     if kind == "power_law":
         if alpha is None or alpha <= 0:
-            raise BadSpectrum("power_law requires alpha > 0")
+            raise ValueError("power_law requires alpha > 0")
         i = np.arange(1, d + 1, dtype=float)
         i **= -alpha
         i *= sigma1
         return CovarianceSpectrum(i)
-    raise BadSpectrum(f"unknown spectrum kind {kind!r}")
+    raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
 def sample_gaussian(s: CovarianceSpectrum, n: int, rng: RngStream) -> SampleMatrix:

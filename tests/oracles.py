@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from effdim.linalg import DimTooLarge
+from effdim.linalg import LimitExceeded
 from effdim.precond import ErmProblem
 from effdim.smoothing import (
     DRAW_BLOCK,
@@ -89,7 +89,7 @@ def sphere_net(dim: int, resolution: float) -> np.ndarray:
     Euclidean error stays below ``resolution``.
     """
     if dim > 4:
-        raise DimTooLarge(f"sphere_net supports dim <= 4, got {dim}")
+        raise LimitExceeded(f"sphere_net supports dim <= 4, got {dim}")
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if not (0 < resolution < 1):

@@ -13,13 +13,9 @@ import time
 
 import numpy as np
 
-from effdim.cli import main as cli_main, run_cover, run_precondition, run_smooth
-from effdim.concentration import (
-    SearchConfig,
-    _moment_tensor,
-    gaussian_moment_tensor,
-    scaling_experiment,
-)
+from effdim.cli import main as cli_main, run_concentration, run_cover, \
+    run_precondition, run_smooth
+from effdim.concentration import _moment_tensor, gaussian_moment_tensor
 from effdim.entropy import eps_entropy_bound, kb_mb, m_eps, unit_entropy_bound
 from effdim.precond import ErmProblem, Loss
 from effdim.rng import RngStream
@@ -122,12 +118,12 @@ def test_criterion_3_cover_validity():
 
 def test_criterion_4_deviation_scaling():
     t0 = time.time()
-    spectra = {"iso": make_spectrum("isotropic", d=5, sigma1=1.0)}
-    res = scaling_experiment(
-        spectra, [64, 128, 256, 512, 1024, 2048, 4096], 200, 2,
-        search=SearchConfig(restarts=4, iters=40), rng=RngStream(42), jobs=4,
-    )
-    slope = res["slopes"]["iso"]["slope"]
+    summary, _ = run_concentration({
+        "spectra": {"iso": {"kind": "isotropic", "d": 5, "sigma1": 1.0}},
+        "n_grid": [64, 128, 256, 512, 1024, 2048, 4096], "trials": 200, "r": 2,
+        "search": {"restarts": 4, "iters": 40},
+    }, 42, 4)
+    slope = summary["iso"]["slope"]
     elapsed = time.time() - t0
     ok = -0.6 <= slope <= -0.4 and elapsed < 600.0
     report(4, "centered deviation n^{-1/2} scaling", ok,
@@ -136,16 +132,14 @@ def test_criterion_4_deviation_scaling():
 
 def test_criterion_5_spectrum_shape_gap():
     t0 = time.time()
-    spectra = {
-        "iso": make_spectrum("isotropic", d=40, sigma1=1.0),
-        "pl": make_spectrum("power_law", d=40, sigma1=1.0, alpha=1.0),
-    }
-    res = scaling_experiment(
-        spectra, [256], 100, 2,
-        search=SearchConfig(restarts=4, iters=40), rng=RngStream(55), jobs=4,
-    )
-    mean_iso = res["slopes"]["iso"]["means"][0][1]
-    mean_pl = res["slopes"]["pl"]["means"][0][1]
+    summary, _ = run_concentration({
+        "spectra": {"iso": {"kind": "isotropic", "d": 40, "sigma1": 1.0},
+                    "pl": {"kind": "power_law", "d": 40, "sigma1": 1.0, "alpha": 1.0}},
+        "n_grid": [256], "trials": 100, "r": 2,
+        "search": {"restarts": 4, "iters": 40},
+    }, 55, 4)
+    mean_iso = summary["iso"]["means"][0]["mean"]
+    mean_pl = summary["pl"]["means"][0]["mean"]
     elapsed = time.time() - t0
     ok = mean_pl <= 0.8 * mean_iso and elapsed < 600.0
     report(5, "power-law spectrum shrinks deviation", ok,

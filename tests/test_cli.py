@@ -140,14 +140,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
 def test_runtime_failure_exits_3(tmp_path, capsys):
     # cover construction refuses d > 5 and grids over its cell cap at run
     # time, not validation time
-    for axes, eps in (([1.0] * 6, 0.5), ([1000.0, 1000.0], 0.01)):
+    for axes, eps, message in (([1.0] * 6, 0.5, "build_cover supports d <= 5"),
+                               ([1000.0, 1000.0], 0.01, "grid would enumerate")):
         cfg = write_config(tmp_path, "c.json",
                            {"axes": axes, "eps": eps, "n_samples": 10})
         assert main(["cover", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--validate-only"]) == 0
         capsys.readouterr()
         assert main(["cover", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
-        assert "runtime error: DimTooLarge: " in capsys.readouterr().err
+        assert f"runtime error: LimitExceeded: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
 
@@ -169,15 +170,18 @@ HUGE_SIGMA1 = {
 }
 
 
-# numpy warns as the tensors overflow; the run then stops at the named limit.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
+# Overflow stops the run at the named limit, with no warning first: a
+# library check raises OverflowError, numpy arithmetic FloatingPointError.
+OVERFLOW_ERRORS = ("runtime error: OverflowError: ",
+                   "runtime error: FloatingPointError: overflow encountered")
+
+
 def test_huge_sigma1_exits_3_naming_the_overflow(tmp_path, capsys):
     for name, config in HUGE_SIGMA1.items():
         out = tmp_path / name
         assert main([name, "--config", write_config(tmp_path, "c.json", config),
                      "--out", str(out)]) == 3, name
-        assert "runtime error: OverflowError: " in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(OVERFLOW_ERRORS), name
         assert not out.exists()
     # effdim and entropy are scale-invariant and take any finite sigma1.
     spectrum = {"kind": "power_law", "d": 50, "sigma1": 1e300, "alpha": 0.5}
@@ -202,18 +206,87 @@ def test_concentration_below_the_tensor_overflow_runs_clean(sigma1, tmp_path, ca
     assert 0 < cell["std"] < cell["mean"] < math.inf
 
 
+def _ladder_configs(sigma1):
+    """One small config per run of the sigma1 ladder, scaled by sigma1."""
+    spectrum = {"kind": "power_law", "d": 5, "sigma1": sigma1, "alpha": 1.0}
+    conc = {"spectra": {"p": spectrum}, "n_grid": [8], "trials": 30, "r": 2,
+            "search": {"restarts": 1, "iters": 1}}
+    return {
+        "effdim": ("effdim", {"spectrum": spectrum, "r_values": [1, 2]}),
+        "entropy": ("entropy", {"spectrum": spectrum, "eps_grid": [0.5]}),
+        "cover": ("cover", {"axes": [2.0 * sigma1, sigma1], "eps": sigma1,
+                            "n_samples": 100, "delete_fraction": 0.1}),
+        "identity-r2": ("concentration", conc),
+        "identity-r3": ("concentration", {**conc, "r": 3}),
+        "relu-uncentred": ("concentration", {
+            **conc, "spectra": {"p": {**spectrum, "d": 2}}, "centered": False,
+            "fs": [{"kind": "relu"}, {"kind": "relu"}]}),
+        "precondition": ("precondition", {
+            "spectrum": spectrum, "n": 20, "loss": "logistic", "lam": 0.1,
+            "iters": 5, "probes": 2, "gd_iters": 5}),
+        "smooth": ("smooth", {"spectrum": spectrum, "n": 8, "radius": 1.0,
+                              "iters": 5, "batch": 2, "trials": 1}),
+    }
+
+
+def _numbers(obj):
+    """Every number in a parsed summary.json, or in the cells of a CSV."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for v in obj for x in _numbers(v)]
+    if isinstance(obj, str):
+        try:
+            return [float(obj)]
+        except ValueError:
+            return []
+    return [obj] if isinstance(obj, float) else []
+
+
+def test_sigma1_ladder_exits_0_clean_or_3_naming_the_limit(tmp_path, capsys):
+    # Every run finishes with finite outputs and no warning, or stops at a
+    # declared limit and leaves no output; never a crash (exit 1), and the
+    # exit does not depend on --jobs.
+    for sigma1 in (1.0, 1e50, 1e100, 1e150, 1e200, 1e300):
+        for label, (name, config) in _ladder_configs(sigma1).items():
+            cfg = write_config(tmp_path, "c.json", config)
+            codes = []
+            for jobs in ("1", "2"):
+                out = tmp_path / f"{label}-{sigma1:g}-{jobs}"
+                code = main([name, "--config", cfg, "--out", str(out),
+                             "--jobs", jobs])
+                err = capsys.readouterr().err
+                case = (label, sigma1, jobs, err)
+                if code == 0:
+                    assert err == "", case
+                    values = _numbers(json.loads((out / "summary.json").read_text()))
+                    for table in CSV_HEADERS[name]:
+                        with open(out / table) as fh:
+                            values += _numbers(list(csv.reader(fh)))
+                    assert all(map(math.isfinite, values)), case
+                else:
+                    assert code == 3 and err.startswith(
+                        ("runtime error: LimitExceeded: ",) + OVERFLOW_ERRORS), case
+                    assert not out.exists(), case
+                codes.append(code)
+            assert codes[0] == codes[1], (label, sigma1)
+            assert sigma1 > 1 or codes == [0, 0], label
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("sigma1", [1e-170, 1e-200, 1e-300])
-def test_smooth_with_underflowing_rows_exits_3(sigma1, tmp_path, capsys):
-    # The row norms square to 0, so the Lipschitz constant of the hinge
-    # objective is 0: a named limit before any step, not a NaN final_gap.
+@pytest.mark.parametrize("sigma1", [1e-162, 1e-170, 1e-200, 1e-300])
+def test_smooth_with_underflowing_row_squares_runs_clean(sigma1, tmp_path, capsys):
+    # The squares of the row entries underflow to 0, yet the Lipschitz
+    # constant max_i ||a_i|| of the hinge objective does not.
     config = {**HUGE_SIGMA1["smooth"], "n": 8, "iters": 50, "trials": 1}
     config["spectrum"] = {**config["spectrum"], "sigma1": sigma1}
     out = tmp_path / "o"
     assert main(["smooth", "--config", write_config(tmp_path, "c.json", config),
-                 "--out", str(out)]) == 3
-    assert "runtime error: OverflowError: " in capsys.readouterr().err
-    assert not out.exists()
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out / "smooth.csv") as fh:
+        gaps = [float(row["final_gap"]) for row in csv.DictReader(fh)]
+    assert len(gaps) == 2 and all(0 < gap < math.inf for gap in gaps)
 
 
 def test_csv_refuses_non_finite_floats(tmp_path):
@@ -530,18 +603,29 @@ def test_cover_negative_control_keeps_the_earliest_tied_cells(monkeypatch):
 
 
 def test_concentration_deterministic_across_jobs_and_reruns(tmp_path):
-    cfg = write_config(tmp_path, "c.json", {
+    # Both routes: identity factors, and relu factors with their per-trial
+    # Monte-Carlo reference of 10**6 rows (one run at each job count, for
+    # time).
+    runs = [({
         "spectra": {"iso": {"kind": "isotropic", "d": 4, "sigma1": 1.0}},
         "n_grid": [32, 64], "trials": 30, "r": 2,
         "search": {"restarts": 4, "iters": 30},
-    })
-    outs = []
-    for name, jobs in [("a", "1"), ("b", "4"), ("c", "1")]:
-        out = tmp_path / name
-        assert main(["concentration", "--config", cfg, "--out", str(out),
-                     "--seed", "5", "--jobs", jobs]) == 0
-        outs.append((out / "deviations.csv").read_bytes())
-    assert outs[0] == outs[1] == outs[2]
+    }, ["1", "4", "1"]), ({
+        "spectra": {"iso": {"kind": "isotropic", "d": 1, "sigma1": 1.0}},
+        "n_grid": [16], "trials": 30, "r": 2,
+        "fs": [{"kind": "relu"}, {"kind": "relu"}], "centered": True,
+        "search": {"restarts": 1, "iters": 1},
+    }, ["1", "2"])]
+    for k, (config, job_counts) in enumerate(runs):
+        cfg = write_config(tmp_path, f"c{k}.json", config)
+        outs = []
+        for i, jobs in enumerate(job_counts):
+            out = tmp_path / f"o{k}-{i}"
+            assert main(["concentration", "--config", cfg, "--out", str(out),
+                         "--seed", "5", "--jobs", jobs]) == 0
+            outs.append([(out / f).read_bytes()
+                         for f in ("deviations.csv", "summary.json")])
+        assert all(o == outs[0] for o in outs), k
 
 
 def _reject_constant(name):

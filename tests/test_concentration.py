@@ -18,7 +18,7 @@ from effdim.concentration import (
     _product_means,
 )
 import effdim.concentration
-from effdim.linalg import DimTooLarge
+from effdim.linalg import LimitExceeded
 from effdim.rng import RngStream
 from effdim.spectrum import CovarianceSpectrum, SampleMatrix, make_spectrum, \
     sample_gaussian
@@ -284,9 +284,9 @@ def test_identity_block_ascent_agrees_with_net_oracle(r, res):
 
 def test_moment_tensor_dimension_limit():
     sm = SampleMatrix(np.ones((3, 2)))
-    with pytest.raises(DimTooLarge):  # 2**26 entries
+    with pytest.raises(LimitExceeded, match="order-26 tensor in dimension 2 has"):
         empirical_sup_deviation(sm, identity_fs(26), 26, centered=False)
-    with pytest.raises(DimTooLarge):
+    with pytest.raises(LimitExceeded, match="order-26 tensor in dimension 2 has"):
         gaussian_moment_tensor(make_spectrum("isotropic", d=2, sigma1=1.0), 26)
 
 

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 import effdim.entropy
 from effdim.entropy import (
     BallCover,
-    DimTooLarge,
+    LimitExceeded,
     build_cover,
     eps_entropy_bound,
     kb_mb,
@@ -123,7 +123,7 @@ def test_build_cover_is_a_cover(axes, eps, seed):
     e = CovarianceSpectrum(np.sort(axes)[::-1])
     try:
         cover = build_cover(e, eps)
-    except DimTooLarge:
+    except LimitExceeded:
         assume(False)
     report = verify_cover(cover, sample_ellipsoid(e, 2000, RngStream(seed)))
     assert report["violations"] == 0
@@ -133,8 +133,8 @@ def test_build_cover_is_a_cover(axes, eps, seed):
 def test_build_cover_dim_cap():
     import effdim.linalg
 
-    assert DimTooLarge is effdim.linalg.DimTooLarge  # one declared-limit class
-    with pytest.raises(DimTooLarge):
+    assert LimitExceeded is effdim.linalg.LimitExceeded  # one declared-limit class
+    with pytest.raises(LimitExceeded, match="build_cover supports d <= 5"):
         build_cover(CovarianceSpectrum(np.ones(6)), 0.5)
 
 

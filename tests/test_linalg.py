@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from effdim.linalg import (
-    DimTooLarge,
+    LimitExceeded,
     tensor_opnorm,
 )
 from effdim.rng import RngStream
@@ -136,5 +136,5 @@ def test_sphere_net_covering_radius():
 def test_sphere_net_size_and_dim_cap():
     net = sphere_net(2, 0.1)
     assert len(net) <= 2 * np.pi / 0.1 + 1
-    with pytest.raises(DimTooLarge):
+    with pytest.raises(LimitExceeded, match="sphere_net supports dim <= 4"):
         sphere_net(5, 0.5)

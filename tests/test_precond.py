@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from effdim.concentration import bound_curve
+from effdim.linalg import LimitExceeded
 from effdim.precond import (
     ErmProblem,
-    InnerSolveFailure,
     Loss,
-    SingularPhi,
     hessian_deviation_sup,
     kappa_bound,
     mu_formula,
@@ -133,7 +132,7 @@ def test_relative_condition_rejects_indefinite_phi():
             return np.diag([1.0] * (p.d - 1) + [self.last])
 
     for last in (-1.0, 0.0):  # indefinite, singular
-        with pytest.raises(SingularPhi):
+        with pytest.raises(LimitExceeded, match="Hessian not positive definite"):
             relative_condition(p, Bad(last), [np.zeros(p.d)])
 
 
@@ -163,9 +162,15 @@ def test_newton_solves_quadratic_in_one_step():
 
 
 def test_newton_reports_failure_on_singular_hessian():
-    with pytest.raises(InnerSolveFailure):
+    with pytest.raises(LimitExceeded, match="Newton: Hessian factorization failed"):
         newton_minimize(lambda x: x[0], lambda x: np.array([1.0]),
                         lambda x: np.zeros((1, 1)), np.zeros(1))
+
+
+def test_kappa_bound_rejects_a_nonpositive_lam():
+    for lam in (0.0, -1.0):
+        with pytest.raises(ValueError, match="requires lam > 0"):
+            kappa_bound(lam, 0.1)
 
 
 def test_solve_erm_reaches_stationarity():

@@ -9,6 +9,7 @@ from effdim.smoothing import (
     DRAW_BLOCK,
     SmoothingConfig,
     _direction_scale,
+    _max_row_norm,
     grad_estimator,
     iters_to_gap,
     rs_lockstep,
@@ -274,17 +275,23 @@ def test_lockstep_rejects_runs_of_different_shapes():
 
 
 @pytest.mark.filterwarnings("error")
-def test_lockstep_names_an_underflowing_lipschitz_constant():
-    # Rows of norm ~1e-200 square to 0, so L = max_i ||a_i|| = 0 for the
-    # unregularized hinge loss: the engine stops before any step instead of
-    # dividing by it.
+def test_lockstep_takes_row_norms_whose_squares_underflow():
+    # Rows of norm ~1e-200 square to 0, yet L = max_i ||a_i|| of the
+    # unregularized hinge loss is their norm, bit for bit the norm of the
+    # rows scaled up by a power of two and back.  All-zero rows give L = 0:
+    # the engine stops before any step instead of dividing by it.
     sp = make_spectrum("power_law", d=5, sigma1=1e-200, alpha=1.0)
     A = sample_gaussian(sp, 8, RngStream(24)).rows
-    assert np.abs(A).max() > 0
+    assert np.all(np.linalg.norm(A, axis=1) == 0)
+    L = np.ldexp(np.linalg.norm(np.ldexp(A, 664), axis=1).max(), -664)
+    assert L > 0 and _max_row_norm(A) == L
     prob = ErmProblem(A, A @ np.ones(5), Loss("hinge"), 0.0)
     cfg = SmoothingConfig(radius=1.0, iters=50, batch=4)
-    with pytest.raises(OverflowError, match="underflows"):
-        rs_lockstep(prob, [RngStream(25)], cfg, [None, sp])
+    for run in rs_lockstep(prob, [RngStream(25)], cfg, [None, sp])[0]:
+        assert all(map(math.isfinite, run.gaps)) and np.isfinite(run.x).all()
+    zero = ErmProblem(np.zeros_like(A), np.ones(8), Loss("hinge"), 0.0)
+    with pytest.raises(OverflowError, match="Lipschitz constant .* is 0"):
+        rs_lockstep(zero, [RngStream(25)], cfg, [None, sp])
 
 
 def test_config_validation():
