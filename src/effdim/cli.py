@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .entropy import build_cover, eps_entropy_bound, kb_mb, sample_ellipsoid, \
+from .entropy import build_cover, eps_entropy_bound, sample_ellipsoid, \
     unit_entropy_bound, verify_cover
 from .concentration import Nonlinearity, SearchConfig, scaling_experiment
 from .linalg import LimitExceeded
@@ -314,13 +314,12 @@ def run_cover(config, seed, jobs):
             "seed": seed, "trial": 1, "size": damaged.size,
             "violations": bad["violations"], "max_dist": bad["max_dist"],
         })
-    kb, mb = kb_mb(axes)
+    bound = unit_entropy_bound(axes, radius=eps)
     summary = {
         "size": cover.size, "ln_size": float(np.log(cover.size)),
         "violations": rows[0]["violations"],
         "volumetric_lower": float(np.sum(np.log(axes.sigmas / eps))),
-        "unit_entropy_bound": unit_entropy_bound(CovarianceSpectrum(axes.sigmas / eps)).total,
-        "kb": kb, "mb": mb,
+        "unit_entropy_bound": bound.total, "kb": bound.kb, "mb": bound.mb,
     }
     return summary, {"cover.csv": rows}
 
@@ -375,19 +374,28 @@ def run_precondition(config, seed, jobs):
     aux = ErmProblem(A_aux, b_aux, loss, lam)
     probes = sample_ellipsoid(CovarianceSpectrum(np.ones(sp.dim)),
                               config.get("probes", 50), root.child(4))
+
+    def solve(what, fn, *args, **kwargs):
+        """fn(*args, **kwargs); a declared limit also names ``what`` and
+        sigma_1, since the losses see the scale of the margins."""
+        try:
+            return fn(*args, **kwargs)
+        except LimitExceeded as exc:
+            raise LimitExceeded(f"{what} at sigma_1 {sp.sigmas[0]:g}: {exc}") from exc
+
     if config.get("mu_method", "measured") == "measured":
         # Measuring at the probe points makes mu dominate the deviation at
         # every probe by construction; x = 0 adds the covariance gap.
-        mu = hessian_deviation_sup(problem, aux,
-                                   np.vstack([np.zeros(sp.dim), probes]))
+        mu = solve("measured mu", hessian_deviation_sup, problem, aux,
+                   np.vstack([np.zeros(sp.dim), probes]))
     else:
         mu = mu_formula(sp, n, n_aux, loss.hess_lipschitz, loss.second_max)
     phi = replace(aux, lam=aux.lam + mu)
-    cond = relative_condition(problem, phi, probes)
-    f_star = problem.value(solve_erm(problem))
+    cond = solve("relative condition", relative_condition, problem, phi, probes)
+    f_star = problem.value(solve("reference solve", solve_erm, problem))
     gap_tol = config.get("gap_tol", 1e-6)
-    run_p = precond_bgd(problem, phi, iters=config.get("iters", 200),
-                        f_star=f_star, gap_tol=gap_tol)
+    run_p = solve("Bregman inner solve", precond_bgd, problem, phi,
+                  iters=config.get("iters", 200), f_star=f_star, gap_tol=gap_tol)
     run_g = vanilla_gd(problem, iters=config.get("gd_iters", 200_000),
                        f_star=f_star, gap_tol=gap_tol)
     rows = []

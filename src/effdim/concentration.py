@@ -26,6 +26,7 @@ dimension in the tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,8 @@ class SearchConfig:
     restarts: int = 8
     iters: int = 100
     # Projected-ascent step (nonlinear factors only); by default 0.1 / s**r
-    # with s**2 = d * mean(a_ij**2) over the data.
+    # with s**2 = d * mean(a_ij**2) over the data.  scaling_experiment
+    # applies it to the data of its spectra scaled to sigma_1 in [1, 2).
     step: float | None = None
 
 
@@ -138,7 +140,7 @@ def empirical_sup_deviation(
         return DeviationEstimate(value=value, mode=mode)
     ref_rows = ref.rows if centered else None
 
-    sigma1 = math.sqrt(max(float(np.mean(A**2) * d), 1e-30))
+    sigma1 = math.sqrt(float(np.mean(A**2) * d))
     step = search.step if search.step is not None else 0.1 / sigma1**r
     gen = rng.generator()
     R = search.restarts
@@ -321,6 +323,12 @@ def scaling_experiment(
     ``(spectrum_id, n, trial)``.
     Results do not depend on ``jobs``: every task draws only from its own
     child stream and rows are sorted after the map.
+
+    The deviations are homogeneous of degree r in sigma, so each spectrum
+    runs divided by the power of two 2**k that puts sigma_1 in [1, 2), with
+    clip bounds divided alike, and its values, means and std are multiplied
+    by 2**(k r) at the end.  A result that this takes out of the normal
+    float64 range raises OverflowError or :class:`LimitExceeded`.
     """
     if trials < 30:
         raise ValueError("trials must be >= 30")
@@ -328,6 +336,16 @@ def scaling_experiment(
         fs = identity_fs(r)
     if len({sp.dim for sp in spectra.values()}) != 1:
         raise ValueError("paired trials require spectra of equal dimension")
+
+    # sid -> (k, the spectrum over 2**k, its factors)
+    unit = {}
+    for sid, sp in spectra.items():
+        k = int(np.frexp(sp.sigmas[0])[1]) - 1
+        sigmas = np.ldexp(sp.sigmas, -k)
+        if sigmas[-1] == 0:
+            raise LimitExceeded(f"spectrum {sid!r}: sigma_d / sigma_1 underflows float64")
+        unit[sid] = (k, CovarianceSpectrum(sigmas),
+                     [Nonlinearity(f.kind, f.bound and math.ldexp(f.bound, -k)) for f in fs])
 
     tasks = []
     task_id = 0
@@ -340,13 +358,13 @@ def scaling_experiment(
         task_id, n, trial = task
         stream = rng.child(task_id)
         out = []
-        for sid, sp in sorted(spectra.items()):
+        for sid, (_, sp, sp_fs) in sorted(unit.items()):
             samples = sample_gaussian(sp, n, stream)
             ref = sp if all(f.kind == "identity" for f in fs) else None
             if centered and ref is None:
                 ref = sample_gaussian(sp, _MC_REF_ROWS, stream.child(0))
             est = empirical_sup_deviation(
-                samples, fs, r, centered=centered, ref=ref,
+                samples, sp_fs, r, centered=centered, ref=ref,
                 search=search, rng=stream.child(1),
             )
             out.append({
@@ -359,19 +377,31 @@ def scaling_experiment(
     rows.sort(key=lambda row: (row["spectrum_id"], row["n"], row["trial"]))
     slopes = {}
     for sid in spectra:
+        kr = unit[sid][0] * r
+        where = f"spectrum {sid!r} at sigma_1 {spectra[sid].sigmas[0]:g}"
         means = []
         for n in n_grid:
             vals = np.array([row["value"] for row in rows
                              if row["spectrum_id"] == sid and row["n"] == n])
-            # The squares inside np.std overflow for values near 1e154 and
-            # above; scaling by an exact power of two first keeps them finite
-            # and leaves the std of normal floats bit-equal.
-            k = np.frexp(np.abs(vals).max())[1]
-            std = np.ldexp(np.std(np.ldexp(vals, -k)), k)
-            means.append((n, float(np.mean(vals)), float(std)))
+            means.append((n, _scale_back(float(np.mean(vals)), kr, where),
+                          _scale_back(float(np.std(vals)), kr, where)))
+        for row in rows:
+            if row["spectrum_id"] == sid:
+                row["value"] = _scale_back(row["value"], kr, where)
         slope, stderr = _loglog_slope([m[0] for m in means], [m[1] for m in means])
         slopes[sid] = {"slope": slope, "stderr": stderr, "means": means}
     return {"rows": rows, "slopes": slopes}
+
+
+def _scale_back(value: float, kr: int, where: str) -> float:
+    """value * 2**kr, raising where a nonzero value leaves the normal floats."""
+    try:
+        out = math.ldexp(value, kr)
+    except OverflowError:
+        raise OverflowError(f"{where}: a deviation overflows float64") from None
+    if value and abs(out) < sys.float_info.min:
+        raise LimitExceeded(f"{where}: a deviation underflows float64")
+    return out
 
 
 def _loglog_slope(ns, means):

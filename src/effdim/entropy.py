@@ -2,8 +2,9 @@
 
 An ellipsoid is given by a :class:`CovarianceSpectrum`: its sigma_1 >= ...
 >= sigma_d > 0 are the semi-axes b_i of the axis-aligned ellipsoid
-Sigma^{1/2} B = {x : sum_i (x_i / sigma_i)^2 <= 1}.  The unit-entropy bound
-is reported as an explicit (K_b, correction) pair with the universal
+Sigma^{1/2} B = {x : sum_i (x_i / sigma_i)^2 <= 1}.  One estimate bounds its
+entropy at a radius t, the unit bound at t = 1 and the eps bound at
+t = eps sigma_1: an explicit (K_b, correction) pair with the universal
 constant ``c`` exposed as a parameter (default 1), so downstream
 comparisons can fit ``c`` empirically.
 """
@@ -55,79 +56,65 @@ class BallCover:
         return len(self.cells)
 
 
-def kb_mb(e: CovarianceSpectrum) -> tuple[float, int]:
-    """m_b = #{i : b_i > 1}; K_b = sum of ln(b_i) over those axes."""
-    mb = e.dim - int(np.searchsorted(e.sigmas[::-1], 1.0, side="right"))
-    return _log_sum(e.sigmas[:mb], 1.0), mb
+def kb_mb(e: CovarianceSpectrum, radius: float = 1.0) -> tuple[float, int]:
+    """K_b and m_b at t = ``radius``: m_b = #{i : b_i > t} by binary search,
+    K_b = sum of ln(b_i / t) over those axes, one block at a time."""
+    mb = e.dim - int(np.searchsorted(e.sigmas[::-1], radius, side="right"))
 
-
-def _log_sum(x: np.ndarray, scale: float) -> float:
-    """sum_i ln(x_i / scale), one block at a time."""
     def log_ratio(v):
-        w = v / scale
+        w = v / radius
         return np.log(w, out=w)
 
-    return block_sum(log_ratio, x)
+    return block_sum(log_ratio, e.sigmas[:mb]), mb
 
 
-def unit_entropy_bound(e: CovarianceSpectrum, c: float = 1.0) -> EntropyBound:
-    """Non-asymptotic unit-entropy bound K_b + c[ln d + sqrt(ln+ b1 m_b ln d)]."""
+def unit_entropy_bound(e: CovarianceSpectrum, c: float = 1.0,
+                       radius: float = 1.0) -> EntropyBound:
+    """Non-asymptotic entropy bound K_b + c[ln d + sqrt(ln+(b1/t) ln d m_b)]
+    at t = ``radius``; t = 1 is the unit bound."""
     if c <= 0:
         raise ValueError("c must be positive")
-    kb, mb = kb_mb(e)
+    kb, mb = kb_mb(e, radius)
     ln_d = math.log(e.dim)
-    ln_b1 = max(math.log(e.sigmas[0]), 0.0)
-    correction = ln_d + math.sqrt(ln_b1 * mb * ln_d)
+    ln_top = max(math.log(e.sigmas[0] / radius), 0.0)
+    correction = ln_d + math.sqrt(ln_top * ln_d * mb)
     return EntropyBound(kb=kb, mb=mb, correction=correction, c=c)
-
-
-def m_eps(s: CovarianceSpectrum, eps: float) -> int:
-    """Exact count of sigma_i > eps * sigma_1, by binary search."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    return s.dim - int(np.searchsorted(s.sigmas[::-1], eps * s.sigmas[0], side="right"))
 
 
 def eps_entropy_bound(s: CovarianceSpectrum, eps_grid, r: int = 1,
                       c: float = 1.0) -> list[tuple[int, float]]:
     """Entropy bounds for covering the unit sphere in the Sigma-metric: one
-    ``(m_eps, bound)`` pair per eps of ``eps_grid``, with m_eps the count of
-    :func:`m_eps` that the bound uses; d_eff(r) is computed once for the grid.
+    ``(m_eps, bound)`` pair per eps of ``eps_grid``; d_eff(r) is computed
+    once for the grid.
 
-    Each is the minimum of the exact per-axis sum form and the closed-form
-    d_eff(r) bound, each plus the shared c-bracket.  At d = 1 the sphere is
-    two points of a segment and the bracket is 0, so the bound is ln(1/eps),
-    the right order for covering a segment.  Also checks the
-    companion inequality m_eps <= 1 + (d_eff(r) - 1) * eps^{-2/r} and raises
-    ArithmeticError if it fails.
+    Each is :func:`unit_entropy_bound` at t = eps * sigma_1, m_eps its m_b,
+    with K_b lowered to the closed-form d_eff(r) bound where that is less.
+    At d = 1 the sphere is two points of a segment and the bracket is 0, so
+    the bound is ln(1/eps), the right order for covering a segment.  Also
+    checks the companion inequality m_eps <= 1 + (d_eff(r) - 1) *
+    eps^{-2/r} and raises ArithmeticError if it fails.
     """
     if not all(0 < eps <= 1 for eps in eps_grid):
         raise ValueError("eps must lie in (0, 1]")
     if r < 1:
         raise ValueError("r must be >= 1")
-    deff = effective_dimension(s, r)
-    return [_eps_bound(s, eps, r, c, deff) for eps in eps_grid]
-
-
-def _eps_bound(s: CovarianceSpectrum, eps: float, r: int, c: float,
-               deff: float) -> tuple[int, float]:
-    """m_eps and the bound at one eps."""
     d = s.dim
-    me = m_eps(s, eps)
-    cap = 1 + (deff - 1) * eps ** (-2.0 / r)
-    if not me <= cap + 1e-9:
-        raise ArithmeticError(f"m_eps inequality violated: {me} > {cap}")
-    ln_inv_eps = math.log(1.0 / eps)
-    ln_d = math.log(d)
-    bracket = ln_d + math.sqrt(max(ln_inv_eps, 0.0) * ln_d * me)
-    if d == 1:
-        return me, ln_inv_eps + c * bracket
-    exact_sum = _log_sum(s.sigmas[:me], eps * s.sigmas[0])
-    a = eps ** (-2.0 / r) * (deff - 1.0)
-    lead = min(d - 1.0, a / math.e) / (2.0 / r)
-    log_term = math.log(max(math.e, a / (d - 1.0)))
-    closed_form = ln_inv_eps + lead * log_term
-    return me, min(exact_sum, closed_form) + c * bracket
+    deff = effective_dimension(s, r)
+    out = []
+    for eps in eps_grid:
+        b = unit_entropy_bound(s, c, radius=eps * s.sigmas[0])
+        cap = 1 + (deff - 1) * eps ** (-2.0 / r)
+        if not b.mb <= cap + 1e-9:
+            raise ArithmeticError(f"m_eps inequality violated: {b.mb} > {cap}")
+        ln_inv_eps = math.log(1.0 / eps)
+        if d == 1:
+            out.append((b.mb, ln_inv_eps + c * b.correction))
+            continue
+        a = eps ** (-2.0 / r) * (deff - 1.0)
+        lead = min(d - 1.0, a / math.e) / (2.0 / r)
+        closed_form = ln_inv_eps + lead * math.log(max(math.e, a / (d - 1.0)))
+        out.append((b.mb, min(b.kb, closed_form) + c * b.correction))
+    return out
 
 
 # Grid cells build_cover may enumerate before raising LimitExceeded.

@@ -16,7 +16,7 @@ import numpy as np
 from effdim.cli import main as cli_main, run_concentration, run_cover, \
     run_precondition, run_smooth
 from effdim.concentration import _moment_tensor, gaussian_moment_tensor
-from effdim.entropy import eps_entropy_bound, kb_mb, m_eps, unit_entropy_bound
+from effdim.entropy import eps_entropy_bound, kb_mb, unit_entropy_bound
 from effdim.precond import ErmProblem, Loss
 from effdim.rng import RngStream
 from effdim.smoothing import smoothing_bounds
@@ -92,9 +92,10 @@ def test_criterion_2_entropy_bounds():
         sp = CovarianceSpectrum(np.sort(gen.uniform(1e-2, 1e2, d))[::-1])
         for r in (1, 2, 3):
             deff = effective_dimension(sp, r)
-            vals = [bound for _, bound in eps_entropy_bound(sp, eps_grid, r=r)]
-            for eps in eps_grid:
-                ok &= m_eps(sp, eps) <= 1 + (deff - 1) * eps ** (-2.0 / r) + 1e-9
+            pairs = eps_entropy_bound(sp, eps_grid, r=r)
+            vals = [bound for _, bound in pairs]
+            for eps, (me, _) in zip(eps_grid, pairs):
+                ok &= me <= 1 + (deff - 1) * eps ** (-2.0 / r) + 1e-9
             ok &= all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
     elapsed = time.time() - t0
     ok &= elapsed < 10.0

@@ -247,7 +247,7 @@ def test_sigma1_ladder_exits_0_clean_or_3_naming_the_limit(tmp_path, capsys):
     # Every run finishes with finite outputs and no warning, or stops at a
     # declared limit and leaves no output; never a crash (exit 1), and the
     # exit does not depend on --jobs.
-    for sigma1 in (1.0, 1e50, 1e100, 1e150, 1e200, 1e300):
+    for sigma1 in (1e-300, 1e-200, 1e-100, 1e-50, 1.0, 1e50, 1e100, 1e150, 1e200, 1e300):
         for label, (name, config) in _ladder_configs(sigma1).items():
             cfg = write_config(tmp_path, "c.json", config)
             codes = []
@@ -270,7 +270,60 @@ def test_sigma1_ladder_exits_0_clean_or_3_naming_the_limit(tmp_path, capsys):
                     assert not out.exists(), case
                 codes.append(code)
             assert codes[0] == codes[1], (label, sigma1)
-            assert sigma1 > 1 or codes == [0, 0], label
+            assert sigma1 != 1 or codes == [0, 0], label
+
+
+def test_precondition_scale_limit_names_sigma1_and_the_solve(tmp_path, capsys):
+    # The logistic loss is not homogeneous: at a large sigma_1 a Newton solve
+    # fails, and the message says which one and at what scale.
+    for sigma1, what in ((1e8, "Bregman inner solve"), (1e20, "reference solve")):
+        name, config = _ladder_configs(sigma1)["precondition"]
+        out = tmp_path / f"o{sigma1:g}"
+        assert main([name, "--config", write_config(tmp_path, "c.json", config),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            f"runtime error: LimitExceeded: {what} at sigma_1 {sigma1:g}: Newton: ")
+        assert not out.exists()
+
+
+def test_concentration_names_a_spectrum_it_cannot_scale(tmp_path, capsys):
+    # At sigma_1 in [1, 2) the last axis of [1e100, 1e-250] is below the
+    # smallest float64; its square already underflows in the covariance.
+    config = {"spectra": {"p": {"kind": "custom", "values": [1e100, 1e-250]}},
+              "n_grid": [8], "trials": 30, "r": 2, "search": {"restarts": 1, "iters": 1}}
+    out = tmp_path / "o"
+    assert main(["concentration", "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "runtime error: LimitExceeded: spectrum 'p': sigma_d / sigma_1 underflows float64\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label, r, fs", [
+    ("identity-r2", 2, None), ("identity-r3", 3, None), ("identity-r4", 4, None),
+    ("relu", 2, ["relu", "relu"]), ("clip", 2, ["clip", "relu"])])
+def test_concentration_is_homogeneous_of_degree_r_in_sigma(label, r, fs):
+    # Scaling sigma (and a clip bound) by 2**k scales every deviation, mean
+    # and std by exactly 2**(k r).
+    def run(k):
+        spectrum = {"kind": "power_law", "d": 5 if fs is None else 2,
+                    "sigma1": math.ldexp(1.0, k), "alpha": 1.0}
+        config = {"spectra": {"p": spectrum}, "n_grid": [8, 16], "trials": 30, "r": r,
+                  "search": {"restarts": 1, "iters": 3}}
+        if fs is not None:
+            config["centered"] = False
+            config["fs"] = [{"kind": f, "bound": math.ldexp(0.5, k)} for f in fs]
+        summary, tables = effdim.cli.run_concentration(config, 3, 1)
+        cells = [(m["mean"], m["std"]) for m in summary["p"]["means"]]
+        return [row["value"] for row in tables["deviations.csv"]], cells
+
+    values, cells = run(0)
+    assert any(values)
+    for k in (10, -60):
+        scaled_values, scaled_cells = run(k)
+        assert scaled_values == [math.ldexp(v, k * r) for v in values], (label, k)
+        assert scaled_cells == [tuple(math.ldexp(x, k * r) for x in cell)
+                                for cell in cells], (label, k)
 
 
 @pytest.mark.filterwarnings("error")
@@ -573,6 +626,10 @@ def test_cover_summary_reports_the_unit_entropy_bound_of_axes_over_eps():
     summary, _ = effdim.cli.run_cover(config, 0, 1)
     bound = unit_entropy_bound(CovarianceSpectrum(np.array([8.0, 4.0, 1.0])))
     assert summary["unit_entropy_bound"] == bound.total
+    # kb and mb are the terms of that bound: K_b and m_b of axes / eps.
+    assert (summary["kb"], summary["mb"]) == (bound.kb, bound.mb)
+    assert bound.mb == 2 and bound.kb == pytest.approx(math.log(32.0), abs=1e-14)
+    assert summary["kb"] + bound.correction == summary["unit_entropy_bound"]
 
 
 def test_cover_negative_control_keeps_the_earliest_tied_cells(monkeypatch):

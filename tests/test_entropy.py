@@ -17,7 +17,6 @@ from effdim.entropy import (
     build_cover,
     eps_entropy_bound,
     kb_mb,
-    m_eps,
     sample_ellipsoid,
     unit_entropy_bound,
     verify_cover,
@@ -53,9 +52,10 @@ def test_unit_entropy_bound_degenerate_dim_one():
 
 def test_m_eps_counts():
     s = make_spectrum("custom", values=[2.0, 1.0, 0.5, 0.25])
-    assert m_eps(s, 0.6) == 1
-    assert m_eps(s, 0.4) == 2
-    assert m_eps(s, 0.1) == 4
+    # m_eps is m_b at the radius eps * sigma_1.
+    assert kb_mb(s, 0.6 * 2.0)[1] == 1
+    assert kb_mb(s, 0.4 * 2.0)[1] == 2
+    assert kb_mb(s, 0.1 * 2.0)[1] == 4
 
 
 def test_eps_entropy_bound_monotone_and_meps_inequality():
@@ -85,8 +85,8 @@ def test_eps_entropy_bound_at_dim_one_is_ln_inv_eps(tmp_path):
     # run says nothing on stderr.
     s = make_spectrum("isotropic", d=1, sigma1=1.0)
     eps_grid = [1.0, 0.5, 0.01]
-    assert eps_entropy_bound(s, eps_grid, c=3.0) == [(m_eps(s, eps), math.log(1.0 / eps))
-                                                     for eps in eps_grid]
+    assert eps_entropy_bound(s, eps_grid, c=3.0) == [
+        (kb_mb(s, eps * s.sigmas[0])[1], math.log(1.0 / eps)) for eps in eps_grid]
     cfg = tmp_path / "c.json"
     cfg.write_text('{"spectrum": {"kind": "isotropic", "d": 1}, "eps_grid": [0.5, 0.1]}')
     code = "import sys; from effdim.cli import main; sys.exit(main(sys.argv[1:]))"
@@ -97,6 +97,21 @@ def test_eps_entropy_bound_at_dim_one_is_ln_inv_eps(tmp_path):
                           env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 0
     assert done.stderr == ""
+
+
+def test_eps_bound_depends_on_d_only_through_its_bracket():
+    # On a summable power law, the exact part of the eps bound is fixed once
+    # d exceeds m_eps; only the c-bracket, ln d + sqrt(ln(1/eps) ln d m_eps),
+    # still grows with d.  So the finite-d bound is not dimension-free.
+    corrections = []
+    for d in (10**3, 10**4, 10**5, 10**6):
+        s = make_spectrum("power_law", d=d, alpha=1.0)
+        b = unit_entropy_bound(s, radius=0.1)
+        assert (b.mb, b.kb) == (9, 7.921438356864941)
+        assert eps_entropy_bound(s, [0.1], r=1) == [(9, b.kb + b.correction)]
+        corrections.append(b.correction)
+    assert corrections == sorted(corrections)
+    assert corrections[-1] - corrections[0] > 11.8
 
 
 def test_build_cover_validity_and_negative_control():

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import effdim.entropy
 from effdim.cli import run_effdim, run_entropy
-from effdim.entropy import eps_entropy_bound, kb_mb, m_eps
+from effdim.entropy import eps_entropy_bound, kb_mb
 from effdim.rng import RngStream
 from effdim.spectrum import (
     BLOCK,
@@ -190,25 +190,24 @@ def _spectra(d):
     yield make_spectrum("custom", values=steps[np.arange(d) * len(steps) // d])
 
 
+def kb_mb_whole(e, radius=1.0):
+    """kb_mb by a whole-array mask and log-sum."""
+    mb = count_above_whole(e.sigmas, radius)
+    return log_sum_whole(e.sigmas[:mb], radius), mb
+
+
 @pytest.mark.parametrize("d", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 10**6 + 3])
 def test_blocked_passes_are_bit_equal_to_the_whole_array_oracles(d, monkeypatch):
     eps_grid = [1.0, 0.5, 1.0 / 3.0, 1.0 / 6.0, 0.01, 1.0 / 3000.0, 1e-9]
     for s in _spectra(d):
         for r in (1, 2, 2.5, 3, 8):
             assert effective_dimension(s, r) == effective_dimension_whole(s, r)
-        for eps in eps_grid:
-            t = eps * s.sigmas[0]
-            me = count_above_whole(s.sigmas, t)
-            assert m_eps(s, eps) == me
-            assert effdim.entropy._log_sum(s.sigmas[:me], t) == log_sum_whole(s.sigmas[:me], t)
-        mb = count_above_whole(s.sigmas, 1.0)
-        assert kb_mb(s) == (log_sum_whole(s.sigmas[:mb], 1.0), mb)
+        for t in [1.0] + [eps * s.sigmas[0] for eps in eps_grid]:
+            assert kb_mb(s, t) == kb_mb_whole(s, t)
         blocked = [eps_entropy_bound(s, eps_grid, r=r) for r in (1, 3)]
         with monkeypatch.context() as m:
             m.setattr(effdim.entropy, "effective_dimension", effective_dimension_whole)
-            m.setattr(effdim.entropy, "_log_sum", log_sum_whole)
-            m.setattr(effdim.entropy, "m_eps",
-                      lambda s, eps: count_above_whole(s.sigmas, eps * s.sigmas[0]))
+            m.setattr(effdim.entropy, "kb_mb", kb_mb_whole)
             assert blocked == [eps_entropy_bound(s, eps_grid, r=r) for r in (1, 3)]
 
 
@@ -221,7 +220,7 @@ def test_m_eps_binary_search_matches_the_mask_count(values, i, eps):
     sig = np.sort(np.asarray(values))[::-1]
     s = CovarianceSpectrum(sig)
     for e in (sig[i % len(sig)] / sig[0], eps):
-        assert m_eps(s, e) == count_above_whole(sig, e * sig[0])
+        assert kb_mb(s, e * sig[0])[1] == count_above_whole(sig, e * sig[0])
 
 
 def test_order_check_sees_every_adjacent_pair_across_blocks():
