@@ -10,6 +10,9 @@ reduced in a canonical order, so outputs are byte-identical for any
 Runners are pure: ``run_x(config, seed, jobs)`` returns ``(summary,
 {csv_name: rows})``, where the key order of each row dict is the CSV
 header.  ``main`` alone owns ``--out`` and writes every file in it.
+Each runner is its experiment's whole pipeline, from config to rows; only
+``run_concentration`` uses ``jobs``, for its (n, trial) tasks.  A config
+check the schema cannot express is made once, in the runner (ConfigInvalid).
 
 Exit codes: 0 success, 2 invalid config, 3 declared computational limit
 (``DECLARED_LIMITS``), 1 any other error, with its traceback on stderr.
@@ -36,7 +39,9 @@ import numpy as np
 from . import __version__
 from .entropy import build_cover, eps_entropy_bound, sample_ellipsoid, \
     unit_entropy_bound, verify_cover
-from .concentration import Nonlinearity, SearchConfig, scaling_experiment
+from ._parallel import parallel_map
+from .concentration import MC_REF_ROWS, Nonlinearity, SearchConfig, \
+    empirical_sup_deviation
 from .linalg import LimitExceeded
 from .precond import ErmProblem, Loss, hessian_deviation_sup, kappa_bound, \
     mu_formula, precond_bgd, relative_condition, solve_erm, vanilla_gd
@@ -118,7 +123,7 @@ SCHEMAS = {
                 "additionalProperties": _SPECTRUM_SCHEMA,
                 "minProperties": 1,
             },
-            "n_grid": {"type": "array", "minItems": 1,
+            "n_grid": {"type": "array", "minItems": 1, "uniqueItems": True,
                        "items": {"type": "integer", "minimum": 2}},
             "trials": {"type": "integer", "minimum": 30},
             "r": {"type": "integer", "minimum": 2},
@@ -325,30 +330,116 @@ def run_cover(config, seed, jobs):
 
 
 def run_concentration(config, seed, jobs):
+    """Deviation estimates over ``n_grid``, with a log-log slope fit per
+    spectrum.
+
+    Trials are paired across spectra to reduce comparison variance: each
+    spectrum's data for one (n, trial) task is ``sample_gaussian(sp, n,
+    stream)`` on the task's own child stream, and every call restarts that
+    stream at Philox counter 0, so all spectra scale the same
+    standard-normal draws.  Rows are sorted by ``(spectrum_id, n, trial)``
+    after the map, so they do not depend on ``jobs``.
+
+    The deviations are homogeneous of degree r in sigma, so each spectrum
+    runs divided by the power of two 2**k that puts sigma_1 in [1, 2), with
+    clip bounds divided alike, and its values, means and std are multiplied
+    by 2**(k r) at the end.  A bound or result that this takes out of the
+    normal float64 range raises OverflowError or :class:`LimitExceeded`.
+    """
     spectra = {sid: _spectrum(sc) for sid, sc in config["spectra"].items()}
     if len({sp.dim for sp in spectra.values()}) != 1:
         raise ConfigInvalid("paired trials require spectra of equal dimension")
-    r = config["r"]
-    fs = None
-    if "fs" in config:
-        try:
-            fs = [Nonlinearity(f["kind"], f.get("bound")) for f in config["fs"]]
-        except ValueError as exc:
-            raise ConfigInvalid(f"fs: {exc}") from exc
-        if len(fs) != r:
-            raise ConfigInvalid("fs must list one nonlinearity per factor")
-    result = scaling_experiment(
-        spectra, config["n_grid"], config["trials"], r, fs=fs,
-        centered=config.get("centered", True),
-        search=SearchConfig(**config.get("search", {})),
-        rng=RngStream(seed), jobs=jobs,
-    )
-    summary = {
-        sid: {"slope": fit["slope"], "stderr": fit["stderr"],
-              "means": [{"n": n, "mean": m, "std": s} for n, m, s in fit["means"]]}
-        for sid, fit in sorted(result["slopes"].items())
-    }
-    return summary, {"deviations.csv": result["rows"]}
+    r, n_grid, trials = config["r"], config["n_grid"], config["trials"]
+    try:
+        fs = [Nonlinearity(f["kind"], f.get("bound"))
+              for f in config.get("fs", [{"kind": "identity"}] * r)]
+    except ValueError as exc:
+        raise ConfigInvalid(f"fs: {exc}") from exc
+    if len(fs) != r:
+        raise ConfigInvalid("fs must list one nonlinearity per factor")
+    centered = config.get("centered", True)
+    identity = all(f.kind == "identity" for f in fs)
+    search = SearchConfig(**config.get("search", {}))
+    root = RngStream(seed)
+
+    # sid -> (k, where, the spectrum over 2**k, its factors)
+    unit = {}
+    for sid, sp in spectra.items():
+        k = int(np.frexp(sp.sigmas[0])[1]) - 1
+        sigmas = np.ldexp(sp.sigmas, -k)
+        if sigmas[-1] == 0:
+            raise LimitExceeded(f"spectrum {sid!r}: sigma_d / sigma_1 underflows float64")
+        where = f"spectrum {sid!r} at sigma_1 {sp.sigmas[0]:g}"
+        unit[sid] = (k, where, CovarianceSpectrum(sigmas), [
+            Nonlinearity("clip", _ldexp(f.bound, -k, f"{where}: clip bound {f.bound:g}"))
+            if f.kind == "clip" else f for f in fs])
+
+    tasks = [(n, trial) for n in n_grid for trial in range(trials)]
+
+    def run_task(task_id):
+        n, trial = tasks[task_id]
+        stream = root.child(task_id)
+        out = []
+        for sid, (_, _, sp, sp_fs) in sorted(unit.items()):
+            samples = sample_gaussian(sp, n, stream)
+            if identity:
+                ref = sp
+            else:
+                ref = sample_gaussian(sp, MC_REF_ROWS, stream.child(0)) if centered else None
+            est = empirical_sup_deviation(samples, sp_fs, r, centered=centered, ref=ref,
+                                          search=search, rng=stream.child(1))
+            out.append({"seed": seed, "trial": trial, "spectrum_id": sid,
+                        "n": n, "value": est.value, "mode": est.mode})
+        return out
+
+    rows = [row for chunk in parallel_map(run_task, range(len(tasks)), jobs)
+            for row in chunk]
+    rows.sort(key=lambda row: (row["spectrum_id"], row["n"], row["trial"]))
+    summary = {}
+    for sid in spectra:
+        k, where, _, _ = unit[sid]
+        what = f"{where}: a deviation"
+        means = []
+        for n in n_grid:
+            vals = np.array([row["value"] for row in rows
+                             if row["spectrum_id"] == sid and row["n"] == n])
+            means.append({"n": n, "mean": _ldexp(float(np.mean(vals)), k * r, what),
+                          "std": _ldexp(float(np.std(vals)), k * r, what)})
+        for row in rows:
+            if row["spectrum_id"] == sid:
+                row["value"] = _ldexp(row["value"], k * r, what)
+        slope, stderr = _loglog_slope(n_grid, [m["mean"] for m in means])
+        summary[sid] = {"slope": slope, "stderr": stderr, "means": means}
+    return dict(sorted(summary.items())), {"deviations.csv": rows}
+
+
+def _ldexp(value: float, exp: int, what: str) -> float:
+    """value * 2**exp, raising, with ``what`` named, where a nonzero value
+    leaves the normal floats."""
+    try:
+        out = math.ldexp(value, exp)
+    except OverflowError:
+        raise OverflowError(f"{what} overflows float64") from None
+    if value and abs(out) < sys.float_info.min:
+        raise LimitExceeded(f"{what} underflows float64")
+    return out
+
+
+def _loglog_slope(ns, means):
+    """Log-log slope and its stderr; (None, None) for < 2 n or a mean <= 0,
+    and stderr None for 2 n, which leave no residual degree of freedom."""
+    if len(ns) < 2 or min(means) <= 0:
+        return None, None
+    x = np.log(np.asarray(ns, dtype=float))
+    y = np.log(np.asarray(means, dtype=float))
+    A = np.column_stack([x, np.ones_like(x)])
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    if len(x) == 2:
+        return float(coef[0]), None
+    resid = y - A @ coef
+    s2 = float(resid @ resid) / (len(x) - 2)
+    cov = s2 * np.linalg.inv(A.T @ A)
+    return float(coef[0]), float(math.sqrt(max(cov[0, 0], 0.0)))
 
 
 def run_precondition(config, seed, jobs):

@@ -26,16 +26,14 @@ dimension in the tests.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .linalg import LimitExceeded, tensor_opnorm
 from .rng import RngStream
 from .spectrum import CovarianceSpectrum, SampleMatrix, effective_dimension, \
-    max_norm_bound, sample_gaussian
+    max_norm_bound
 
 
 @dataclass(frozen=True)
@@ -66,10 +64,6 @@ class Nonlinearity:
         return (np.abs(z) < self.bound).astype(float)
 
 
-def identity_fs(r: int) -> list[Nonlinearity]:
-    return [Nonlinearity("identity")] * r
-
-
 @dataclass(frozen=True)
 class SearchConfig:
     """Multistart projected gradient ascent budget."""
@@ -77,7 +71,7 @@ class SearchConfig:
     restarts: int = 8
     iters: int = 100
     # Projected-ascent step (nonlinear factors only); by default 0.1 / s**r
-    # with s**2 = d * mean(a_ij**2) over the data.  scaling_experiment
+    # with s**2 = d * mean(a_ij**2) over the data.  ``effdim concentration``
     # applies it to the data of its spectra scaled to sigma_1 in [1, 2).
     step: float | None = None
 
@@ -108,7 +102,8 @@ def empirical_sup_deviation(
     search: SearchConfig = SearchConfig(),
     rng: RngStream = RngStream(0),
 ) -> DeviationEstimate:
-    """Supremum over unit x_1..x_r of the empirical (centered) product mean.
+    """Supremum over unit x_1..x_r of the empirical (centered) product mean
+    of f_1(a . x_1)...f_r(a . x_r), with ``fs`` listing the r factors.
 
     ``ref`` supplies the expectation terms for centered mode: identity
     factors take a :class:`CovarianceSpectrum` (the exact Gaussian moment
@@ -121,8 +116,6 @@ def empirical_sup_deviation(
     """
     if r < 2:
         raise ValueError("r must be >= 2")
-    if len(fs) != r:
-        raise ValueError("need one nonlinearity per factor")
     identity = all(f.kind == "identity" for f in fs)
     ref_type = CovarianceSpectrum if identity else SampleMatrix
     if centered and not isinstance(ref, ref_type):
@@ -172,7 +165,7 @@ def empirical_sup_deviation(
 
 
 # Rows of the Monte-Carlo reference drawn per trial for nonlinear factors.
-_MC_REF_ROWS = 10**6
+MC_REF_ROWS = 10**6
 # Dense d**p tensors are capped at 2**25 float64 entries (256 MiB each).
 _MAX_TENSOR_ENTRIES = 2**25
 # Rows per chunk of the moment engine keep each Khatri-Rao block near 2**20 entries.
@@ -297,123 +290,3 @@ def bound_curve(theorem: str, s: CovarianceSpectrum, n: int, r: int,
         scale = (B / sigma1**r) ** (1.0 - 2.0 / r)
         return sigma1**r * (1.0 + (deff_r * ln_d + lam) / n * scale)
     raise ValueError(f"unknown theorem {theorem!r}")
-
-
-def scaling_experiment(
-    spectra: dict[str, CovarianceSpectrum],
-    n_grid: list[int],
-    trials: int,
-    r: int,
-    fs: list[Nonlinearity] | None = None,
-    centered: bool = True,
-    search: SearchConfig = SearchConfig(),
-    rng: RngStream = RngStream(0),
-    jobs: int = 1,
-) -> dict:
-    """Deviation estimates over an n grid, with log-log slope fits.
-
-    Trials are paired across spectra to reduce comparison variance: each
-    spectrum's data for one trial is ``sample_gaussian(sp, n, stream)`` on
-    the trial's own stream, and every call restarts that stream at Philox
-    counter 0, so all spectra scale the same standard-normal draws.
-    Requires trials >= 30.  Returns ``{"rows": [...], "slopes": {spectrum_id:
-    {"slope", "stderr", "means"}}}``, slope and stderr None without a fit;
-    each row's keys are ``seed, trial, spectrum_id, n, value, mode`` in that
-    order, with ``seed`` the master seed of ``rng``, and rows are sorted by
-    ``(spectrum_id, n, trial)``.
-    Results do not depend on ``jobs``: every task draws only from its own
-    child stream and rows are sorted after the map.
-
-    The deviations are homogeneous of degree r in sigma, so each spectrum
-    runs divided by the power of two 2**k that puts sigma_1 in [1, 2), with
-    clip bounds divided alike, and its values, means and std are multiplied
-    by 2**(k r) at the end.  A result that this takes out of the normal
-    float64 range raises OverflowError or :class:`LimitExceeded`.
-    """
-    if trials < 30:
-        raise ValueError("trials must be >= 30")
-    if fs is None:
-        fs = identity_fs(r)
-    if len({sp.dim for sp in spectra.values()}) != 1:
-        raise ValueError("paired trials require spectra of equal dimension")
-
-    # sid -> (k, the spectrum over 2**k, its factors)
-    unit = {}
-    for sid, sp in spectra.items():
-        k = int(np.frexp(sp.sigmas[0])[1]) - 1
-        sigmas = np.ldexp(sp.sigmas, -k)
-        if sigmas[-1] == 0:
-            raise LimitExceeded(f"spectrum {sid!r}: sigma_d / sigma_1 underflows float64")
-        unit[sid] = (k, CovarianceSpectrum(sigmas),
-                     [Nonlinearity(f.kind, f.bound and math.ldexp(f.bound, -k)) for f in fs])
-
-    tasks = []
-    task_id = 0
-    for n in n_grid:
-        for trial in range(trials):
-            tasks.append((task_id, n, trial))
-            task_id += 1
-
-    def run_task(task):
-        task_id, n, trial = task
-        stream = rng.child(task_id)
-        out = []
-        for sid, (_, sp, sp_fs) in sorted(unit.items()):
-            samples = sample_gaussian(sp, n, stream)
-            ref = sp if all(f.kind == "identity" for f in fs) else None
-            if centered and ref is None:
-                ref = sample_gaussian(sp, _MC_REF_ROWS, stream.child(0))
-            est = empirical_sup_deviation(
-                samples, sp_fs, r, centered=centered, ref=ref,
-                search=search, rng=stream.child(1),
-            )
-            out.append({
-                "seed": rng.master_seed, "trial": trial, "spectrum_id": sid,
-                "n": n, "value": est.value, "mode": est.mode,
-            })
-        return out
-
-    rows = [row for chunk in parallel_map(run_task, tasks, jobs) for row in chunk]
-    rows.sort(key=lambda row: (row["spectrum_id"], row["n"], row["trial"]))
-    slopes = {}
-    for sid in spectra:
-        kr = unit[sid][0] * r
-        where = f"spectrum {sid!r} at sigma_1 {spectra[sid].sigmas[0]:g}"
-        means = []
-        for n in n_grid:
-            vals = np.array([row["value"] for row in rows
-                             if row["spectrum_id"] == sid and row["n"] == n])
-            means.append((n, _scale_back(float(np.mean(vals)), kr, where),
-                          _scale_back(float(np.std(vals)), kr, where)))
-        for row in rows:
-            if row["spectrum_id"] == sid:
-                row["value"] = _scale_back(row["value"], kr, where)
-        slope, stderr = _loglog_slope([m[0] for m in means], [m[1] for m in means])
-        slopes[sid] = {"slope": slope, "stderr": stderr, "means": means}
-    return {"rows": rows, "slopes": slopes}
-
-
-def _scale_back(value: float, kr: int, where: str) -> float:
-    """value * 2**kr, raising where a nonzero value leaves the normal floats."""
-    try:
-        out = math.ldexp(value, kr)
-    except OverflowError:
-        raise OverflowError(f"{where}: a deviation overflows float64") from None
-    if value and abs(out) < sys.float_info.min:
-        raise LimitExceeded(f"{where}: a deviation underflows float64")
-    return out
-
-
-def _loglog_slope(ns, means):
-    """Log-log slope and its stderr; (None, None) for < 2 n or a mean <= 0."""
-    if len(ns) < 2 or min(means) <= 0:
-        return None, None
-    x = np.log(np.asarray(ns, dtype=float))
-    y = np.log(np.asarray(means, dtype=float))
-    A = np.column_stack([x, np.ones_like(x)])
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    dof = max(len(x) - 2, 1)
-    resid = y - A @ coef
-    s2 = float(resid @ resid) / dof
-    cov = s2 * np.linalg.inv(A.T @ A)
-    return float(coef[0]), float(math.sqrt(max(cov[0, 0], 0.0)))

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import effdim.cli
-from effdim.cli import SCHEMAS, ConfigInvalid, main, validate
+from effdim.cli import SCHEMAS, ConfigInvalid, _loglog_slope, main, validate
 from effdim.entropy import kb_mb, unit_entropy_bound
 from effdim.precond import Loss, kappa_bound, mu_formula
 from effdim.rng import RngStream
@@ -95,6 +95,14 @@ REPEATED_DIRECTION = ("smooth", '{"spectrum": {"kind": "isotropic", "d": 2},'
                                 ' "n": 8, "radius": 1.0, "iters": 5, "batch": 2,'
                                 ' "trials": 1, "directions": ["data", "iso", "data"]}')
 
+# A repeated n would run its trials twice and fit a slope through one point.
+REPEATED_N = ("concentration", '{"spectra": {"iso": {"kind": "isotropic", "d": 2}},'
+                               ' "n_grid": [8, 8], "trials": 30, "r": 2}')
+
+# The trials floor is the schema's alone.
+TRIALS_BELOW_FLOOR = ("concentration", '{"spectra": {"iso": {"kind": "isotropic", "d": 2}},'
+                                       ' "n_grid": [8], "trials": 29, "r": 2}')
+
 # Draft 2020-12 counts 30.0 as an integer; a run would then crash with a
 # TypeError where the library needs an int.  Integers must be written as one.
 INTEGRAL_FLOATS = [
@@ -115,7 +123,9 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["effdim", "--config", cfg2]) == 2
     assert main(["effdim", "--config", str(tmp_path / "missing.json")]) == 2
     for k, (subcommand, text) in enumerate(NON_FINITE + [EPS_ABOVE_ONE,
-                                                         REPEATED_DIRECTION]
+                                                         REPEATED_DIRECTION,
+                                                         REPEATED_N,
+                                                         TRIALS_BELOW_FLOOR]
                                            + INTEGRAL_FLOATS):
         cfg = tmp_path / f"nonfinite{k}.json"
         cfg.write_text(text)
@@ -243,11 +253,23 @@ def _numbers(obj):
     return [obj] if isinstance(obj, float) else []
 
 
+def _scaled_by(value, base, sigma1, r):
+    """value == sigma1**r * base within rel 1e-9, compared as logs, since
+    sigma1**r itself may leave the float64 range (1e-200**2 is 0.0)."""
+    if base == 0:
+        return value == 0
+    ratio = value / base
+    return ratio > 0 and math.isclose(math.log(ratio), r * math.log(sigma1), abs_tol=1e-9)
+
+
 def test_sigma1_ladder_exits_0_clean_or_3_naming_the_limit(tmp_path, capsys):
     # Every run finishes with finite outputs and no warning, or stops at a
     # declared limit and leaves no output; never a crash (exit 1), and the
-    # exit does not depend on --jobs.
-    for sigma1 in (1e-300, 1e-200, 1e-100, 1e-50, 1.0, 1e50, 1e100, 1e150, 1e200, 1e300):
+    # exit does not depend on --jobs.  A concentration run that finishes
+    # writes sigma1**r times the deviations of the sigma1 = 1 run, so a value
+    # lost to underflow cannot pass as a small one.  sigma1 = 1 runs first.
+    unit_values = {}
+    for sigma1 in (1.0, 1e-300, 1e-200, 1e-100, 1e-50, 1e50, 1e100, 1e150, 1e200, 1e300):
         for label, (name, config) in _ladder_configs(sigma1).items():
             cfg = write_config(tmp_path, "c.json", config)
             codes = []
@@ -264,6 +286,13 @@ def test_sigma1_ladder_exits_0_clean_or_3_naming_the_limit(tmp_path, capsys):
                         with open(out / table) as fh:
                             values += _numbers(list(csv.reader(fh)))
                     assert all(map(math.isfinite, values)), case
+                    if name == "concentration":
+                        with open(out / "deviations.csv") as fh:
+                            devs = [float(row["value"]) for row in csv.DictReader(fh)]
+                        base = unit_values.setdefault(label, devs)
+                        assert len(devs) == len(base), case
+                        assert all(_scaled_by(v, b, sigma1, config["r"])
+                                   for v, b in zip(devs, base)), case
                 else:
                     assert code == 3 and err.startswith(
                         ("runtime error: LimitExceeded: ",) + OVERFLOW_ERRORS), case
@@ -297,6 +326,58 @@ def test_concentration_names_a_spectrum_it_cannot_scale(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "runtime error: LimitExceeded: spectrum 'p': sigma_d / sigma_1 underflows float64\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma1, bound, error", [
+    (1e300, 1e-300, "LimitExceeded: spectrum 'p' at sigma_1 1e+300: "
+                    "clip bound 1e-300 underflows float64"),
+    (1e-300, 1e300, "OverflowError: spectrum 'p' at sigma_1 1e-300: "
+                    "clip bound 1e+300 overflows float64")], ids=["underflow", "overflow"])
+def test_concentration_names_a_clip_bound_it_cannot_scale(sigma1, bound, error,
+                                                          tmp_path, capsys):
+    # At sigma_1 in [1, 2) the clip bound leaves the normal float64 range.
+    config = {"spectra": {"p": {"kind": "power_law", "d": 3, "sigma1": sigma1,
+                                "alpha": 1.0}},
+              "n_grid": [8], "trials": 30, "r": 2, "centered": False,
+              "fs": [{"kind": "clip", "bound": bound}] * 2,
+              "search": {"restarts": 1, "iters": 1}}
+    out = tmp_path / "o"
+    assert main(["concentration", "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"runtime error: {error}\n"
+    assert not out.exists()
+
+
+def test_concentration_pairing_and_jobs_invariance():
+    def rows(spectra, jobs):
+        config = {"spectra": spectra, "n_grid": [32, 64], "trials": 30, "r": 2,
+                  "search": {"restarts": 4, "iters": 30}}
+        return effdim.cli.run_concentration(config, 41, jobs)[1]["deviations.csv"]
+
+    spectra = {"iso": {"kind": "isotropic", "d": 4},
+               "pl": {"kind": "power_law", "d": 4, "alpha": 1.0}}
+    assert rows(spectra, 1) == rows(spectra, 4)
+    # Paired trials scale the same draws, and both spectra run as the same
+    # unit spectrum: at r = 2 the sigma1 = 2 deviation is exactly 4 times
+    # the sigma1 = 1 one, trial by trial.
+    scaled = rows({"a": {"kind": "isotropic", "d": 4, "sigma1": 1.0},
+                   "b": {"kind": "isotropic", "d": 4, "sigma1": 2.0}}, 1)
+    a, b = ([row["value"] for row in scaled if row["spectrum_id"] == sid] for sid in "ab")
+    assert len(a) == 60 and b == [4.0 * v for v in a]
+
+
+def test_loglog_slope_recovers_power_law():
+    ns = [100, 200, 400, 800]
+    means = [3.0 * n**-0.5 for n in ns]
+    slope, stderr = _loglog_slope(ns, means)
+    assert slope == pytest.approx(-0.5, abs=1e-12)
+    assert stderr == pytest.approx(0.0, abs=1e-10)
+    # No fit, and so no JSON-invalid NaN, from one n or a mean <= 0.
+    assert _loglog_slope(ns[:1], means[:1]) == (None, None)
+    assert _loglog_slope(ns, [0.0] + means[1:]) == (None, None)
+    # Two n leave no residual degree of freedom for a stderr.
+    slope, stderr = _loglog_slope([16, 64], [0.4, 0.2])
+    assert slope == pytest.approx(-0.5, abs=1e-12) and stderr is None
 
 
 @pytest.mark.parametrize("label, r, fs", [

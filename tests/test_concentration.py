@@ -11,9 +11,6 @@ from effdim.concentration import (
     bound_curve,
     empirical_sup_deviation,
     gaussian_moment_tensor,
-    identity_fs,
-    scaling_experiment,
-    _loglog_slope,
     _moment_tensor,
     _product_means,
 )
@@ -26,6 +23,10 @@ from oracles import sphere_net
 
 
 SP5 = make_spectrum("isotropic", d=5, sigma1=1.0)
+
+
+def identity_fs(r):
+    return [Nonlinearity("identity")] * r
 
 
 def net_sup_deviation(samples: SampleMatrix, fs, r, centered, ref,
@@ -311,37 +312,3 @@ def test_tightness_probe_single_sample_is_exact():
     # ||a_1|| = 5, value at x = a_1/||a_1|| is ||a_1||^r
     assert tightness_probe(sm, 2) == pytest.approx(25.0, rel=1e-12)
     assert tightness_probe(sm, 3) == pytest.approx(125.0, rel=1e-12)
-
-
-def test_loglog_slope_recovers_power_law():
-    ns = [100, 200, 400, 800]
-    means = [3.0 * n**-0.5 for n in ns]
-    slope, stderr = _loglog_slope(ns, means)
-    assert slope == pytest.approx(-0.5, abs=1e-12)
-    assert stderr == pytest.approx(0.0, abs=1e-10)
-    # No fit, and so no JSON-invalid NaN, from one n or a mean <= 0.
-    assert _loglog_slope(ns[:1], means[:1]) == (None, None)
-    assert _loglog_slope(ns, [0.0] + means[1:]) == (None, None)
-
-
-def test_scaling_experiment_pairing_and_jobs_invariance():
-    spectra = {
-        "iso": make_spectrum("isotropic", d=4, sigma1=1.0),
-        "pl": make_spectrum("power_law", d=4, sigma1=1.0, alpha=1.0),
-    }
-    kwargs = dict(n_grid=[32, 64], trials=30, r=2,
-                  search=SearchConfig(restarts=4, iters=30), rng=RngStream(41))
-    r1 = scaling_experiment(spectra, jobs=1, **kwargs)
-    r2 = scaling_experiment(spectra, jobs=4, **kwargs)
-    assert r1["rows"] == r2["rows"]
-    # Paired trials scale the same draws: at r = 2 the sigma1 = 2 deviation
-    # is exactly 4 times the sigma1 = 1 one, trial by trial.
-    scaled = {"a": make_spectrum("isotropic", d=4, sigma1=1.0),
-              "b": make_spectrum("isotropic", d=4, sigma1=2.0)}
-    rows = scaling_experiment(scaled, jobs=1, **kwargs)["rows"]
-    by_spectrum = {sid: [row["value"] for row in rows if row["spectrum_id"] == sid]
-                   for sid in scaled}
-    np.testing.assert_allclose(by_spectrum["b"], 4.0 * np.asarray(by_spectrum["a"]),
-                               rtol=1e-12)
-    with pytest.raises(ValueError):
-        scaling_experiment(spectra, [32], 5, 2, rng=RngStream(1))
