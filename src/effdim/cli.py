@@ -337,8 +337,19 @@ def run_concentration(config, seed, jobs):
     spectrum's data for one (n, trial) task is ``sample_gaussian(sp, n,
     stream)`` on the task's own child stream, and every call restarts that
     stream at Philox counter 0, so all spectra scale the same
-    standard-normal draws.  Rows are sorted by ``(spectrum_id, n, trial)``
-    after the map, so they do not depend on ``jobs``.
+    standard-normal draws.  Each spectrum runs its tasks in its own
+    ``parallel_map``, and rows are sorted by ``(spectrum_id, n, trial)``
+    afterwards, so they do not depend on ``jobs`` or on the spectra's order.
+
+    Centered nonlinear factors are measured against one ``MC_REF_ROWS``-row
+    Monte-Carlo reference per spectrum, ``sample_gaussian(sp, MC_REF_ROWS,
+    root)`` with ``root = RngStream(seed)``: drawn before that spectrum's
+    map, shared read-only by its tasks and dropped after it, so one
+    reference is held at a time.  The root is the same stream for every
+    spectrum, so spectra are paired on the reference as on the data, and
+    it does not depend on ``n_grid``, ``trials`` or ``jobs``.  SplitMix64
+    is a bijection, so no task stream ``root.child(task_id)``, nor any of
+    its first 16 children, equals the root below a task id of 2**59.
 
     The deviations are homogeneous of degree r in sigma, so each spectrum
     runs divided by the power of two 2**k that puts sigma_1 in [1, 2), with
@@ -376,24 +387,26 @@ def run_concentration(config, seed, jobs):
 
     tasks = [(n, trial) for n in n_grid for trial in range(trials)]
 
-    def run_task(task_id):
-        n, trial = tasks[task_id]
-        stream = root.child(task_id)
-        out = []
-        for sid, (_, _, sp, sp_fs) in sorted(unit.items()):
-            samples = sample_gaussian(sp, n, stream)
-            if identity:
-                ref = sp
-            else:
-                ref = sample_gaussian(sp, MC_REF_ROWS, stream.child(0)) if centered else None
-            est = empirical_sup_deviation(samples, sp_fs, r, centered=centered, ref=ref,
-                                          search=search, rng=stream.child(1))
-            out.append({"seed": seed, "trial": trial, "spectrum_id": sid,
-                        "n": n, "value": est.value, "mode": est.mode})
-        return out
+    def run_spectrum(sid, sp, sp_fs):
+        # The reference lives only for this spectrum's map.
+        if identity:
+            ref = sp
+        else:
+            ref = sample_gaussian(sp, MC_REF_ROWS, root) if centered else None
 
-    rows = [row for chunk in parallel_map(run_task, range(len(tasks)), jobs)
-            for row in chunk]
+        def run_task(task_id):
+            n, trial = tasks[task_id]
+            stream = root.child(task_id)
+            est = empirical_sup_deviation(sample_gaussian(sp, n, stream), sp_fs, r,
+                                          centered=centered, ref=ref, search=search,
+                                          rng=stream.child(1))
+            return {"seed": seed, "trial": trial, "spectrum_id": sid,
+                    "n": n, "value": est.value, "mode": est.mode}
+
+        return parallel_map(run_task, range(len(tasks)), jobs)
+
+    rows = [row for sid, (_, _, sp, sp_fs) in sorted(unit.items())
+            for row in run_spectrum(sid, sp, sp_fs)]
     rows.sort(key=lambda row: (row["spectrum_id"], row["n"], row["trial"]))
     summary = {}
     for sid in spectra:

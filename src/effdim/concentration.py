@@ -13,11 +13,17 @@ What each route returns:
   :class:`CovarianceSpectrum`.
 - Nonlinear factors (relu, clip) give a *lower estimate* by multistart
   projected gradient ascent over the n rows, against an independent
-  Monte-Carlo reference sample of N rows.  The reference's stderr
-  1/sqrt(N) is not reported: no output carries it.  One kernel
-  (:func:`_product_means`) projects both the data and the N-row reference
-  in row chunks of about 2**16 entries, so an ascent step allocates no
-  array as long as the reference; the final evaluation takes means only.
+  Monte-Carlo reference sample of N rows.  Restart 0 starts every factor
+  at a_i / ||a_i|| for the data row a_i of largest norm, where an
+  uncentered relu x relu product mean is already at least
+  max_i ||a_i||**2 / n; the other restarts start at random unit vectors.
+  ``effdim concentration`` draws the reference once per spectrum per run
+  and every trial reads that one array, so the trials share its error:
+  its stderr 1/sqrt(N) is not reported, no output carries it, and the std
+  across trials does not include it.  One kernel (:func:`_product_means`)
+  projects both the data and the N-row reference in row chunks of about
+  2**16 entries, so an ascent step allocates no array as long as the
+  reference; the final evaluation takes means only.
 
 Both routes are cross-checked against a sphere-net oracle at low
 dimension in the tests.
@@ -66,7 +72,13 @@ class Nonlinearity:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Multistart projected gradient ascent budget."""
+    """Multistart projected gradient ascent budget.
+
+    For nonlinear factors restart 0 starts every factor at the data row of
+    largest norm, normalised, and restarts 1..R-1 at random unit vectors
+    (one ``standard_normal((R, r, d))`` draw, whose row 0 is replaced), so
+    the restarts of a smaller budget are a prefix of those of a larger one.
+    """
 
     restarts: int = 8
     iters: int = 100
@@ -133,11 +145,15 @@ def empirical_sup_deviation(
         return DeviationEstimate(value=value, mode=mode)
     ref_rows = ref.rows if centered else None
 
-    sigma1 = math.sqrt(float(np.mean(A**2) * d))
+    sq_norms = np.einsum("ij,ij->i", A, A)
+    sigma1 = math.sqrt(float(sq_norms.mean()))
     step = search.step if search.step is not None else 0.1 / sigma1**r
     gen = rng.generator()
     R = search.restarts
     X = gen.standard_normal((R, r, d))
+    top = int(np.argmax(sq_norms))
+    if sq_norms[top] > 0:
+        X[0] = A[top]
     X /= np.linalg.norm(X, axis=2, keepdims=True)
 
     def value_and_grads(X, grads=True):
@@ -164,7 +180,8 @@ def empirical_sup_deviation(
     return DeviationEstimate(value=best, mode=mode)
 
 
-# Rows of the Monte-Carlo reference drawn per trial for nonlinear factors.
+# Rows of the Monte-Carlo reference for nonlinear factors; ``effdim
+# concentration`` draws it once per spectrum per run and shares it across trials.
 MC_REF_ROWS = 10**6
 # Dense d**p tensors are capped at 2**25 float64 entries (256 MiB each).
 _MAX_TENSOR_ENTRIES = 2**25

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -443,8 +444,9 @@ def test_unexpected_error_exits_1_with_traceback(tmp_path, monkeypatch, capsys):
     assert "Traceback" in err and "TypeError: bug in a runner" in err
 
 
-# numpy is the only runtime dependency: no CLI import or run loads these.
-NOT_ON_RUN_PATH = ("scipy", "jsonschema")
+# No CLI import or serial run loads these: numpy is the only runtime
+# dependency, and parallel_map imports concurrent.futures only for threads.
+NOT_ON_RUN_PATH = ("scipy", "jsonschema", "concurrent")
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
@@ -741,9 +743,9 @@ def test_cover_negative_control_keeps_the_earliest_tied_cells(monkeypatch):
 
 
 def test_concentration_deterministic_across_jobs_and_reruns(tmp_path):
-    # Both routes: identity factors, and relu factors with their per-trial
-    # Monte-Carlo reference of 10**6 rows (one run at each job count, for
-    # time).
+    # Both routes: identity factors, and relu factors with their Monte-Carlo
+    # reference of 10**6 rows, drawn once per spectrum per run and shared by
+    # every trial (one run at each job count, for time).
     runs = [({
         "spectra": {"iso": {"kind": "isotropic", "d": 4, "sigma1": 1.0}},
         "n_grid": [32, 64], "trials": 30, "r": 2,
@@ -764,6 +766,39 @@ def test_concentration_deterministic_across_jobs_and_reruns(tmp_path):
             outs.append([(out / f).read_bytes()
                          for f in ("deviations.csv", "summary.json")])
         assert all(o == outs[0] for o in outs), k
+
+
+def test_concentration_draws_one_reference_per_spectrum(monkeypatch):
+    # A centred relu run draws one MC_REF_ROWS-row reference per spectrum,
+    # not one per (n, trial) task, at any job count, and drops each before
+    # drawing the next.  Its stream does not depend on trials, so a 31-trial
+    # run extends the 30-trial one.  A smaller reference keeps the test fast.
+    ref_rows = 4096
+    draws, live = [], []
+
+    def spy(sp, n, rng):
+        draws.append(n)
+        out = sample_gaussian(sp, n, rng)
+        if n == ref_rows:
+            assert all(ref() is None for ref in live)
+            live.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(effdim.cli, "MC_REF_ROWS", ref_rows)
+    monkeypatch.setattr(effdim.cli, "sample_gaussian", spy)
+    config = {"spectra": {"a": {"kind": "isotropic", "d": 1, "sigma1": 1.0},
+                          "b": {"kind": "isotropic", "d": 1, "sigma1": 3.0}},
+              "n_grid": [16], "r": 2, "fs": [{"kind": "relu"}, {"kind": "relu"}],
+              "centered": True, "search": {"restarts": 1, "iters": 1}}
+    rows = {}
+    for trials, jobs in ((30, 1), (31, 2)):
+        draws.clear()
+        rows[trials] = effdim.cli.run_concentration(
+            {**config, "trials": trials}, 7, jobs)[1]["deviations.csv"]
+        assert draws.count(ref_rows) == 2 and len(draws) == 2 + 2 * trials, jobs
+    for sid in "ab":
+        assert ([row for row in rows[30] if row["spectrum_id"] == sid]
+                == [row for row in rows[31] if row["spectrum_id"] == sid][:30])
 
 
 def _reject_constant(name):

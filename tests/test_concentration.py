@@ -228,6 +228,23 @@ def test_prefix_monotonicity_in_restarts():
     assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
 
 
+@pytest.mark.parametrize("d, n", [(1, 16), (2, 8), (5, 32)])
+def test_one_step_of_one_restart_reaches_the_longest_row(d, n):
+    # Restart 0 starts both factors at a_i / ||a_i|| for the longest row a_i,
+    # where the uncentered relu x relu mean is at least ||a_i||**2 / n; a
+    # random start can sit where the product and its gradient vanish
+    # (x_1 = -x_2 at d = 1) and report 0.
+    sp = make_spectrum("power_law", d=d, sigma1=1.0, alpha=1.0)
+    for trial in range(20):
+        sm = sample_gaussian(sp, n, RngStream(31, trial))
+        floor = float(np.max(np.sum(sm.rows**2, axis=1))) / n
+        est = empirical_sup_deviation(sm, [Nonlinearity("relu")] * 2, 2,
+                                      centered=False,
+                                      search=SearchConfig(restarts=1, iters=1),
+                                      rng=RngStream(32, trial))
+        assert est.value >= floor * (1 - 1e-12), (d, n, trial)
+
+
 def test_gaussian_moment_tensor_values():
     sp = make_spectrum("custom", values=[2.0, 1.0])
     cov = sp.covariance()
