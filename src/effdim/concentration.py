@@ -4,12 +4,18 @@ What each route returns:
 
 - Identity factors depend on the data only through the deviation tensor
   D = E_n[a^{⊗r}] - E[a^{⊗r}] (just E_n[a^{⊗r}] when uncentered), and the
-  supremum is its operator norm (:func:`linalg.tensor_opnorm`).  For r = 2
-  that is one d x d eigensolve, so the value is *exact*.  For r >= 3 it is
-  a *lower estimate* by multilinear block ascent on the d**r tensor (exact
-  maximization is NP-hard for three or more factors).  D is stored densely,
-  so d**r is capped at 2**25 entries (:class:`linalg.LimitExceeded`).  The
-  reference is the exact Gaussian moment tensor of a
+  supremum is its operator norm.  For r = 2 that is one d x d eigensolve
+  of A^T A / n - Sigma (:func:`linalg.tensor_opnorm`), so the value is
+  *exact*.  For r >= 3 it is a *lower estimate* by multilinear block ascent
+  from random unit starts (exact maximization is NP-hard for three or more
+  factors) that never forms D, so d has no d**r cap: block k moves to
+  D(x_1, ..., ·, ..., x_r) = E_n[a prod_{j != k} (a . x_j)] minus, when
+  centered, its Gaussian expectation, the Wick sum
+  sum_{m != k} Sigma x_m E[prod_{j != k, m} (a . x_j)] over the Gram
+  entries x_p^T Sigma x_q (:func:`_gaussian_product_moment_grad`).  This
+  is the implicit tensor power iteration of Anandkumar, Ge, Hsu, Kakade &
+  Telgarsky (JMLR 2014); it equals, to rounding, the same ascent run on a
+  dense D with the same starts.  The reference is a
   :class:`CovarianceSpectrum`.
 - Nonlinear factors (relu, clip) give a *lower estimate* by multistart
   projected gradient ascent over the n rows, against an independent
@@ -31,12 +37,13 @@ dimension in the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LimitExceeded, tensor_opnorm
+from .linalg import tensor_opnorm
 from .rng import RngStream
 from .spectrum import CovarianceSpectrum, SampleMatrix, effective_dimension, \
     max_norm_bound
@@ -94,15 +101,23 @@ class DeviationEstimate:
     mode: str  # "centered" | "uncentered"
 
 
-def _pairings(items: list[int]):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for i, second in enumerate(rest):
-        remainder = rest[:i] + rest[i + 1:]
-        for sub in _pairings(remainder):
-            yield [(first, second)] + sub
+@functools.lru_cache
+def _pairings(m: int) -> np.ndarray:
+    """Every pairing of the indices 0..m-1 as an int array of shape
+    (pairings, m // 2, 2): (m - 1)!! pairings for even m, none for odd m."""
+    def pairings(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for i, second in enumerate(rest):
+            for sub in pairings(rest[:i] + rest[i + 1:]):
+                yield [(first, second)] + sub
+
+    out = list(pairings(list(range(m))))
+    out = np.array(out, dtype=int).reshape(len(out), m // 2, 2)
+    out.flags.writeable = False  # one cached array is shared by every caller
+    return out
 
 
 def empirical_sup_deviation(
@@ -118,13 +133,13 @@ def empirical_sup_deviation(
     of f_1(a . x_1)...f_r(a . x_r), with ``fs`` listing the r factors.
 
     ``ref`` supplies the expectation terms for centered mode: identity
-    factors take a :class:`CovarianceSpectrum` (the exact Gaussian moment
-    tensor), nonlinear factors a :class:`SampleMatrix` of independent draws
-    (a Monte-Carlo reference with stderr 1/sqrt(N)); any other ``ref``
-    raises ValueError.  Identity factors are exact at r = 2 and a
-    block-ascent lower estimate on the d**r deviation tensor at r >= 3;
-    nonlinear factors are a projected-ascent lower estimate (see the module
-    docstring).
+    factors take a :class:`CovarianceSpectrum` (exact Gaussian moments),
+    nonlinear factors a :class:`SampleMatrix` of independent draws (a
+    Monte-Carlo reference with stderr 1/sqrt(N)); any other ``ref`` raises
+    ValueError.  Identity factors are exact at r = 2 and at r >= 3 a
+    block-ascent lower estimate that never forms the d**r deviation tensor,
+    so d is not capped; nonlinear factors are a projected-ascent lower
+    estimate (see the module docstring).
     """
     if r < 2:
         raise ValueError("r must be >= 2")
@@ -138,10 +153,14 @@ def empirical_sup_deviation(
     d = A.shape[1]
 
     if identity:
-        dev = _moment_tensor(A, r)
-        if centered:
-            dev -= gaussian_moment_tensor(ref, r)
-        value = tensor_opnorm(dev, restarts=search.restarts, iters=search.iters, rng=rng)
+        if r == 2:
+            dev = A.T @ A / len(A)
+            value = tensor_opnorm(dev - ref.covariance() if centered else dev)
+        else:
+            # Odd Gaussian moments vanish, so odd r centres against 0.
+            centre = centered and r % 2 == 0
+            value = _identity_block_ascent(A, ref.sigmas**2 if centre else None,
+                                           r, search, rng)
         return DeviationEstimate(value=value, mode=mode)
     ref_rows = ref.rows if centered else None
 
@@ -183,10 +202,6 @@ def empirical_sup_deviation(
 # Rows of the Monte-Carlo reference for nonlinear factors; ``effdim
 # concentration`` draws it once per spectrum per run and shares it across trials.
 MC_REF_ROWS = 10**6
-# Dense d**p tensors are capped at 2**25 float64 entries (256 MiB each).
-_MAX_TENSOR_ENTRIES = 2**25
-# Rows per chunk of the moment engine keep each Khatri-Rao block near 2**20 entries.
-_CHUNK_ENTRIES = 2**20
 # Rows per chunk of the nonlinear projection kernel keep its (R, r, rows)
 # blocks near 2**16 entries, so they stay in cache: on a 2-core Xeon,
 # 2**14 to 2**17 ran alike and 2**20 about twice as slow.
@@ -233,53 +248,67 @@ def _product_means(rows: np.ndarray, X: np.ndarray, fs: list[Nonlinearity],
     return sums / n, None if G is None else (G / n).reshape(R, r, d)
 
 
-def _check_tensor_size(d: int, p: int) -> None:
-    if d**p > _MAX_TENSOR_ENTRIES:
-        raise LimitExceeded(
-            f"an order-{p} tensor in dimension {d} has {d**p} entries, "
-            f"above the dense limit of {_MAX_TENSOR_ENTRIES}"
-        )
+def _identity_block_ascent(A: np.ndarray, var: np.ndarray | None, r: int,
+                           search: SearchConfig, rng: RngStream) -> float:
+    """Lower estimate of sup |D(x_1, ..., x_r)| over unit x_k by block ascent.
 
-
-def _khatri_rao_power(B: np.ndarray, m: int) -> np.ndarray:
-    """Row-wise m-fold Kronecker power: row i is b_i^{⊗m} flattened, (rows, d**m)."""
-    out = B
-    for _ in range(m - 1):
-        out = (out[:, :, None] * B[:, None, :]).reshape(len(B), -1)
-    return out
-
-
-def _moment_tensor(A: np.ndarray, p: int) -> np.ndarray:
-    """E_n[a^{⊗p}] as (a^{⊗ceil(p/2)})^T (a^{⊗floor(p/2)}) / n.
-
-    One matmul per row chunk; no (n, d**p) block is ever formed.
+    D(x_1, ..., x_r) = E_n[prod_k (a . x_k)] minus, when ``var`` (the
+    diagonal of Sigma) is given, E[prod_k (a . x_k)] for a ~ N(0, Sigma).
+    Starts are ``rng.generator().standard_normal((restarts, r, d))``
+    normalized per vector.  Each sweep sets, in turn, x_k <- g / ||g|| with
+    g = D(x_1, ..., ·, ..., x_r), the exact maximizer over block k with the
+    others fixed, so the value never decreases.  The result is the best of
+    |D| at the starts and every ||g||, so it is non-decreasing in ``iters``
+    (and in ``restarts``) for a fixed ``rng``.  The projections U = X A^T
+    are kept and one block of them is refreshed per update, so each update
+    costs O(restarts * n * d) and no d**r array is formed.
     """
     n, d = A.shape
-    _check_tensor_size(d, p)
-    hi, lo = (p + 1) // 2, p // 2
-    chunk = max(1, _CHUNK_ENTRIES // d**hi)
-    out = np.zeros((d**hi, d**lo))
-    for i in range(0, n, chunk):
-        block = A[i:i + chunk]
-        out += _khatri_rao_power(block, hi).T @ _khatri_rao_power(block, lo)
-    return (out / n).reshape((d,) * p)
+    X = rng.generator().standard_normal((search.restarts, r, d))
+    X /= np.linalg.norm(X, axis=2, keepdims=True)
+    U = X @ A.T  # (restarts, r, n)
+    start = U.prod(axis=1).mean(axis=1)
+    if var is not None:
+        start -= _gaussian_product_moment(X * var @ X.transpose(0, 2, 1))
+    best = float(np.abs(start).max())
+    others = [[j for j in range(r) if j != k] for k in range(r)]
+    for _ in range(search.iters):
+        for k in range(r):
+            g = U[:, others[k]].prod(axis=1) @ A / n
+            if var is not None:
+                g -= _gaussian_product_moment_grad(X, X * var, k)
+            norms = np.linalg.norm(g, axis=1)
+            moved = norms > 1e-300
+            X[moved, k] = g[moved] / norms[moved, None]
+            U[:, k] = X[:, k] @ A.T
+            # NaN propagates through np.max, so the check below sees it
+            best = float(np.max(norms, initial=best))
+    if not math.isfinite(best):
+        raise OverflowError("the deviation overflows float64")
+    return best
 
 
-def gaussian_moment_tensor(s: CovarianceSpectrum, p: int) -> np.ndarray:
-    """Exact E[a^{⊗p}] for a ~ N(0, Sigma): zero for odd p, else the Wick sum
-    over all pairings of the p axes of products of Sigma entries."""
-    d = s.dim
-    _check_tensor_size(d, p)
-    out = np.zeros((d,) * p)
-    if p % 2:
-        return out
-    cov = s.covariance()
-    for pairing in _pairings(list(range(p))):
-        operands = []
-        for i, j in pairing:
-            operands += [cov, [i, j]]
-        out += np.einsum(*operands, list(range(p)))
-    return out
+def _gaussian_product_moment(gram: np.ndarray) -> np.ndarray:
+    """E[prod_p (a . x_p)] for a ~ N(0, Sigma), given the Gram matrices
+    gram[..., p, q] = x_p^T Sigma x_q of shape (..., m, m): the Wick
+    (Isserlis) sum over all pairings of the m factors of products of Gram
+    entries; zero for odd m."""
+    P = _pairings(gram.shape[-1])
+    return gram[..., P[..., 0], P[..., 1]].prod(axis=-1).sum(axis=-1)
+
+
+def _gaussian_product_moment_grad(X: np.ndarray, SX: np.ndarray,
+                                  k: int) -> np.ndarray:
+    """Gradient in x_k of E[prod_j (a . x_j)] for blocks X (R, r, d) with
+    SX[:, m] = Sigma x_m, shape (R, d): E[a prod_{j != k} (a . x_j)], the
+    sum over pairings of Sigma x_m, m the partner of k, times the Gram
+    entries of the other pairs."""
+    P = _pairings(X.shape[1])
+    gram = SX @ X.transpose(0, 2, 1)
+    has_k = (P == k).any(axis=-1)  # one pair per pairing holds k
+    partner = P[has_k].sum(axis=-1) - k
+    rest = np.where(has_k, 1.0, gram[:, P[..., 0], P[..., 1]]).prod(axis=-1)
+    return np.einsum("rp,rpd->rd", rest, SX[:, partner])
 
 
 def bound_curve(theorem: str, s: CovarianceSpectrum, n: int, r: int,

@@ -3,10 +3,12 @@
 Not part of the library: nothing under ``src/`` calls them.
 """
 
+import itertools
 import math
 
 import numpy as np
 
+from effdim.concentration import _gaussian_product_moment, _pairings
 from effdim.linalg import LimitExceeded
 from effdim.precond import ErmProblem
 from effdim.smoothing import (
@@ -159,3 +161,83 @@ def rs_reference(problem, cfg, direction, rng, f_star=0.0, gap_tol=None):
             break
         theta = theta_next
     return gaps, x
+
+
+# Rows per chunk of moment_tensor keep each Khatri-Rao block near 2**20 entries.
+_CHUNK_ENTRIES = 2**20
+
+
+def _khatri_rao_power(B, m):
+    """Row-wise m-fold Kronecker power: row i is b_i^{⊗m} flattened, (rows, d**m)."""
+    out = B
+    for _ in range(m - 1):
+        out = (out[:, :, None] * B[:, None, :]).reshape(len(B), -1)
+    return out
+
+
+def moment_tensor(A, p):
+    """Dense E_n[a^{⊗p}] as (a^{⊗ceil(p/2)})^T (a^{⊗floor(p/2)}) / n, one
+    matmul per row chunk; no (n, d**p) block is ever formed."""
+    n, d = A.shape
+    hi, lo = (p + 1) // 2, p // 2
+    chunk = max(1, _CHUNK_ENTRIES // d**hi)
+    out = np.zeros((d**hi, d**lo))
+    for i in range(0, n, chunk):
+        block = A[i:i + chunk]
+        out += _khatri_rao_power(block, hi).T @ _khatri_rao_power(block, lo)
+    return (out / n).reshape((d,) * p)
+
+
+def basis_moment_tensor(s, p):
+    """E[a^{⊗p}] for a ~ N(0, Sigma) from the library's Wick contraction
+    :func:`effdim.concentration._gaussian_product_moment`, evaluated at
+    every p-tuple of basis vectors."""
+    d = s.dim
+    X = np.eye(d)[np.array(list(itertools.product(range(d), repeat=p)))]  # (d**p, p, d)
+    gram = X * s.sigmas**2 @ X.transpose(0, 2, 1)
+    return _gaussian_product_moment(gram).reshape((d,) * p)
+
+
+def gaussian_moment_tensor(s, p):
+    """Dense E[a^{⊗p}] for a ~ N(0, Sigma): zero for odd p, else one einsum
+    per pairing of the p axes over products of Sigma entries."""
+    out = np.zeros((s.dim,) * p)
+    if p % 2:
+        return out
+    cov = s.covariance()
+    for pairing in _pairings(p):
+        operands = []
+        for i, j in pairing:
+            operands += [cov, [int(i), int(j)]]
+        out += np.einsum(*operands, list(range(p)))
+    return out
+
+
+def _contract_all_but(t, X, k):
+    """t(x_1, ..., x_{k-1}, ·, x_{k+1}, ..., x_p) for every start: (R, d)."""
+    others = [j for j in range(t.ndim) if j != k]
+    g = np.tensordot(X[:, others[0]], np.moveaxis(t, k, -1), axes=([1], [0]))
+    for j in others[1:]:
+        g = np.einsum("ri...,ri->r...", g, X[:, j])
+    return g
+
+
+def dense_block_ascent(t, restarts, iters, rng):
+    """Block ascent for sup |t(x_1, ..., x_p)| on a dense order p >= 3
+    tensor, with the starts and updates of the library's tensor-free route:
+    ``rng.generator().standard_normal((restarts, p, d))`` normalized per
+    vector, x_k <- t(..., ·, ...) / ||·||, the best of |t| at the starts
+    and every norm."""
+    p = t.ndim
+    X = rng.generator().standard_normal((restarts, p, t.shape[0]))
+    X /= np.linalg.norm(X, axis=2, keepdims=True)
+    start_vals = np.einsum("ri,ri->r", _contract_all_but(t, X, 0), X[:, 0])
+    best = float(np.abs(start_vals).max())
+    for _ in range(iters):
+        for k in range(p):
+            g = _contract_all_but(t, X, k)
+            norms = np.linalg.norm(g, axis=1)
+            moved = norms > 1e-300
+            X[moved, k] = g[moved] / norms[moved, None]
+            best = max(best, float(norms.max()))
+    return best

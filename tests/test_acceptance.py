@@ -15,7 +15,6 @@ import numpy as np
 
 from effdim.cli import main as cli_main, run_concentration, run_cover, \
     run_precondition, run_smooth
-from effdim.concentration import _moment_tensor, gaussian_moment_tensor
 from effdim.entropy import eps_entropy_bound, kb_mb, unit_entropy_bound
 from effdim.precond import ErmProblem, Loss
 from effdim.rng import RngStream
@@ -27,7 +26,8 @@ from effdim.spectrum import (
     max_norm_bound,
     sample_gaussian,
 )
-from oracles import smooth_value_estimate, theta_sequence
+from oracles import basis_moment_tensor, moment_tensor, smooth_value_estimate, \
+    theta_sequence
 
 # Criterion 10's smoothing problem; criterion 10b runs it at six trials
 # over eight seeds, and criterion 11 through the CLI.
@@ -40,8 +40,8 @@ SMOOTH_CONFIG = {
 
 def empirical_mean_tensor(A: np.ndarray, p: int):
     """Mean and entrywise MC variance of a_i^{⊗p}; (a^{⊗p})**2 is (a**2)^{⊗p}."""
-    mean = _moment_tensor(A, p)
-    var = np.maximum(_moment_tensor(A**2, p) - mean**2, 0.0)
+    mean = moment_tensor(A, p)
+    var = np.maximum(moment_tensor(A**2, p) - mean**2, 0.0)
     return mean, var
 
 
@@ -154,7 +154,8 @@ def test_criterion_6_tensor_moments():
     ok = True
     for p in (3, 4):
         emp, var = empirical_mean_tensor(sm.rows, p)
-        exact = gaussian_moment_tensor(sp, p)
+        # the library's Wick contraction at every p-tuple of basis vectors
+        exact = basis_moment_tensor(sp, p)
         stderr = np.sqrt(var / sm.n) + 1e-12
         worst = float(np.max(np.abs(emp - exact) / stderr))
         ok &= worst <= 5.0

@@ -163,9 +163,9 @@ def test_runtime_failure_exits_3(tmp_path, capsys):
         assert not (tmp_path / "o").exists()
 
 
-# Valid configs whose sigma1 overflows float64 on the way: in the moment
-# tensor (concentration), the data Hessians (precondition) or sigma1**3 in
-# the default shaped width (smooth).
+# Valid configs whose sigma1 overflows float64 on the way: in the deviations
+# scaled back by 2**(k r) (concentration), the data Hessians (precondition)
+# or sigma1**3 in the default shaped width (smooth).
 HUGE_SIGMA1 = {
     "concentration": {
         "spectra": {"p": {"kind": "power_law", "d": 5, "sigma1": 1e200, "alpha": 1.0}},
@@ -743,14 +743,19 @@ def test_cover_negative_control_keeps_the_earliest_tied_cells(monkeypatch):
 
 
 def test_concentration_deterministic_across_jobs_and_reruns(tmp_path):
-    # Both routes: identity factors, and relu factors with their Monte-Carlo
-    # reference of 10**6 rows, drawn once per spectrum per run and shared by
-    # every trial (one run at each job count, for time).
+    # Every route: identity factors at r = 2 (eigensolve) and r = 4 (block
+    # ascent), and relu factors with their Monte-Carlo reference of 10**6
+    # rows, drawn once per spectrum per run and shared by every trial (one
+    # run at each job count, for time).
     runs = [({
         "spectra": {"iso": {"kind": "isotropic", "d": 4, "sigma1": 1.0}},
         "n_grid": [32, 64], "trials": 30, "r": 2,
         "search": {"restarts": 4, "iters": 30},
     }, ["1", "4", "1"]), ({
+        "spectra": {"pl": {"kind": "power_law", "d": 20, "sigma1": 1.0, "alpha": 1.0}},
+        "n_grid": [64], "trials": 30, "r": 4, "centered": True,
+        "search": {"restarts": 2, "iters": 5},
+    }, ["1", "2", "1"]), ({
         "spectra": {"iso": {"kind": "isotropic", "d": 1, "sigma1": 1.0}},
         "n_grid": [16], "trials": 30, "r": 2,
         "fs": [{"kind": "relu"}, {"kind": "relu"}], "centered": True,

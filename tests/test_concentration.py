@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -10,16 +11,15 @@ from effdim.concentration import (
     SearchConfig,
     bound_curve,
     empirical_sup_deviation,
-    gaussian_moment_tensor,
-    _moment_tensor,
+    _gaussian_product_moment,
     _product_means,
 )
 import effdim.concentration
-from effdim.linalg import LimitExceeded
 from effdim.rng import RngStream
 from effdim.spectrum import CovarianceSpectrum, SampleMatrix, make_spectrum, \
     sample_gaussian
-from oracles import sphere_net
+from oracles import basis_moment_tensor, dense_block_ascent, gaussian_moment_tensor, \
+    moment_tensor, sphere_net
 
 
 SP5 = make_spectrum("isotropic", d=5, sigma1=1.0)
@@ -91,9 +91,10 @@ def test_isserlis_moment_matches_wick_by_hand():
         return u @ cov @ v
     expected = s(x[0], x[1]) * s(x[2], x[3]) + s(x[0], x[2]) * s(x[1], x[3]) \
         + s(x[0], x[3]) * s(x[1], x[2])
-    moment = np.einsum("ijkl,i,j,k,l->", gaussian_moment_tensor(sp, 4), *x)
-    assert moment == pytest.approx(expected, abs=1e-14)
-    assert np.einsum("ijk,i,j,k->", gaussian_moment_tensor(sp, 3), *x[:3]) == 0.0
+    X = np.array(x)
+    gram = X @ cov @ X.T
+    assert _gaussian_product_moment(gram) == pytest.approx(expected, abs=1e-14)
+    assert _gaussian_product_moment(gram[:3, :3]) == 0.0
 
 
 def test_centered_r2_matches_operator_norm():
@@ -209,7 +210,7 @@ def test_centered_requires_reference():
     with pytest.raises(ValueError, match="reference"):
         empirical_sup_deviation(sm, [Nonlinearity("relu")] * 2, 2,
                                 centered=True, ref=SP5)
-    # identity factors centre only against the exact moment tensor
+    # identity factors centre only against the exact Gaussian moments
     with pytest.raises(ValueError, match="reference"):
         empirical_sup_deviation(sm, identity_fs(2), 2, centered=True,
                                 ref=sample_gaussian(SP5, 100, RngStream(2)))
@@ -245,43 +246,50 @@ def test_one_step_of_one_restart_reaches_the_longest_row(d, n):
         assert est.value >= floor * (1 - 1e-12), (d, n, trial)
 
 
+# The library's Wick contraction at every basis tuple, and the dense oracle.
+MOMENT_TENSORS = [basis_moment_tensor, gaussian_moment_tensor]
+
+
 def test_gaussian_moment_tensor_values():
     sp = make_spectrum("custom", values=[2.0, 1.0])
     cov = sp.covariance()
-    np.testing.assert_allclose(gaussian_moment_tensor(sp, 2), cov)
-    assert not np.any(gaussian_moment_tensor(sp, 3))
-    t4 = gaussian_moment_tensor(sp, 4)
-    assert t4[0, 0, 0, 0] == pytest.approx(3 * cov[0, 0] ** 2)
-    assert t4[0, 0, 1, 1] == pytest.approx(cov[0, 0] * cov[1, 1])
-    t5 = gaussian_moment_tensor(sp, 5)
-    assert t5.shape == (2,) * 5 and not np.any(t5)
+    for moments in MOMENT_TENSORS:
+        np.testing.assert_allclose(moments(sp, 2), cov)
+        assert not np.any(moments(sp, 3))
+        t4 = moments(sp, 4)
+        assert t4[0, 0, 0, 0] == pytest.approx(3 * cov[0, 0] ** 2)
+        assert t4[0, 0, 1, 1] == pytest.approx(cov[0, 0] * cov[1, 1])
+        t5 = moments(sp, 5)
+        assert t5.shape == (2,) * 5 and not np.any(t5)
 
 
 def test_gaussian_moment_tensor_order6_wick_sum():
     sp = make_spectrum("custom", values=[2.0, 0.5])
     S = sp.covariance()
-    t6 = gaussian_moment_tensor(sp, 6)
-    # diagonal: E[(a_i)^6] = 15 Sigma_ii^3, i.e. 15 sigma^6 for the marginal
-    for i in range(2):
-        assert t6[(i,) * 6] == pytest.approx(15 * S[i, i] ** 3, rel=1e-13)
-    assert t6[(0,) * 6] == pytest.approx(15 * 2.0**6, rel=1e-14)
-    # E[a0^2 a1^4] = Sigma_00 * 3 Sigma_11^2: a0 pairs with a0, a1^4 in 3 ways
-    assert t6[0, 1, 1, 0, 1, 1] == pytest.approx(
-        3 * S[0, 0] * S[1, 1] ** 2, rel=1e-13)
+    for moments in MOMENT_TENSORS:
+        t6 = moments(sp, 6)
+        # diagonal: E[(a_i)^6] = 15 Sigma_ii^3, i.e. 15 sigma^6 for the marginal
+        for i in range(2):
+            assert t6[(i,) * 6] == pytest.approx(15 * S[i, i] ** 3, rel=1e-13)
+        assert t6[(0,) * 6] == pytest.approx(15 * 2.0**6, rel=1e-14)
+        # E[a0^2 a1^4] = Sigma_00 * 3 Sigma_11^2: a0 pairs with a0, a1^4 in 3 ways
+        assert t6[0, 1, 1, 0, 1, 1] == pytest.approx(
+            3 * S[0, 0] * S[1, 1] ** 2, rel=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(1, 20), d=st.integers(1, 4),
        p=st.sampled_from([2, 3, 4]))
 def test_moment_tensors_are_symmetric(data, n, d, p):
-    # The identity route's block ascent treats both tensors as symmetric.
+    # The dense oracle of the sample moments, and the library's Wick
+    # contraction, do not depend on the order of the factors.
     A = data.draw(arrays(np.float64, (n, d), elements=st.floats(-10, 10)))
     values = data.draw(st.lists(st.floats(0.1, 10), min_size=d, max_size=d))
     sp = make_spectrum("custom", values=sorted(values, reverse=True))
-    g = gaussian_moment_tensor(sp, p)
+    g = basis_moment_tensor(sp, p)
     # Rounding error scales with E_n[|a|^{⊗p}]: at odd p the signed sample
     # entries can cancel to almost zero.  The Gaussian entries are >= 0.
-    for t, scale in ((_moment_tensor(A, p), _moment_tensor(np.abs(A), p)), (g, g)):
+    for t, scale in ((moment_tensor(A, p), moment_tensor(np.abs(A), p)), (g, g)):
         tol = 1e-12 * np.abs(scale).max()
         for perm in itertools.permutations(range(p)):
             assert np.all(np.abs(t - t.transpose(perm)) <= tol)
@@ -300,12 +308,31 @@ def test_identity_block_ascent_agrees_with_net_oracle(r, res):
     assert oracle - 1e-12 <= est.value <= oracle / (1 - r * res)
 
 
-def test_moment_tensor_dimension_limit():
-    sm = SampleMatrix(np.ones((3, 2)))
-    with pytest.raises(LimitExceeded, match="order-26 tensor in dimension 2 has"):
-        empirical_sup_deviation(sm, identity_fs(26), 26, centered=False)
-    with pytest.raises(LimitExceeded, match="order-26 tensor in dimension 2 has"):
-        gaussian_moment_tensor(make_spectrum("isotropic", d=2, sigma1=1.0), 26)
+@pytest.mark.parametrize("centered", [True, False], ids=["centred", "uncentred"])
+@pytest.mark.parametrize("r, d", [(3, 10), (4, 8), (6, 4)])
+def test_identity_block_ascent_matches_the_dense_oracle(r, d, centered):
+    # Same starts and updates as block ascent on the dense deviation tensor,
+    # so the two agree to rounding.
+    sp = make_spectrum("power_law", d=d, sigma1=1.0, alpha=1.0)
+    for trial in range(3):
+        sm = sample_gaussian(sp, 256, RngStream(41, trial))
+        dev = moment_tensor(sm.rows, r)
+        if centered:
+            dev -= gaussian_moment_tensor(sp, r)
+        want = dense_block_ascent(dev, 8, 100, RngStream(42, trial))
+        est = empirical_sup_deviation(sm, identity_fs(r), r, centered=centered,
+                                      ref=sp, search=SearchConfig(8, 100),
+                                      rng=RngStream(42, trial))
+        assert est.value == pytest.approx(want, rel=1e-12, abs=0), (trial, est.value, want)
+
+
+def test_identity_block_ascent_runs_past_the_dense_cap():
+    # d**r = 1.6e9 entries: no dense tensor of this order is ever formed.
+    sp = make_spectrum("power_law", d=200, sigma1=1.0, alpha=1.0)
+    sm = sample_gaussian(sp, 256, RngStream(43))
+    est = empirical_sup_deviation(sm, identity_fs(4), 4, centered=True, ref=sp,
+                                  rng=RngStream(44))
+    assert 0 < est.value < math.inf
 
 
 def test_tensor_deviation_p2_matches_matrix_route():

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from effdim.concentration import Nonlinearity, SearchConfig, empirical_sup_deviation
 from effdim.linalg import (
     LimitExceeded,
     tensor_opnorm,
 )
 from effdim.rng import RngStream
+from effdim.spectrum import SampleMatrix, make_spectrum, sample_gaussian
 from oracles import sphere_net
 
 
@@ -90,33 +92,41 @@ def test_tensor_opnorm_matches_matrix_case():
         m = gen.standard_normal((5, 5))
         m = (m + m.T) / 2
         expected = np.linalg.norm(m, 2)
-        got = tensor_opnorm(m, restarts=16, iters=300, rng=RngStream(1))
+        got = tensor_opnorm(m)
         assert got == pytest.approx(expected, rel=1e-8)
 
 
+# Order r >= 3 tensors are the deviation tensors D = E_n[a^{⊗r}] (- E[a^{⊗r}]),
+# whose operator norm the concentration route takes without forming D.
+def identity_opnorm(A, r, ref=None, restarts=8, iters=100, rng=RngStream(0)):
+    return empirical_sup_deviation(
+        SampleMatrix(A), [Nonlinearity("identity")] * r, r, centered=ref is not None,
+        ref=ref, search=SearchConfig(restarts, iters), rng=rng).value
+
+
 def test_tensor_opnorm_order3_against_fine_net():
-    gen = RngStream(13).generator()
-    t = sym_tensor(gen.standard_normal((3, 3, 3)))
+    A = RngStream(13).generator().standard_normal((40, 3))
     net = sphere_net(3, 0.02)
-    vals = np.einsum("ijk,ni,nj,nk->n", t, net, net, net)
+    # D is symmetric, so its supremum over three vectors is one over x = y = z
+    vals = np.mean((A @ net.T) ** 3, axis=0)
     oracle = float(np.max(np.abs(vals)))
-    got = tensor_opnorm(t, restarts=32, iters=300, rng=RngStream(2))
+    got = identity_opnorm(A, 3, restarts=32, iters=300, rng=RngStream(2))
     # the net undershoots by O(resolution); power iteration should win
     assert got >= oracle - 1e-12
     assert got <= oracle * 1.05 + 0.1
 
 
 def test_tensor_opnorm_non_decreasing_in_iters():
-    gen = RngStream(17).generator()
-    for shape in ((4, 4, 4), (3, 3, 3, 3)):
-        t = sym_tensor(gen.standard_normal(shape))
-        vals = [tensor_opnorm(t, restarts=3, iters=k, rng=RngStream(4))
+    for d, r in ((4, 3), (3, 4)):
+        sp = make_spectrum("isotropic", d=d, sigma1=1.0)
+        A = sample_gaussian(sp, 30, RngStream(17, r)).rows
+        vals = [identity_opnorm(A, r, ref=sp, restarts=3, iters=k, rng=RngStream(4))
                 for k in range(25)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
 def test_tensor_opnorm_zero_tensor():
-    assert tensor_opnorm(np.zeros((3, 3, 3))) == 0.0
+    assert identity_opnorm(np.zeros((5, 3)), 3) == 0.0
 
 
 def test_sphere_net_covering_radius():
