@@ -31,7 +31,7 @@ import operator
 import shutil
 import sys
 import traceback
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -337,9 +337,11 @@ def run_concentration(config, seed, jobs):
     spectrum's data for one (n, trial) task is ``sample_gaussian(sp, n,
     stream)`` on the task's own child stream, and every call restarts that
     stream at Philox counter 0, so all spectra scale the same
-    standard-normal draws.  Each spectrum runs its tasks in its own
-    ``parallel_map``, and rows are sorted by ``(spectrum_id, n, trial)``
-    afterwards, so they do not depend on ``jobs`` or on the spectra's order.
+    standard-normal draws.  The spectra run one at a time in sorted order,
+    each in one pass: one ``parallel_map`` over its tasks, then its rows
+    by ``(n, trial)``, its means and std in ``n_grid`` order and its slope,
+    so rows are sorted by ``(spectrum_id, n, trial)`` and depend neither on
+    ``jobs`` nor on the spectra's order.
 
     Centered nonlinear factors are measured against one ``MC_REF_ROWS``-row
     Monte-Carlo reference per spectrum, ``sample_gaussian(sp, MC_REF_ROWS,
@@ -354,8 +356,9 @@ def run_concentration(config, seed, jobs):
     The deviations are homogeneous of degree r in sigma, so each spectrum
     runs divided by the power of two 2**k that puts sigma_1 in [1, 2), with
     clip bounds divided alike, and its values, means and std are multiplied
-    by 2**(k r) at the end.  A bound or result that this takes out of the
-    normal float64 range raises OverflowError or :class:`LimitExceeded`.
+    by 2**(k r) as its pass writes them.  Every spectrum and clip bound is
+    scaled before any task runs; a bound or result that this takes out of
+    the normal float64 range raises OverflowError or :class:`LimitExceeded`.
     """
     spectra = {sid: _spectrum(sc) for sid, sc in config["spectra"].items()}
     if len({sp.dim for sp in spectra.values()}) != 1:
@@ -370,6 +373,9 @@ def run_concentration(config, seed, jobs):
         raise ConfigInvalid("fs must list one nonlinearity per factor")
     centered = config.get("centered", True)
     identity = all(f.kind == "identity" for f in fs)
+    unknown = set(config.get("search", {})) - {f.name for f in fields(SearchConfig)}
+    if unknown:
+        raise ConfigInvalid(f"search: unknown keys {sorted(unknown)}")
     search = SearchConfig(**config.get("search", {}))
     root = RngStream(seed)
 
@@ -386,9 +392,9 @@ def run_concentration(config, seed, jobs):
             if f.kind == "clip" else f for f in fs])
 
     tasks = [(n, trial) for n in n_grid for trial in range(trials)]
-
-    def run_spectrum(sid, sp, sp_fs):
-        # The reference lives only for this spectrum's map.
+    rows, summary = [], {}
+    for sid, (k, where, sp, sp_fs) in sorted(unit.items()):
+        # The reference lives only for this spectrum's map: ``del ref`` drops it.
         if identity:
             ref = sp
         else:
@@ -397,33 +403,25 @@ def run_concentration(config, seed, jobs):
         def run_task(task_id):
             n, trial = tasks[task_id]
             stream = root.child(task_id)
-            est = empirical_sup_deviation(sample_gaussian(sp, n, stream), sp_fs, r,
-                                          centered=centered, ref=ref, search=search,
-                                          rng=stream.child(1))
-            return {"seed": seed, "trial": trial, "spectrum_id": sid,
-                    "n": n, "value": est.value, "mode": est.mode}
+            return empirical_sup_deviation(sample_gaussian(sp, n, stream), sp_fs, r,
+                                           centered=centered, ref=ref, search=search,
+                                           rng=stream.child(1))
 
-        return parallel_map(run_task, range(len(tasks)), jobs)
-
-    rows = [row for sid, (_, _, sp, sp_fs) in sorted(unit.items())
-            for row in run_spectrum(sid, sp, sp_fs)]
-    rows.sort(key=lambda row: (row["spectrum_id"], row["n"], row["trial"]))
-    summary = {}
-    for sid in spectra:
-        k, where, _, _ = unit[sid]
+        ests = parallel_map(run_task, range(len(tasks)), jobs)
+        del ref
+        # by_n[i][t] is trial t at n_grid[i].
+        by_n = [ests[i * trials:(i + 1) * trials] for i in range(len(n_grid))]
         what = f"{where}: a deviation"
-        means = []
-        for n in n_grid:
-            vals = np.array([row["value"] for row in rows
-                             if row["spectrum_id"] == sid and row["n"] == n])
-            means.append({"n": n, "mean": _ldexp(float(np.mean(vals)), k * r, what),
-                          "std": _ldexp(float(np.std(vals)), k * r, what)})
-        for row in rows:
-            if row["spectrum_id"] == sid:
-                row["value"] = _ldexp(row["value"], k * r, what)
+        vals = [np.array([est.value for est in col]) for col in by_n]
+        means = [{"n": n, "mean": _ldexp(float(np.mean(v)), k * r, what),
+                  "std": _ldexp(float(np.std(v)), k * r, what)}
+                 for n, v in zip(n_grid, vals)]
+        rows += [{"seed": seed, "trial": trial, "spectrum_id": sid, "n": n,
+                  "value": _ldexp(est.value, k * r, what), "mode": est.mode}
+                 for n, col in sorted(zip(n_grid, by_n)) for trial, est in enumerate(col)]
         slope, stderr = _loglog_slope(n_grid, [m["mean"] for m in means])
         summary[sid] = {"slope": slope, "stderr": stderr, "means": means}
-    return dict(sorted(summary.items())), {"deviations.csv": rows}
+    return summary, {"deviations.csv": rows}
 
 
 def _ldexp(value: float, exp: int, what: str) -> float:
@@ -487,15 +485,20 @@ def run_precondition(config, seed, jobs):
         except LimitExceeded as exc:
             raise LimitExceeded(f"{what} at sigma_1 {sp.sigmas[0]:g}: {exc}") from exc
 
+    # The data Hessians at x = 0 and at each probe, each built once.
+    # Measuring mu at the probes makes it dominate the deviation at every
+    # probe by construction; x = 0 adds the covariance gap.
+    points = np.vstack([np.zeros(sp.dim), probes])
+    DF, Daux = (np.stack([p.data_hessian(x) for x in points]) for p in (problem, aux))
     if config.get("mu_method", "measured") == "measured":
-        # Measuring at the probe points makes mu dominate the deviation at
-        # every probe by construction; x = 0 adds the covariance gap.
-        mu = solve("measured mu", hessian_deviation_sup, problem, aux,
-                   np.vstack([np.zeros(sp.dim), probes]))
+        mu = solve("measured mu", hessian_deviation_sup, DF, Daux)
     else:
         mu = mu_formula(sp, n, n_aux, loss.hess_lipschitz, loss.second_max)
     phi = replace(aux, lam=aux.lam + mu)
-    cond = solve("relative condition", relative_condition, problem, phi, probes)
+    # lam I + the data term, added as ErmProblem.hessian adds them.
+    eye = np.eye(sp.dim)
+    cond = solve("relative condition", relative_condition,
+                 problem.lam * eye + DF[1:], phi.lam * eye + Daux[1:])
     f_star = problem.value(solve("reference solve", solve_erm, problem))
     gap_tol = config.get("gap_tol", 1e-6)
     run_p = solve("Bregman inner solve", precond_bgd, problem, phi,
@@ -550,7 +553,7 @@ def run_smooth(config, seed, jobs):
     # numbers for the paired comparison.
     out = rs_lockstep(ErmProblem(A, b, Loss("hinge"), 0.0), streams, cfg,
                       [sp if direction == "data" else None for direction in directions],
-                      0.0, gap_tol)
+                      gap_tol)
     hits, rows = [], []   # hits: iters_to_tol by trial and direction
     for trial, runs in enumerate(out):
         hits.append([-1 if hit is None else hit

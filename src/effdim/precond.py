@@ -154,46 +154,38 @@ def kappa_bound(lam: float, mu: float) -> float:
     return 1.0 + 2.0 * mu / lam
 
 
-def relative_condition(problem: ErmProblem, phi, probes) -> dict:
-    """Relative smoothness / strong-convexity over a set of probe points.
+def relative_condition(HF: np.ndarray, Hphi: np.ndarray) -> dict:
+    """Relative smoothness / strong-convexity over the probes, from the
+    (probes, d, d) stacks of Hessians of F and phi.
 
-    Returns generalized-eigenvalue extremes of (hess F, hess phi) at each
-    probe: L_rel = max over probes of the largest eigenvalue, sigma_rel =
-    min over probes of the smallest.  Raises :class:`LimitExceeded` when the
-    preconditioner Hessian is not positive definite at some probe.
+    Returns generalized-eigenvalue extremes of (HF[i], Hphi[i]), by one
+    batched Cholesky, solve and eigensolve: L_rel = max over probes of the
+    largest eigenvalue, sigma_rel = min over probes of the smallest.
+    Raises :class:`LimitExceeded` when the preconditioner Hessian is not
+    positive definite at some probe.
     """
-    L_vals, s_vals = [], []
-    for x in probes:
-        HF = problem.hessian(x)
-        try:
-            L = np.linalg.cholesky(phi.hessian(x))
-        except np.linalg.LinAlgError as exc:
-            raise LimitExceeded("preconditioner Hessian not positive definite") from exc
-        # Reduce to the standard problem L^{-1} HF L^{-T}, as LAPACK's sygv does.
-        M = np.linalg.solve(L, np.linalg.solve(L, HF).T)
-        eig = np.linalg.eigvalsh(M)
-        L_vals.append(float(eig[-1]))
-        s_vals.append(float(eig[0]))
-    return {"L_rel": max(L_vals), "sigma_rel": min(s_vals)}
+    try:
+        L = np.linalg.cholesky(Hphi)
+    except np.linalg.LinAlgError as exc:
+        raise LimitExceeded("preconditioner Hessian not positive definite") from exc
+    # Reduce to the standard problem L^{-1} HF L^{-T}, as LAPACK's sygv does.
+    eig = np.linalg.eigvalsh(np.linalg.solve(L, np.linalg.solve(L, HF).swapaxes(-1, -2)))
+    return {"L_rel": float(eig[:, -1].max()), "sigma_rel": float(eig[:, 0].min())}
 
 
-def hessian_deviation_sup(problem_a: ErmProblem, problem_b: ErmProblem,
-                          points: np.ndarray) -> float:
-    """max over the rows x of ``points`` of || H_a(x) - H_b(x) ||_op for
-    the data Hessians.
+def hessian_deviation_sup(H_a: np.ndarray, H_b: np.ndarray) -> float:
+    """max over i of || H_a[i] - H_b[i] ||_op for two (points, d, d) stacks
+    of data Hessians taken at the same points.
 
-    Exact at each point (one symmetric eigensolve).  The CLI passes x = 0
-    and the probes at which :func:`relative_condition` is evaluated, so mu
-    dominates the deviation at every probe by construction; over the unit
-    ball it is a lower estimate of the supremum.
+    Exact at each point (one symmetric eigensolve).  The CLI passes the
+    data Hessians at x = 0 and at the probes at which
+    :func:`relative_condition` is evaluated, so mu dominates the deviation
+    at every probe by construction; over the unit ball it is a lower
+    estimate of the supremum.
     """
-    if problem_a.d != problem_b.d:
-        raise ValueError("dimension mismatch")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] == 0:
-        raise ValueError("need at least one point")
-    return max(tensor_opnorm(problem_a.data_hessian(x) - problem_b.data_hessian(x))
-               for x in points)
+    if H_a.shape != H_b.shape or not len(H_a):
+        raise ValueError("need two equal stacks of at least one Hessian")
+    return max(tensor_opnorm(h) for h in H_a - H_b)
 
 
 # Failure probability and ball radius of the printed bound on mu.

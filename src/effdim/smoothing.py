@@ -51,7 +51,7 @@ class SmoothingConfig:
 
 @dataclass(frozen=True)
 class SmoothingRun:
-    gaps: list[float]        # true objective at x_t minus the reference optimum
+    gaps: list[float]        # true objective at x_t, the gap to the optimum 0
     x: np.ndarray            # (d,) the last iterate
 
 
@@ -145,7 +145,6 @@ def _max_row_norm(A: np.ndarray) -> float:
 
 def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig,
                 directions: list[CovarianceSpectrum | None],
-                f_star: float = 0.0,
                 gap_tol: float | None = None) -> list[list[SmoothingRun]]:
     """Accelerated dual averaging on the annealed smoothed objective, for
     every trial and direction; ``out[k][j]`` is direction j on trial k.
@@ -167,7 +166,9 @@ def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig
     max_i ||a_i|| + lam * radius, the Lipschitz constant of the objective
     on the ball; an L of 0 raises OverflowError.  A run stops after
     ``cfg.iters`` steps or at the first step t >= 1 whose gap is <=
-    ``gap_tol``.
+    ``gap_tol``.  The gap is the objective value itself: ``data`` is a
+    planted hinge problem, labels b = A x* with x* in the ball, whose
+    optimum over the ball is 0.
 
     Each step is computed for all active runs at once.  The stop rule is
     checked once per block: each run's block of iterates is evaluated with
@@ -199,7 +200,7 @@ def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig
     c_eta = L / (R * math.sqrt(m))
     scale = np.stack([_direction_scale(direction, d) for _, direction in runs])
 
-    gaps = [[p.value(np.zeros(d)) - f_star] for p, _ in runs]
+    gaps = [[p.value(np.zeros(d))] for p, _ in runs]
     final = [None] * len(runs)
     live = np.arange(len(runs))
     x = np.zeros((len(runs), d))
@@ -238,7 +239,7 @@ def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig
 
         keep = []
         for j, r in enumerate(live):
-            vals = runs[r][0].values(xs[j, :steps]) - f_star
+            vals = runs[r][0].values(xs[j, :steps])
             hits = np.flatnonzero(vals <= gap_tol) if gap_tol is not None else []
             used = hits[0] + 1 if len(hits) else steps
             gaps[r] += vals[:used].tolist()

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import effdim.cli
 from effdim.cli import SCHEMAS, ConfigInvalid, _loglog_slope, main, validate
 from effdim.entropy import kb_mb, unit_entropy_bound
-from effdim.precond import Loss, kappa_bound, mu_formula
+from effdim.precond import ErmProblem, Loss, kappa_bound, mu_formula
 from effdim.rng import RngStream
 from effdim.spectrum import CovarianceSpectrum, make_spectrum, sample_gaussian
 
@@ -65,6 +65,9 @@ LIBRARY_REJECTED = [
     ("concentration", {"spectra": {"iso": {"kind": "isotropic", "d": 2}},
                        "n_grid": [8], "trials": 30, "r": 2,
                        "fs": [{"kind": "clip"}, {"kind": "clip"}]}),
+    ("concentration", {"spectra": {"iso": {"kind": "isotropic", "d": 2}},
+                       "n_grid": [8], "trials": 30, "r": 2,
+                       "search": {"restart": 2}}),
 ]
 
 # json.load accepts these literals and each passes the schema (NaN fails no
@@ -971,6 +974,32 @@ def test_precondition_measured_mu_covers_the_gap_at_zero(tmp_path):
     at_zero = 0.25 * np.linalg.norm(A.T @ A / 2000 - A_aux.T @ A_aux / 2000, 2)
     assert summary["mu"] >= at_zero * (1 - 1e-12)
     assert summary["L_rel"] <= 1.0 + 1e-9
+
+
+def test_precondition_builds_each_probe_hessian_once(monkeypatch):
+    # mu and the relative condition share one data Hessian of each problem
+    # at x = 0 and at each probe; every other data Hessian is one that a
+    # Newton step asks for.
+    calls = {"data": 0, "newton": 0}
+    data_hessian, newton = ErmProblem.data_hessian, effdim.precond.newton_minimize
+
+    def spy_data_hessian(self, x):
+        calls["data"] += 1
+        return data_hessian(self, x)
+
+    def spy_newton(value, grad, hess, x0, **kwargs):
+        def counted(x):
+            calls["newton"] += 1
+            return hess(x)
+        return newton(value, grad, counted, x0, **kwargs)
+
+    monkeypatch.setattr(ErmProblem, "data_hessian", spy_data_hessian)
+    monkeypatch.setattr(effdim.precond, "newton_minimize", spy_newton)
+    for mu_method in ("measured", "formula"):
+        calls.update(data=0, newton=0)
+        effdim.cli.run_precondition(dict(PRECOND_CFG, mu_method=mu_method), 4, 1)
+        assert calls["newton"] > 0
+        assert calls["data"] == 2 * (PRECOND_CFG["probes"] + 1) + calls["newton"]
 
 
 def test_precondition_deterministic_across_jobs(tmp_path):

@@ -1,6 +1,3 @@
-import itertools
-import math
-
 import numpy as np
 import pytest
 
@@ -12,28 +9,6 @@ from effdim.linalg import (
 from effdim.rng import RngStream
 from effdim.spectrum import SampleMatrix, make_spectrum, sample_gaussian
 from oracles import sphere_net
-
-
-def sym_tensor(t: np.ndarray) -> np.ndarray:
-    """Symmetrize a dense tensor over all index permutations."""
-    perms = itertools.permutations(range(t.ndim))
-    return sum(np.transpose(t, perm) for perm in perms) / math.factorial(t.ndim)
-
-
-def rank1_tensor(v: np.ndarray, order: int) -> np.ndarray:
-    """v^{⊗p} as a dense array."""
-    out = v
-    for _ in range(order - 1):
-        out = np.multiply.outer(out, v)
-    return out
-
-
-def tensor_apply(t: np.ndarray, x: np.ndarray) -> float:
-    """<t, x^{⊗p}> for a single vector x."""
-    out = t
-    for _ in range(t.ndim):
-        out = out @ x
-    return float(out)
 
 
 def charpoly_roots(m):
@@ -70,20 +45,6 @@ def test_tensor_opnorm_rejects_small_relative_asymmetry():
     # a relative asymmetry of 1e-6 is a malformed input, not a solver failure
     with pytest.raises(ValueError):
         tensor_opnorm(np.array([[1.0, 1.0], [1.0 + 1e-6, 1.0]]))
-
-
-def test_sym_tensor_is_permutation_invariant():
-    gen = RngStream(5).generator()
-    t = sym_tensor(gen.standard_normal((3, 3, 3)))
-    for perm in itertools.permutations(range(3)):
-        np.testing.assert_allclose(np.transpose(t, perm), t, atol=1e-14)
-
-
-def test_rank1_tensor_apply():
-    v = np.array([1.0, -2.0])
-    t = rank1_tensor(v, 3)
-    x = np.array([0.5, 0.25])
-    assert tensor_apply(t, x) == pytest.approx((v @ x) ** 3)
 
 
 def test_tensor_opnorm_matches_matrix_case():

@@ -80,30 +80,39 @@ def test_logistic_curvature_constants():
     assert np.abs(third).max() == pytest.approx(loss.hess_lipschitz, rel=1e-3)
 
 
+def _hessians(p, points):
+    """The full Hessians of p at each row of points, stacked."""
+    return np.stack([p.hessian(x) for x in points])
+
+
+def _data_hessians(p, points):
+    """The data Hessians of p at each row of points, stacked."""
+    return np.stack([p.data_hessian(x) for x in points])
+
+
 def test_relative_condition_identity_and_scaling():
     p = _small_problem("logistic")
     probes = RngStream(7).generator().standard_normal((10, p.d)) * 0.5
+    HF = _hessians(p, probes)
 
-    phi_same = replace(p, lam=p.lam + 0.0)
-    cond = relative_condition(p, phi_same, probes)
+    cond = relative_condition(HF, HF)
     assert cond["L_rel"] == pytest.approx(1.0, abs=1e-10)
     assert cond["sigma_rel"] == pytest.approx(1.0, abs=1e-10)
 
-    class Doubled:
-        def hessian(self, x):
-            return 2.0 * p.hessian(x)
-
-    cond2 = relative_condition(p, Doubled(), probes)
+    cond2 = relative_condition(HF, 2.0 * HF)
     assert cond2["L_rel"] == pytest.approx(0.5, abs=1e-10)
     assert cond2["sigma_rel"] == pytest.approx(0.5, abs=1e-10)
 
 
-class _FixedHessian:
-    def __init__(self, H):
-        self.H = H
-
-    def hessian(self, x):
-        return self.H
+def test_relative_condition_is_the_extreme_over_probes():
+    p = _small_problem("logistic")
+    aux = _small_problem("logistic", seed=2)
+    probes = RngStream(7).generator().standard_normal((10, p.d)) * 0.5
+    HF, HP = _hessians(p, probes), _hessians(aux, probes)
+    each = [relative_condition(HF[i:i + 1], HP[i:i + 1]) for i in range(len(probes))]
+    assert relative_condition(HF, HP) == {
+        "L_rel": max(c["L_rel"] for c in each),
+        "sigma_rel": min(c["sigma_rel"] for c in each)}
 
 
 def test_relative_condition_matches_generalized_eigenvalues():
@@ -113,8 +122,7 @@ def test_relative_condition_matches_generalized_eigenvalues():
             B, C = gen.standard_normal((2, d, d))
             HF = B @ B.T + 0.1 * np.eye(d)
             HP = C @ C.T + 0.1 * np.eye(d)
-            cond = relative_condition(_FixedHessian(HF), _FixedHessian(HP),
-                                      [np.zeros(d)])
+            cond = relative_condition(HF[None], HP[None])
             # oracle: the eigenvalues of HP^{-1} HF, with no symmetric reduction
             eig = np.sort(np.linalg.eigvals(np.linalg.solve(HP, HF)).real)
             assert cond["L_rel"] == pytest.approx(eig[-1], rel=1e-10)
@@ -123,17 +131,11 @@ def test_relative_condition_matches_generalized_eigenvalues():
 
 def test_relative_condition_rejects_indefinite_phi():
     p = _small_problem("logistic")
-
-    class Bad:
-        def __init__(self, last):
-            self.last = last
-
-        def hessian(self, x):
-            return np.diag([1.0] * (p.d - 1) + [self.last])
-
+    HF = _hessians(p, np.zeros((2, p.d)))
     for last in (-1.0, 0.0):  # indefinite, singular
+        bad = np.stack([np.eye(p.d), np.diag([1.0] * (p.d - 1) + [last])])
         with pytest.raises(LimitExceeded, match="Hessian not positive definite"):
-            relative_condition(p, Bad(last), [np.zeros(p.d)])
+            relative_condition(HF, bad)
 
 
 _POINT = st.lists(st.floats(-5.0, 5.0), min_size=6, max_size=6).map(np.array)
@@ -186,7 +188,8 @@ def test_hessian_deviation_detects_known_gap():
     pa = _small_problem("ridge", seed=2)
     pb = _small_problem("ridge", seed=3)
     expected = np.linalg.norm(pa.A.T @ pa.A / pa.n - pb.A.T @ pb.A / pb.n, 2)
-    got = hessian_deviation_sup(pa, pb, np.zeros((1, pa.d)))
+    zero = np.zeros((1, pa.d))
+    got = hessian_deviation_sup(_data_hessians(pa, zero), _data_hessians(pb, zero))
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -201,12 +204,15 @@ def test_hessian_deviation_is_the_max_over_points():
     pa = _small_problem("logistic", seed=2)
     pb = _small_problem("logistic", seed=3)
     points = _zero_and_sphere_points(pa.d, 8, RngStream(5))
-    mu = hessian_deviation_sup(pa, pb, points)
+    mu = hessian_deviation_sup(_data_hessians(pa, points), _data_hessians(pb, points))
     brute = max(np.abs(np.linalg.eigvalsh(pa.data_hessian(x) - pb.data_hessian(x))).max()
                 for x in points)
     assert mu == pytest.approx(brute, rel=1e-12)
+    empty = np.zeros((0, pa.d, pa.d))
     with pytest.raises(ValueError):
-        hessian_deviation_sup(pa, pb, np.zeros((0, pa.d)))
+        hessian_deviation_sup(empty, empty)
+    with pytest.raises(ValueError):
+        hessian_deviation_sup(_data_hessians(pa, points), _data_hessians(pb, points[:1]))
 
 
 def test_mu_formula_decreases_in_n():
@@ -269,7 +275,8 @@ def test_precond_bgd_with_exact_phi_is_newton_fast():
 def test_precond_beats_vanilla_gd_in_rounds():
     p = _small_problem("logistic", n=400, d=8, lam=0.01, seed=12)
     aux = _small_problem("logistic", n=400, d=8, lam=0.01, seed=13)
-    mu = hessian_deviation_sup(p, aux, _zero_and_sphere_points(p.d, 4, RngStream(14)))
+    points = _zero_and_sphere_points(p.d, 4, RngStream(14))
+    mu = hessian_deviation_sup(_data_hessians(p, points), _data_hessians(aux, points))
     phi = replace(aux, lam=aux.lam + mu)
     f_star = p.value(solve_erm(p))
     run_p = precond_bgd(p, phi, iters=100, f_star=f_star, gap_tol=1e-8)
@@ -282,7 +289,8 @@ def test_precond_beats_vanilla_gd_in_rounds():
 def test_gap_contracts_at_relative_condition_rate():
     p = _small_problem("logistic", n=400, d=8, lam=0.01, seed=12)
     aux = _small_problem("logistic", n=400, d=8, lam=0.01, seed=13)
-    mu = hessian_deviation_sup(p, aux, _zero_and_sphere_points(p.d, 4, RngStream(14)))
+    points = _zero_and_sphere_points(p.d, 4, RngStream(14))
+    mu = hessian_deviation_sup(_data_hessians(p, points), _data_hessians(aux, points))
     phi = replace(aux, lam=aux.lam + mu)
     f_star = p.value(solve_erm(p))
     run = precond_bgd(p, phi, iters=30, f_star=f_star, gap_tol=1e-11)

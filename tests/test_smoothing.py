@@ -119,7 +119,7 @@ def test_lockstep_reduces_hinge_gap():
     xn *= 1.0 / np.linalg.norm(xn)
     prob = ErmProblem(A, A @ xn, Loss("hinge"), 0.0)
     cfg = SmoothingConfig(radius=2.0, iters=800, batch=8)
-    run = rs_lockstep(prob, [root.child(2)], cfg, [None], 0.0, 2e-2)[0][0]
+    run = rs_lockstep(prob, [root.child(2)], cfg, [None], 2e-2)[0][0]
     assert run.gaps[0] > 0.01
     assert min(run.gaps) <= 2e-2
     hit = iters_to_gap(run, 2e-2)
@@ -156,9 +156,9 @@ def test_isotropic_spectrum_run_equals_unshaped_run():
     _, prob = _hinge_problem(8, 64, 12)
     iso = make_spectrum("isotropic", d=8, sigma1=1.0)
     cfg = SmoothingConfig(radius=1.5, iters=200, batch=4, u=0.5)
-    runs = [rs_lockstep(prob, [RngStream(13)], cfg, [direction], 0.0, 1e-3)[0][0]
+    runs = [rs_lockstep(prob, [RngStream(13)], cfg, [direction], 1e-3)[0][0]
             for direction in (None, iso)]
-    runs += rs_lockstep(prob, [RngStream(13)], cfg, [None, iso], 0.0, 1e-3)[0]
+    runs += rs_lockstep(prob, [RngStream(13)], cfg, [None, iso], 1e-3)[0]
     for run in runs[1:]:
         assert run.gaps == runs[0].gaps
         np.testing.assert_array_equal(run.x, runs[0].x)
@@ -203,7 +203,7 @@ def test_block_stop_rule_truncates_at_first_crossing():
 
     def run(iters, gap_tol=None):
         cfg = SmoothingConfig(radius=1.5, iters=iters, batch=4)
-        return rs_lockstep(prob, [RngStream(18)], cfg, [sp], 0.0, gap_tol)[0][0]
+        return rs_lockstep(prob, [RngStream(18)], cfg, [sp], gap_tol)[0][0]
 
     ref = run(200)
     for stop in (DRAW_BLOCK, 100):
@@ -239,7 +239,7 @@ def test_lockstep_equals_step_by_step_reference():
     data, trials, streams, cfgs, directions = _two_trials()
     stop_blocks = set()
     for cfg in cfgs:
-        out = rs_lockstep(data, streams, cfg, directions, 0.0, 0.03)
+        out = rs_lockstep(data, streams, cfg, directions, 0.03)
         assert [len(runs) for runs in out] == [len(directions)] * len(trials)
         stop_blocks |= {(len(run.gaps) - 1) // DRAW_BLOCK
                         for runs in out for run in runs}
@@ -257,10 +257,10 @@ def test_lockstep_run_equals_its_trial_alone():
     # neither the other trials' rows nor the other runs of the batch change it.
     data, trials, streams, cfgs, directions = _two_trials()
     for cfg in cfgs:
-        out = rs_lockstep(data, streams, cfg, directions, 0.0, 0.03)
+        out = rs_lockstep(data, streams, cfg, directions, 0.03)
         for prob, rng, runs in zip(trials, streams, out):
             for direction, run in zip(directions, runs):
-                alone = rs_lockstep(prob, [rng], cfg, [direction], 0.0, 0.03)[0][0]
+                alone = rs_lockstep(prob, [rng], cfg, [direction], 0.03)[0][0]
                 assert run.gaps == alone.gaps
                 np.testing.assert_array_equal(run.x, alone.x)
 
