@@ -53,6 +53,7 @@ class SmoothingConfig:
 class SmoothingRun:
     gaps: list[float]        # true objective at x_t, the gap to the optimum 0
     x: np.ndarray            # (d,) the last iterate
+    iters_to_tol: int | None  # first t with gaps[t] <= gap_tol, None if none
 
 
 # Steps per block of draws and of stop-rule checks; part of the output contract.
@@ -168,7 +169,8 @@ def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig
     ``cfg.iters`` steps or at the first step t >= 1 whose gap is <=
     ``gap_tol``.  The gap is the objective value itself: ``data`` is a
     planted hinge problem, labels b = A x* with x* in the ball, whose
-    optimum over the ball is 0.
+    optimum over the ball is 0.  A run's ``iters_to_tol`` counts gap 0 too,
+    so it is 0 for a run that starts within tolerance.
 
     Each step is computed for all active runs at once.  The stop rule is
     checked once per block: each run's block of iterates is evaluated with
@@ -201,6 +203,7 @@ def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig
     scale = np.stack([_direction_scale(direction, d) for _, direction in runs])
 
     gaps = [[p.value(np.zeros(d))] for p, _ in runs]
+    tol_at = [0 if gap_tol is not None and g[0] <= gap_tol else None for g in gaps]
     final = [None] * len(runs)
     live = np.arange(len(runs))
     x = np.zeros((len(runs), d))
@@ -243,19 +246,13 @@ def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig
             hits = np.flatnonzero(vals <= gap_tol) if gap_tol is not None else []
             used = hits[0] + 1 if len(hits) else steps
             gaps[r] += vals[:used].tolist()
+            if len(hits) and tol_at[r] is None:
+                tol_at[r] = t0 + used
             if len(hits) or t0 + steps == cfg.iters:
                 final[r] = xs[j, used - 1].copy()
             else:
                 keep.append(j)
         live, x, z, G = live[keep], x[keep], z[keep], G[keep]
         t0 += steps
-    out = [SmoothingRun(g, x_end) for g, x_end in zip(gaps, final)]
+    out = [SmoothingRun(*run) for run in zip(gaps, final, tol_at)]
     return [out[k * J:(k + 1) * J] for k in range(K)]
-
-
-def iters_to_gap(run: SmoothingRun, tol: float) -> int | None:
-    """First iteration index whose gap is <= tol, or None if never reached."""
-    for t, gap in enumerate(run.gaps):
-        if gap <= tol:
-            return t
-    return None

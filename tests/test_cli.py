@@ -65,9 +65,6 @@ LIBRARY_REJECTED = [
     ("concentration", {"spectra": {"iso": {"kind": "isotropic", "d": 2}},
                        "n_grid": [8], "trials": 30, "r": 2,
                        "fs": [{"kind": "clip"}, {"kind": "clip"}]}),
-    ("concentration", {"spectra": {"iso": {"kind": "isotropic", "d": 2}},
-                       "n_grid": [8], "trials": 30, "r": 2,
-                       "search": {"restart": 2}}),
 ]
 
 # json.load accepts these literals and each passes the schema (NaN fails no
@@ -384,17 +381,25 @@ def test_loglog_slope_recovers_power_law():
     assert slope == pytest.approx(-0.5, abs=1e-12) and stderr is None
 
 
+# The search step of each case that sets one; the others use the default.
+SEARCH_STEPS = {"relu-step": 0.05}
+
+
 @pytest.mark.parametrize("label, r, fs", [
     ("identity-r2", 2, None), ("identity-r3", 3, None), ("identity-r4", 4, None),
-    ("relu", 2, ["relu", "relu"]), ("clip", 2, ["clip", "relu"])])
+    ("relu", 2, ["relu", "relu"]), ("clip", 2, ["clip", "relu"]),
+    ("relu-step", 2, ["relu", "relu"])])
 def test_concentration_is_homogeneous_of_degree_r_in_sigma(label, r, fs):
     # Scaling sigma (and a clip bound) by 2**k scales every deviation, mean
-    # and std by exactly 2**(k r).
-    def run(k):
+    # and std by exactly 2**(k r).  A configured search step applies at the
+    # unit scale, so it too leaves the scaling exact.
+    step = SEARCH_STEPS.get(label)
+
+    def run(k, search):
         spectrum = {"kind": "power_law", "d": 5 if fs is None else 2,
                     "sigma1": math.ldexp(1.0, k), "alpha": 1.0}
         config = {"spectra": {"p": spectrum}, "n_grid": [8, 16], "trials": 30, "r": r,
-                  "search": {"restarts": 1, "iters": 3}}
+                  "search": search}
         if fs is not None:
             config["centered"] = False
             config["fs"] = [{"kind": f, "bound": math.ldexp(0.5, k)} for f in fs]
@@ -402,10 +407,16 @@ def test_concentration_is_homogeneous_of_degree_r_in_sigma(label, r, fs):
         cells = [(m["mean"], m["std"]) for m in summary["p"]["means"]]
         return [row["value"] for row in tables["deviations.csv"]], cells
 
-    values, cells = run(0)
+    search = {"restarts": 1, "iters": 3}
+    if step is not None:
+        default, _ = run(0, search)
+        search["step"] = step
+    values, cells = run(0, search)
     assert any(values)
+    if step is not None:
+        assert values != default   # the configured step is used
     for k in (10, -60):
-        scaled_values, scaled_cells = run(k)
+        scaled_values, scaled_cells = run(k, search)
         assert scaled_values == [math.ldexp(v, k * r) for v in values], (label, k)
         assert scaled_cells == [tuple(math.ldexp(x, k * r) for x in cell)
                                 for cell in cells], (label, k)
@@ -467,20 +478,23 @@ def _schema_nodes(schema, path="$"):
     for key, sub in schema.get("properties", {}).items():
         yield from _schema_nodes(sub, f"{path}.{key}")
     for key in ("items", "additionalProperties"):
-        if key in schema:
+        if schema.get(key, False) is not False:
             yield from _schema_nodes(schema[key], f"{path}.{key}")
 
 
 def test_schemas_pass_the_metaschema():
-    # main validates without re-checking the schemas; they are checked here.
-    # Every node, also those no config visits, is an object with only the
-    # keywords and types ``validate`` implements.
+    # validate does not re-check the schemas; they are checked here.  Every
+    # node, also those no config visits, is an object with only the
+    # keywords and types ``validate`` implements, and every object node is
+    # closed (additionalProperties false) or a map with a value schema.
     for name, schema in SCHEMAS.items():
         jsonschema.Draft202012Validator.check_schema(schema)
         for path, node in _schema_nodes(schema, name):
             assert isinstance(node, dict), path
             assert set(node) <= effdim.cli._KEYWORDS, path
             assert node.get("type", "object") in effdim.cli._TYPES, path
+            if node.get("type") == "object":
+                assert "additionalProperties" in node, path
 
 
 def _integer_literal(checker, value):
@@ -519,7 +533,7 @@ def instances(schema):
         {key: instances(props[key]) for key in required},
         optional={key: instances(sub) for key, sub in props.items()
                   if key not in required})
-    if "additionalProperties" not in schema:
+    if schema.get("additionalProperties") is False:
         return fixed
     extra = st.dictionaries(st.text("abc", min_size=1, max_size=2),
                             instances(schema["additionalProperties"]),
@@ -568,7 +582,9 @@ def _accepts(schema, config) -> bool:
 @given(name=st.sampled_from(sorted(SCHEMAS)), data=st.data())
 def test_validator_agrees_with_jsonschema(name, data):
     # One valid config, then each node deleted, replaced by each BAD_VALUE,
-    # or, if a nonempty list, given a repeat of its first item.
+    # or, if a nonempty list, given a repeat of its first item; each object
+    # node is also given an unlisted key, with a value that is a valid
+    # spectrum and with one that is not.
     schema = SCHEMAS[name]
     oracle = Oracle(schema)
     config = data.draw(instances(schema))
@@ -579,17 +595,13 @@ def test_validator_agrees_with_jsonschema(name, data):
         for op in BAD_VALUES + repeated + (["delete"] if path else []):
             mutated = _mutate(config, path, op)
             assert _accepts(schema, mutated) == oracle.is_valid(mutated), (path, op)
+        if isinstance(node, dict):
+            for extra in ({"kind": "isotropic"}, 1):
+                mutated = _mutate(config, path + ("unlisted",), extra)
+                assert _accepts(schema, mutated) == oracle.is_valid(mutated), (path, extra)
 
 
 def test_validator_rejects_unknown_keywords_and_names_the_path():
-    with pytest.raises(NotImplementedError):
-        validate({"type": "number", "multipleOf": 2}, 4)
-    for schema in ({"type": "string"}, {"type": ["number", "null"]}, True):
-        with pytest.raises(NotImplementedError):
-            validate(schema, 4)
-    with pytest.raises(NotImplementedError):
-        validate(SCHEMAS["effdim"] | {"properties": {"r_values": {"maxItems": 3}}},
-                 {"spectrum": {"kind": "isotropic"}, "r_values": [1]})
     bad = {"spectra": {"iso": {"kind": "isotropic", "d": 0}},
            "n_grid": [8], "trials": 30, "r": 2}
     with pytest.raises(ConfigInvalid, match=r"^\$\.spectra\.iso\.d: "):
@@ -625,6 +637,35 @@ CSV_HEADERS = {
 }
 
 
+# Each config is valid but for one key that its object does not list, at
+# each level of object; the error names the object's path and the key.
+_CONC = SMALL_CONFIGS["concentration"]
+UNKNOWN_KEYS = [
+    pytest.param("concentration", _CONC | {"centred": False},
+                 "$: unknown key 'centred'", id="top"),
+    pytest.param("smooth", SMALL_CONFIGS["smooth"]
+                 | {"spectrum": {"kind": "isotropic", "d": 2, "sigma": 2.0}},
+                 "$.spectrum: unknown key 'sigma'", id="spectrum"),
+    pytest.param("concentration", _CONC | {"spectra": {
+                     "iso": {"kind": "isotropic", "d": 2},
+                     "pl": {"kind": "power_law", "d": 2, "alfa": 1.0}}},
+                 "$.spectra.pl: unknown key 'alfa'", id="spectra-entry"),
+    pytest.param("concentration", _CONC | {"search": {"restart": 2}},
+                 "$.search: unknown key 'restart'", id="search"),
+    pytest.param("concentration", _CONC | {"fs": [{"kind": "identity"},
+                                                  {"kind": "clip", "bounds": 1.0}]},
+                 "$.fs[1]: unknown key 'bounds'", id="fs-item"),
+]
+
+
+@pytest.mark.parametrize("name, config, message", UNKNOWN_KEYS)
+def test_validate_only_rejects_an_unknown_key_at_each_level(name, config, message,
+                                                            tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main([name, "--config", cfg, "--validate-only"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("name", sorted(effdim.cli.RUNNERS))
 def test_runner_returns_its_rows_and_writes_nothing(name, tmp_path, monkeypatch):
     # The key order of the rows is the CSV header that main writes.
@@ -655,9 +696,13 @@ def test_cli_runs_leave_scipy_unloaded(tmp_path):
     assert loaded == []
 
 
-def test_seed_comes_from_the_flag_only(tmp_path, monkeypatch):
-    # Neither the environment nor a config key sets the seed.
-    cfg = write_config(tmp_path, "c.json", {**EFFDIM_CFG, "seed": 99})
+def test_seed_comes_from_the_flag_only(tmp_path, monkeypatch, capsys):
+    # Neither the environment nor a config key sets the seed: a seed key is
+    # unknown to the schema.
+    keyed = write_config(tmp_path, "keyed.json", {**EFFDIM_CFG, "seed": 99})
+    assert main(["effdim", "--config", keyed, "--out", str(tmp_path / "k")]) == 2
+    assert "unknown key 'seed'" in capsys.readouterr().err
+    cfg = write_config(tmp_path, "c.json", EFFDIM_CFG)
     monkeypatch.setenv("EFFDIM_SEED", "99")
     for name, extra, seed in (("default", [], 0), ("flag", ["--seed", "7"], 7)):
         out = tmp_path / name

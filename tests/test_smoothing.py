@@ -11,7 +11,6 @@ from effdim.smoothing import (
     _direction_scale,
     _max_row_norm,
     grad_estimator,
-    iters_to_gap,
     rs_lockstep,
     smoothing_bounds,
 )
@@ -122,8 +121,7 @@ def test_lockstep_reduces_hinge_gap():
     run = rs_lockstep(prob, [root.child(2)], cfg, [None], 2e-2)[0][0]
     assert run.gaps[0] > 0.01
     assert min(run.gaps) <= 2e-2
-    hit = iters_to_gap(run, 2e-2)
-    assert hit is not None and hit == len(run.gaps) - 1  # stopped on tolerance
+    assert run.iters_to_tol == len(run.gaps) - 1  # stopped on tolerance
     # Shorter runs are prefixes of longer ones, so the last iterates of
     # runs stopped at several iters are iterates of the 500-step run.
     for iters in (1, 37, 100, 500):
@@ -206,6 +204,7 @@ def test_block_stop_rule_truncates_at_first_crossing():
         return rs_lockstep(prob, [RngStream(18)], cfg, [sp], gap_tol)[0][0]
 
     ref = run(200)
+    assert ref.iters_to_tol is None
     for stop in (DRAW_BLOCK, 100):
         # A tolerance between the step's gap and every earlier gap (the
         # stop rule skips gap 0) makes ``stop`` the first crossing.
@@ -214,8 +213,16 @@ def test_block_stop_rule_truncates_at_first_crossing():
         tol = 0.5 * (ref.gaps[stop] + earlier)
         stopped = run(200, tol)
         assert stopped.gaps == ref.gaps[:stop + 1]
-        assert iters_to_gap(stopped, tol) == iters_to_gap(ref, tol)
+        assert stopped.iters_to_tol == stop
         np.testing.assert_array_equal(stopped.x, run(stop).x)
+    # Gap 0 counts for iters_to_tol although the stop rule skips it: a run
+    # that starts within tolerance has iters_to_tol 0 and runs on to its
+    # first crossing at t >= 1.
+    tol = 0.5 * (ref.gaps[0] + max(ref.gaps[1:]))
+    first = next(t for t in range(1, len(ref.gaps)) if ref.gaps[t] <= tol)
+    started = run(200, tol)
+    assert ref.gaps[0] <= tol and started.iters_to_tol == 0
+    assert started.gaps == ref.gaps[:first + 1]
 
 
 def _two_trials():
@@ -249,6 +256,8 @@ def test_lockstep_equals_step_by_step_reference():
                 assert len(run.gaps) == len(gaps)
                 np.testing.assert_allclose(run.gaps, gaps, rtol=1e-12, atol=0.0)
                 np.testing.assert_array_equal(run.x, x)
+                assert run.iters_to_tol == next(
+                    (t for t, gap in enumerate(run.gaps) if gap <= 0.03), None)
     assert len(stop_blocks) >= 4
 
 
