@@ -67,8 +67,9 @@ _SPECTRUM_SCHEMA = {
         "kind": {"enum": ["isotropic", "power_law", "custom"]},
         "d": {"type": "integer", "minimum": 1},
         "sigma1": {"type": "number", "exclusiveMinimum": 0},
-        "alpha": {"type": "number", "minimum": 0},
-        "values": {"type": "array", "items": {"type": "number"}},
+        "alpha": {"type": "number", "exclusiveMinimum": 0},
+        "values": {"type": "array", "minItems": 1,
+                   "items": {"type": "number", "exclusiveMinimum": 0}},
     },
     "required": ["kind"],
     "additionalProperties": False,
@@ -531,18 +532,17 @@ def run_smooth(config, seed, jobs):
     gap_tol = config.get("gap_tol", 1e-2)
     root = RngStream(seed)
 
-    # Trial k owns rows k*n .. (k+1)*n - 1 of one data array and one stream.
-    A = np.empty((trials * n, sp.dim))
-    b = np.empty(trials * n)
+    # Trial k owns rows A[k], labels b[k] and one stream.
+    A = np.empty((trials, n, sp.dim))
+    b = np.empty((trials, n))
     streams = []
     for trial in range(trials):
         stream = root.child(trial)
-        block = slice(trial * n, (trial + 1) * n)
-        A[block] = sample_gaussian(sp, n, stream.child(0)).rows
+        A[trial] = sample_gaussian(sp, n, stream.child(0)).rows
         gen = stream.child(1).generator()
         x_nat = gen.standard_normal(sp.dim)
         x_nat *= 0.5 * R / np.linalg.norm(x_nat)
-        b[block] = A[block] @ x_nat
+        b[trial] = A[trial] @ x_nat
         streams.append(stream.child(2))
     cfg = SmoothingConfig(radius=R, iters=config["iters"], batch=config["batch"],
                           u=config.get("u"))
@@ -552,7 +552,7 @@ def run_smooth(config, seed, jobs):
     # turn on calls this small, so --jobs does not split the runs.  Every
     # direction of a trial draws from the trial's stream: common random
     # numbers for the paired comparison.
-    out = rs_lockstep(ErmProblem(A, b, Loss("hinge"), 0.0), streams, cfg,
+    out = rs_lockstep(A, b, streams, cfg,
                       [sp if direction == "data" else None for direction in directions],
                       gap_tol)
     # hits: iters_to_tol by trial and direction, -1 where unreached

@@ -311,8 +311,7 @@ def _gaussian_product_moment_grad(X: np.ndarray, SX: np.ndarray,
     return np.einsum("rp,rpd->rd", rest, SX[:, partner])
 
 
-def bound_curve(theorem: str, s: CovarianceSpectrum, n: int, r: int,
-                lam: float = 0.0) -> float:
+def bound_curve(theorem: str, s: CovarianceSpectrum, n: int, r: int) -> float:
     """Right-hand side of the printed large-deviation bounds, with unit
     constant.
 
@@ -328,11 +327,11 @@ def bound_curve(theorem: str, s: CovarianceSpectrum, n: int, r: int,
         deff_r = effective_dimension(s, r)
         deff_1 = effective_dimension(s, 1)
         scale = (B / sigma1**r) ** (2.0 / r - 1.0)
-        term1 = (lam + deff_r * ln_d) / (n * scale)
-        term2 = (math.sqrt(lam) + math.sqrt(deff_1 * ln_d)) / math.sqrt(n)
+        term1 = deff_r * ln_d / (n * scale)
+        term2 = math.sqrt(deff_1 * ln_d) / math.sqrt(n)
         return sigma1**r * (term1 + term2)
     if theorem == "2":
         deff_r = effective_dimension(s, r)
         scale = (B / sigma1**r) ** (1.0 - 2.0 / r)
-        return sigma1**r * (1.0 + (deff_r * ln_d + lam) / n * scale)
+        return sigma1**r * (1.0 + deff_r * ln_d / n * scale)
     raise ValueError(f"unknown theorem {theorem!r}")

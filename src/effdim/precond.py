@@ -1,5 +1,5 @@
-"""Regularized ERM, Hessian-deviation measurement, and Bregman
-preconditioned gradient descent.
+"""Regularized logistic or square-loss ERM, Hessian-deviation measurement,
+and Bregman preconditioned gradient descent.
 
 The preconditioner phi is itself an :class:`ErmProblem`: the ERM
 objective on an auxiliary sample with regularization lambda + mu, built
@@ -41,47 +41,37 @@ _LOGISTIC_HESS_LIP = 1.0 / (6.0 * math.sqrt(3.0))  # max |d/dz sigmoid'(z)|
 
 @dataclass(frozen=True)
 class Loss:
-    """Scalar margin loss: logistic, ridge (squared), or hinge.
-
-    The hinge derivative takes the 0-side value at its kink so that
-    subgradient evaluations are deterministic.
-    """
+    """Smooth scalar margin loss: logistic or ridge (squared)."""
 
     kind: str
 
     def __post_init__(self):
-        if self.kind not in ("logistic", "ridge", "hinge"):
+        if self.kind not in ("logistic", "ridge"):
             raise ValueError(f"unknown loss {self.kind!r}")
 
     def value(self, z, b):
         if self.kind == "logistic":
             return np.logaddexp(0.0, -b * z)
-        if self.kind == "ridge":
-            return 0.5 * (z - b) ** 2
-        return np.maximum(z - b, 0.0)
+        return 0.5 * (z - b) ** 2
 
     def deriv(self, z, b):
         if self.kind == "logistic":
             return -b * _sigmoid(-b * z)
-        if self.kind == "ridge":
-            return z - b
-        return (z > b).astype(float)
+        return z - b
 
     def second(self, z, b):
         if self.kind == "logistic":
             s = _sigmoid(b * z)
             return s * (1.0 - s)
-        if self.kind == "ridge":
-            return np.ones_like(np.asarray(z, dtype=float))
-        return np.zeros_like(np.asarray(z, dtype=float))
+        return np.ones_like(np.asarray(z, dtype=float))
 
     @property
     def second_max(self) -> float:
-        return {"logistic": 0.25, "ridge": 1.0, "hinge": 0.0}[self.kind]
+        return {"logistic": 0.25, "ridge": 1.0}[self.kind]
 
     @property
     def hess_lipschitz(self) -> float:
-        return {"logistic": _LOGISTIC_HESS_LIP, "ridge": 0.0, "hinge": 0.0}[self.kind]
+        return {"logistic": _LOGISTIC_HESS_LIP, "ridge": 0.0}[self.kind]
 
 
 def _sigmoid(z):
@@ -121,12 +111,6 @@ class ErmProblem:
         z = self.A @ x
         # sum / n is np.mean's arithmetic without its dispatch on small arrays
         return 0.5 * self.lam * float(x @ x) + float(self.loss.value(z, self.b).sum()) / self.n
-
-    def values(self, X: np.ndarray) -> np.ndarray:
-        """:meth:`value` at each row of X (k, d), with one matmul."""
-        Z = X @ self.A.T
-        return (0.5 * self.lam * np.einsum("kd,kd->k", X, X)
-                + self.loss.value(Z, self.b).sum(axis=1) / self.n)
 
     def grad(self, x: np.ndarray) -> np.ndarray:
         z = self.A @ x
@@ -253,9 +237,7 @@ def newton_minimize(value, grad, hess, x0: np.ndarray,
 
 
 def solve_erm(problem: ErmProblem) -> np.ndarray:
-    """High-accuracy minimizer of a smooth ERM problem (reference optimum)."""
-    if problem.loss.kind == "hinge":
-        raise ValueError("hinge objective is nonsmooth; no Newton reference")
+    """High-accuracy minimizer of an ERM problem (reference optimum)."""
     return newton_minimize(problem.value, problem.grad, problem.hessian,
                            np.zeros(problem.d), tol=1e-13)
 
@@ -285,7 +267,7 @@ def _descend(problem: ErmProblem, step, iters: int, f_star: float,
 
 
 def precond_bgd(problem: ErmProblem, phi: ErmProblem, f_star: float,
-                gap_tol: float, iters: int = 50) -> PrecondRun:
+                gap_tol: float, iters: int) -> PrecondRun:
     """Bregman proximal gradient descent x_{t+1} = argmin <grad F(x_t), x>
     + D_phi(x, x_t), inner problems solved by damped Newton."""
 
@@ -302,7 +284,7 @@ def precond_bgd(problem: ErmProblem, phi: ErmProblem, f_star: float,
 
 
 def vanilla_gd(problem: ErmProblem, f_star: float, gap_tol: float,
-               iters: int = 10_000) -> PrecondRun:
+               iters: int) -> PrecondRun:
     """Plain gradient descent with step 1/L, same round accounting."""
     lr = 1.0 / problem.smoothness()
     return _descend(problem, lambda x, g: x - lr * g, iters, f_star, gap_tol)

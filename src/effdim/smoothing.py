@@ -1,6 +1,9 @@
-"""Randomized smoothing of nonsmooth ERM objectives and an accelerated
+"""Randomized smoothing of the planted hinge objective and an accelerated
 dual-averaging optimizer driven by smoothed stochastic subgradients.
 
+The objective is the unregularized hinge ERM
+f(x) = (1/n) sum_i max(a_i . x - b_i, 0) with planted labels b = A x* for
+an x* in the feasible ball, so its optimum is 0 and f(x_t) is the gap.
 f^gamma(x) = E f(x + gamma Z) with Z either standard normal (isotropic)
 or shaped by a covariance spectrum with standard deviations sigma:
 Z = diag(sqrt(sigma)) G for standard normal G, so Cov Z = diag(sigma) =
@@ -32,7 +35,6 @@ import numpy as np
 
 from .rng import RngStream
 from .spectrum import CovarianceSpectrum, effective_dimension
-from .precond import ErmProblem
 
 
 @dataclass(frozen=True)
@@ -72,26 +74,34 @@ def _direction_scale(direction: CovarianceSpectrum | None, d: int) -> np.ndarray
     return np.ones(d) if direction is None else np.sqrt(direction.sigmas)
 
 
-def grad_estimator(problem: ErmProblem, y: np.ndarray, gamma: np.ndarray,
+def _hinge_values(X: np.ndarray, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The hinge objective of rows A (n, d) and labels b (n,) at each row
+    of X (k, d), with one matmul."""
+    return np.maximum(X @ A.T - b, 0.0).sum(axis=1) / A.shape[0]
+
+
+def grad_estimator(A: np.ndarray, b: np.ndarray, y: np.ndarray, gamma: np.ndarray,
                    idx: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Averaged smoothed stochastic subgradients of the ERM objective, one
+    """Averaged smoothed stochastic subgradients of the hinge objective, one
     per run.
 
-    The leading axis indexes runs: y (runs, d), gamma (runs,), idx
+    A (N, d) and b (N,) are the rows and labels that ``idx`` indexes.  The
+    leading axis of the rest indexes runs: y (runs, d), gamma (runs,), idx
     (runs, m) and z (runs, m, d).  Term j of run r takes row ``idx[r, j]``
-    and evaluates the loss subgradient at the perturbed point
+    and evaluates the hinge subgradient at the perturbed point
     y[r] + gamma[r] z[r, j], where the directions z come from standard
-    normal draws times :func:`_direction_scale`.  With ``idx`` uniform over
-    the rows, row r of the result is unbiased for the gradient of the
-    smoothed single-sample objective at y[r].  ``problem`` may hold the
+    normal draws times :func:`_direction_scale`.  The slope takes the
+    0 side at the kink, so subgradients are deterministic.  With ``idx``
+    uniform over a trial's rows, row r of the result is unbiased for the
+    gradient of the smoothed objective at y[r].  A and b may hold the
     rows of several trials, as in :func:`rs_lockstep`: each run then
-    indexes only its own trial's block of rows.
+    indexes only its own trial's rows.
     """
     pts = y[:, None, :] + gamma[:, None, None] * z
-    rows = problem.A[idx]
+    rows = A[idx]
     margins = np.einsum("rjd,rjd->rj", rows, pts)
-    slopes = problem.loss.deriv(margins, problem.b[idx])
-    return (slopes[:, None, :] @ rows)[:, 0] / idx.shape[1] + problem.lam * y
+    slopes = (margins > b[idx]).astype(float)
+    return (slopes[:, None, :] @ rows)[:, 0] / idx.shape[1]
 
 
 def smoothing_bounds(gamma: float, lip: float, d: int,
@@ -123,14 +133,14 @@ def smoothing_bounds(gamma: float, lip: float, d: int,
 
 
 def _default_width(radius: float, direction: CovarianceSpectrum | None,
-                   problem: ErmProblem) -> float:
+                   n: int, d: int) -> float:
     if direction is None:
-        return radius * problem.d ** (-0.25)
+        return radius * d ** (-0.25)
     sigma1 = float(direction.sigmas[0])
     d1 = effective_dimension(direction, 1)
     d2 = effective_dimension(direction, 2)
     try:
-        shape = math.sqrt(sigma1**3 * (d1 + math.log(max(problem.n, 2))) * d2)
+        shape = math.sqrt(sigma1**3 * (d1 + math.log(max(n, 2))) * d2)
     except OverflowError:
         raise OverflowError(f"sigma1**3 overflows float64 at sigma1 {sigma1:g}") from None
     return radius / math.sqrt(max(shape, 1e-12))
@@ -144,19 +154,21 @@ def _max_row_norm(A: np.ndarray) -> float:
     return float(np.ldexp(np.linalg.norm(np.ldexp(A, -k), axis=1), k).max())
 
 
-def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig,
-                directions: list[CovarianceSpectrum | None],
+def rs_lockstep(A: np.ndarray, b: np.ndarray, streams: list[RngStream],
+                cfg: SmoothingConfig, directions: list[CovarianceSpectrum | None],
                 gap_tol: float | None = None) -> list[list[SmoothingRun]]:
-    """Accelerated dual averaging on the annealed smoothed objective, for
-    every trial and direction; ``out[k][j]`` is direction j on trial k.
+    """Accelerated dual averaging on the annealed smoothed hinge objective,
+    for every trial and direction; ``out[k][j]`` is direction j on trial k.
 
-    A direction is None for isotropic smoothing (Cov Z = I) or a spectrum
-    for shaped smoothing (Cov Z = Sigma^{1/2}); every run shares ``cfg``.
-    The rows of ``data`` split into ``len(streams)`` equal consecutive
-    blocks: trial k is block k, a view of ``data``, with generator
-    ``streams[k]``.  All directions of a trial draw from that trial's one
-    generator (see the module docstring), so a shaped run perturbs along
-    the isotropic run's directions scaled by sqrt(sigma).
+    A is (K, n, d) and b is (K, n): trial k has rows ``A[k]``, labels
+    ``b[k]`` and generator ``streams[k]``.  Each trial is a planted hinge
+    problem with x* in the radius ball (see the module docstring), so the
+    gap is the objective value itself.  A direction is
+    None for isotropic smoothing (Cov Z = I) or a spectrum for shaped
+    smoothing (Cov Z = Sigma^{1/2}); every run shares ``cfg``.  All
+    directions of a trial draw from that trial's one generator, so a
+    shaped run perturbs along the isotropic run's directions scaled by
+    sqrt(sigma).
 
     y_t = (1 - theta_t) x_t + theta_t z_t; the smoothed stochastic
     gradient at y_t with width u_t = theta_t * u is accumulated with
@@ -164,13 +176,11 @@ def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig
     (L_{t+1} + eta_{t+1}/theta_{t+1})/2 ||x||^2 over the radius ball
     (closed form plus radial projection), and
     x_{t+1} = (1 - theta_t) x_t + theta_t z_{t+1}, from x_0 = z_0 = 0.  L is
-    max_i ||a_i|| + lam * radius, the Lipschitz constant of the objective
-    on the ball; an L of 0 raises OverflowError.  A run stops after
-    ``cfg.iters`` steps or at the first step t >= 1 whose gap is <=
-    ``gap_tol``.  The gap is the objective value itself: ``data`` is a
-    planted hinge problem, labels b = A x* with x* in the ball, whose
-    optimum over the ball is 0.  A run's ``iters_to_tol`` counts gap 0 too,
-    so it is 0 for a run that starts within tolerance.
+    max_i ||a_i||, the Lipschitz constant of the objective; an L of 0
+    raises OverflowError.  A run stops after ``cfg.iters`` steps or at the
+    first step t >= 1 whose gap is <= ``gap_tol``.  A run's
+    ``iters_to_tol`` counts gap 0 too, so it is 0 for a run that starts
+    within tolerance.
 
     Each step is computed for all active runs at once.  The stop rule is
     checked once per block: each run's block of iterates is evaluated with
@@ -179,37 +189,38 @@ def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig
     trial's rows and that direction alone.
     """
     K, J = len(streams), len(directions)
-    if not K or data.n % K:
-        raise ValueError("data must split into one equal block of rows per stream")
+    if not K or A.ndim != 3 or A.shape[0] != K or b.shape != A.shape[:2]:
+        raise ValueError("A must be (K, n, d) and b (K, n), one trial per stream")
     if not J:
         raise ValueError("lockstep needs at least one direction")
-    n, d, m, R = data.n // K, data.d, cfg.batch, cfg.radius
-    trials = [ErmProblem(data.A[k * n:(k + 1) * n], data.b[k * n:(k + 1) * n],
-                         data.loss, data.lam) for k in range(K)]
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("non-finite entries in problem data")
+    _, n, d = A.shape
+    m, R = cfg.batch, cfg.radius
+    rows, labels = A.reshape(K * n, d), b.reshape(K * n)
     gens = [rng.generator() for rng in streams]
 
     # Run r is direction r % J on trial r // J, and reads rows n * (r // J) + i.
     trial = np.repeat(np.arange(K), J)
-    runs = [(trials[k], direction) for k in range(K) for direction in directions]
-    L = np.array([_max_row_norm(p.A) for p in trials])[trial]
-    L += data.lam * R
+    run_dirs = directions * K
+    L = np.array([_max_row_norm(a) for a in A])[trial]
     if not L.all():
-        raise OverflowError("the Lipschitz constant max_i ||a_i|| + lam * radius "
-                            "is 0: every row is zero or underflows float64")
-    u = np.array([cfg.u if cfg.u is not None else _default_width(R, direction, p)
-                  for p, direction in runs])
+        raise OverflowError("the Lipschitz constant max_i ||a_i|| is 0: every "
+                            "row is zero or underflows float64")
+    u = np.array([cfg.u if cfg.u is not None else _default_width(R, direction, n, d)
+                  for direction in run_dirs])
     L_over_u = L / u
     c_eta = L / (R * math.sqrt(m))
-    scale = np.stack([_direction_scale(direction, d) for _, direction in runs])
+    scale = np.stack([_direction_scale(direction, d) for direction in run_dirs])
 
-    gaps = [[p.value(np.zeros(d))] for p, _ in runs]
+    gaps = [_hinge_values(np.zeros((1, d)), A[k], b[k]).tolist() for k in trial]
     tol_at = [0 if gap_tol is not None and g[0] <= gap_tol else None for g in gaps]
-    final = [None] * len(runs)
-    live = np.arange(len(runs))
-    x = np.zeros((len(runs), d))
+    final = [None] * len(run_dirs)
+    live = np.arange(len(run_dirs))
+    x = np.zeros((len(run_dirs), d))
     z = x.copy()
     G = x.copy()
-    xs = np.empty((len(runs), DRAW_BLOCK, d))   # the block's iterates
+    xs = np.empty((len(run_dirs), DRAW_BLOCK, d))   # the block's iterates
     theta = 1.0
     t0 = 0
     while live.size:
@@ -227,7 +238,7 @@ def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig
                 gens[s].standard_normal((m, d), out=buf)
             np.multiply(normals[slot], sc, out=dirs)
             y = (1.0 - theta) * x + theta * z
-            G += grad_estimator(data, y, theta * width, idx[k], dirs) / theta
+            G += grad_estimator(rows, labels, y, theta * width, idx[k], dirs) / theta
             theta_next = _theta_next(theta)
             # coef = L_{t+1} + eta_{t+1} / theta_{t+1}, L_{t+1} = L / (theta_{t+1} u)
             coef = (lu + ceta * math.sqrt(t0 + k + 2.0)) / theta_next
@@ -242,7 +253,7 @@ def rs_lockstep(data: ErmProblem, streams: list[RngStream], cfg: SmoothingConfig
 
         keep = []
         for j, r in enumerate(live):
-            vals = runs[r][0].values(xs[j, :steps])
+            vals = _hinge_values(xs[j, :steps], A[trial[r]], b[trial[r]])
             hits = np.flatnonzero(vals <= gap_tol) if gap_tol is not None else []
             used = hits[0] + 1 if len(hits) else steps
             gaps[r] += vals[:used].tolist()

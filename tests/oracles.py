@@ -10,7 +10,6 @@ import numpy as np
 
 from effdim.concentration import _gaussian_product_moment, _pairings
 from effdim.linalg import LimitExceeded
-from effdim.precond import ErmProblem
 from effdim.smoothing import (
     DRAW_BLOCK,
     _default_width,
@@ -69,17 +68,15 @@ def draw_block(gen, steps, n, m, d, direction):
 def smooth_value_estimate(f, x, gamma, m, rng, direction=None):
     """Monte-Carlo estimate of f^gamma(x); returns (mean, stderr).
 
-    ``f`` is a callable or an :class:`ErmProblem` (its value is used).
     gamma = 0 short-circuits to (f(x), 0).
     """
-    func = f.value if isinstance(f, ErmProblem) else f
     if gamma == 0.0:
-        return float(func(x)), 0.0
+        return float(f(x)), 0.0
     if m < 2:
         raise ValueError("need m >= 2 perturbations for a stderr")
     z = (rng.generator().standard_normal((m, len(x)))
          * _direction_scale(direction, len(x)))
-    vals = np.array([func(x + gamma * z[j]) for j in range(m)])
+    vals = np.array([f(x + gamma * z[j]) for j in range(m)])
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(m))
 
 
@@ -128,27 +125,32 @@ def _sphere_net_rec(dim: int, res: float) -> np.ndarray:
     return np.unique(np.round(pts, 12), axis=0)
 
 
-def rs_reference(problem, cfg, direction, rng, f_star=0.0, gap_tol=None):
+def rs_reference(A, b, cfg, direction, rng, gap_tol=None):
     """Step-by-step loop of :func:`effdim.smoothing.rs_lockstep` for one
-    trial and one direction (None for isotropic, else a spectrum): whole-
-    block draws, one full objective value and stop check per step.
-    Returns (gaps, last iterate)."""
-    d, m, R = problem.d, cfg.batch, cfg.radius
-    L = float(np.linalg.norm(problem.A, axis=1).max()) + problem.lam * R
-    u = cfg.u if cfg.u is not None else _default_width(R, direction, problem)
+    trial, rows A (n, d) and labels b (n,), and one direction (None for
+    isotropic, else a spectrum): whole-block draws, one full hinge
+    objective value and stop check per step.  Returns (gaps, last iterate)."""
+    n, d = A.shape
+    m, R = cfg.batch, cfg.radius
+
+    def gap(x):
+        return float(np.maximum(A @ x - b, 0.0).sum()) / n
+
+    L = float(np.linalg.norm(A, axis=1).max())
+    u = cfg.u if cfg.u is not None else _default_width(R, direction, n, d)
     c_eta = L / (R * math.sqrt(m))
     gen = rng.generator()
     x = np.zeros(d)
     z = x.copy()
     G = x.copy()
     theta = 1.0
-    gaps = [problem.value(x) - f_star]
+    gaps = [gap(x)]
     for t in range(cfg.iters):
         k = t % DRAW_BLOCK
         if k == 0:
-            idx, dirs = draw_block(gen, DRAW_BLOCK, problem.n, m, d, direction)
+            idx, dirs = draw_block(gen, DRAW_BLOCK, n, m, d, direction)
         y = (1.0 - theta) * x + theta * z
-        G += grad_estimator(problem, y[None], np.array([theta * u]),
+        G += grad_estimator(A, b, y[None], np.array([theta * u]),
                             idx[k][None], dirs[k][None])[0] / theta
         theta_next = _theta_next(theta)
         z = G / -((L / u + c_eta * math.sqrt(t + 2.0)) / theta_next)
@@ -156,7 +158,7 @@ def rs_reference(problem, cfg, direction, rng, f_star=0.0, gap_tol=None):
         if nrm > R:
             z *= R / nrm
         x = (1.0 - theta) * x + theta * z
-        gaps.append(problem.value(x) - f_star)
+        gaps.append(gap(x))
         if gap_tol is not None and gaps[-1] <= gap_tol:
             break
         theta = theta_next

@@ -104,6 +104,15 @@ REPEATED_N = ("concentration", '{"spectra": {"iso": {"kind": "isotropic", "d": 2
 TRIALS_BELOW_FLOOR = ("concentration", '{"spectra": {"iso": {"kind": "isotropic", "d": 2}},'
                                        ' "n_grid": [8], "trials": 29, "r": 2}')
 
+# Each breaks a bound of the spectrum schema that make_spectrum also
+# enforces: alpha > 0, and custom values nonempty and strictly positive.
+SPECTRUM_BOUNDS = [
+    ("effdim", '{"spectrum": {"kind": "power_law", "d": 3, "alpha": 0},'
+               ' "r_values": [1]}'),
+    ("effdim", '{"spectrum": {"kind": "custom", "values": []}, "r_values": [1]}'),
+    ("effdim", '{"spectrum": {"kind": "custom", "values": [0.0]}, "r_values": [1]}'),
+]
+
 # Draft 2020-12 counts 30.0 as an integer; a run would then crash with a
 # TypeError where the library needs an int.  Integers must be written as one.
 INTEGRAL_FLOATS = [
@@ -127,7 +136,7 @@ def test_invalid_config_exits_2(tmp_path, capsys):
                                                          REPEATED_DIRECTION,
                                                          REPEATED_N,
                                                          TRIALS_BELOW_FLOOR]
-                                           + INTEGRAL_FLOATS):
+                                           + SPECTRUM_BOUNDS + INTEGRAL_FLOATS):
         cfg = tmp_path / f"nonfinite{k}.json"
         cfg.write_text(text)
         out = tmp_path / f"n{k}"

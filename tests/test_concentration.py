@@ -343,12 +343,10 @@ def test_tensor_deviation_p2_matches_matrix_route():
     assert est.value == pytest.approx(np.linalg.norm(M, 2), rel=1e-8)
 
 
-def test_bound_curves_positive_and_monotone_in_lambda():
+def test_bound_curves_positive():
     sp = make_spectrum("power_law", d=10, sigma1=2.0, alpha=1.0)
     for theorem in ("1", "2"):
-        b0 = bound_curve(theorem, sp, 1000, 3, lam=1.0)
-        b1 = bound_curve(theorem, sp, 1000, 3, lam=4.0)
-        assert 0 < b0 < b1
+        assert bound_curve(theorem, sp, 1000, 3) > 0
 
 
 def test_tightness_probe_single_sample_is_exact():

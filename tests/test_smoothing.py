@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from effdim.precond import ErmProblem, Loss
 from effdim.rng import RngStream
 from effdim.smoothing import (
     DRAW_BLOCK,
     SmoothingConfig,
     _direction_scale,
+    _hinge_values,
     _max_row_norm,
     grad_estimator,
     rs_lockstep,
@@ -60,37 +60,57 @@ def test_smooth_value_gamma_zero_is_exact():
 def test_smooth_value_accepts_problem_and_direction():
     sp = make_spectrum("power_law", d=4, sigma1=1.0, alpha=1.0)
     A = sample_gaussian(sp, 32, RngStream(2)).rows
-    prob = ErmProblem(A, np.zeros(32), Loss("hinge"), 0.0)
-    mean, se = smooth_value_estimate(prob, np.zeros(4), 0.5, 2000,
+    hinge = lambda x: float(np.maximum(A @ x, 0.0).sum()) / 32
+    mean, se = smooth_value_estimate(hinge, np.zeros(4), 0.5, 2000,
                                      RngStream(4), direction=sp)
     assert mean > 0 and se > 0
 
 
-def test_grad_estimator_unbiased_for_ridge():
-    # ridge loss with b=0: single-sample smoothed gradient has mean
-    # E_i E_Z a_i a_i^T (y + gamma Z) = (A'A/n) y  (Z is centered)
-    sp = make_spectrum("isotropic", d=3, sigma1=1.0)
+def test_grad_estimator_unbiased_for_smoothed_hinge():
+    # a_i . (y + gamma Z) - b_i is normal with mean a_i . y - b_i and
+    # standard deviation gamma ||D a_i||, D the direction scale, so the
+    # smoothed hinge has gradient mean_i Phi((a_i . y - b_i) / (gamma ||D a_i||)) a_i.
+    # atol is about 4 stderr of the mean; at this width the closed form with
+    # D = I, or the unsmoothed subgradient, misses it by 0.017 and 0.084.
+    sp = make_spectrum("power_law", d=3, sigma1=1.0, alpha=1.0)
     A = sample_gaussian(sp, 16, RngStream(5)).rows
-    prob = ErmProblem(A, np.zeros(16), Loss("ridge"), 0.0)
+    b = A @ np.array([0.5, 0.2, -0.4])
     y = np.array([1.0, -0.5, 0.25])
-    expected = A.T @ A / 16 @ y
-    idx, z = draw_block(RngStream(6).generator(), 4000, 16, 64, 3, None)
-    est = np.mean([grad_estimator(prob, y[None], np.array([0.3]), idx[k][None],
+    gamma = 1.0
+    spread = gamma * np.linalg.norm(A * _direction_scale(sp, 3), axis=1)
+    phi = [0.5 * (1.0 + math.erf(t / math.sqrt(2.0))) for t in (A @ y - b) / spread]
+    expected = np.array(phi) @ A / 16
+    idx, z = draw_block(RngStream(6).generator(), 4000, 16, 64, 3, sp)
+    est = np.mean([grad_estimator(A, b, y[None], np.array([gamma]), idx[k][None],
                                   z[k][None])[0]
                    for k in range(4000)], axis=0)
-    np.testing.assert_allclose(est, expected, atol=0.05)
+    np.testing.assert_allclose(est, expected, atol=0.005)
+
+
+def test_hinge_kink_takes_zero_side():
+    # At gamma = 0 every perturbed point is y itself; with each label equal
+    # to its margin (exact in these small integers) every term sits on the
+    # kink and takes the 0 side, so gradient and objective are 0.
+    A = np.array([[1.0, -2.0], [3.0, 0.5], [-1.0, 4.0]])
+    y = np.array([0.5, -0.25])
+    b = A @ y
+    idx = np.array([[0, 1, 2, 1]])
+    z = RngStream(0).generator().standard_normal((1, 4, 2))
+    grad = grad_estimator(A, b, y[None], np.zeros(1), idx, z)
+    np.testing.assert_array_equal(grad, np.zeros((1, 2)))
+    assert _hinge_values(y[None], A, b)[0] == 0.0
 
 
 def test_grad_estimator_variance_scales_inversely_with_batch():
     sp = make_spectrum("isotropic", d=4, sigma1=1.0)
     A = sample_gaussian(sp, 64, RngStream(7)).rows
-    prob = ErmProblem(A, A @ np.ones(4) * 0.1, Loss("hinge"), 0.0)
+    b = A @ np.ones(4) * 0.1
     y = np.full(4, 0.2)
     root = RngStream(8)
 
     def variance(m):
         idx, z = draw_block(root.child(m).generator(), 800, 64, m, 4, None)
-        draws = np.array([grad_estimator(prob, y[None], np.array([0.2]),
+        draws = np.array([grad_estimator(A, b, y[None], np.array([0.2]),
                                          idx[k][None], z[k][None])[0]
                           for k in range(800)])
         return draws.var(axis=0).sum()
@@ -116,16 +136,16 @@ def test_lockstep_reduces_hinge_gap():
     A = sample_gaussian(sp, 128, root.child(0)).rows
     xn = root.child(1).generator().standard_normal(16)
     xn *= 1.0 / np.linalg.norm(xn)
-    prob = ErmProblem(A, A @ xn, Loss("hinge"), 0.0)
+    A, b = A[None], (A @ xn)[None]
     cfg = SmoothingConfig(radius=2.0, iters=800, batch=8)
-    run = rs_lockstep(prob, [root.child(2)], cfg, [None], 2e-2)[0][0]
+    run = rs_lockstep(A, b, [root.child(2)], cfg, [None], 2e-2)[0][0]
     assert run.gaps[0] > 0.01
     assert min(run.gaps) <= 2e-2
     assert run.iters_to_tol == len(run.gaps) - 1  # stopped on tolerance
     # Shorter runs are prefixes of longer ones, so the last iterates of
     # runs stopped at several iters are iterates of the 500-step run.
     for iters in (1, 37, 100, 500):
-        end = rs_lockstep(prob, [root.child(2)],
+        end = rs_lockstep(A, b, [root.child(2)],
                           SmoothingConfig(radius=2.0, iters=iters, batch=8), [None])
         assert np.linalg.norm(end[0][0].x) <= 2.0 + 1e-9
 
@@ -133,17 +153,18 @@ def test_lockstep_reduces_hinge_gap():
 def test_lockstep_is_deterministic():
     sp = make_spectrum("isotropic", d=6, sigma1=1.0)
     A = sample_gaussian(sp, 64, RngStream(10)).rows
-    prob = ErmProblem(A, A @ np.full(6, 0.2), Loss("hinge"), 0.0)
+    A, b = A[None], (A @ np.full(6, 0.2))[None]
     cfg = SmoothingConfig(radius=1.5, iters=50, batch=4)
-    r1, r2 = (rs_lockstep(prob, [RngStream(11)], cfg, [None])[0][0] for _ in range(2))
+    r1, r2 = (rs_lockstep(A, b, [RngStream(11)], cfg, [None])[0][0] for _ in range(2))
     assert len(r1.gaps) == 51 and r1.gaps == r2.gaps
     np.testing.assert_array_equal(r1.x, r2.x)
 
 
 def _hinge_problem(d, n, seed):
+    """A spectrum and one planted hinge trial: rows (1, n, d), labels (1, n)."""
     sp = make_spectrum("power_law", d=d, sigma1=1.0, alpha=1.0)
     A = sample_gaussian(sp, n, RngStream(seed)).rows
-    return sp, ErmProblem(A, A @ np.full(d, 0.3), Loss("hinge"), 0.0)
+    return sp, A[None], (A @ np.full(d, 0.3))[None]
 
 
 def test_isotropic_spectrum_run_equals_unshaped_run():
@@ -151,12 +172,12 @@ def test_isotropic_spectrum_run_equals_unshaped_run():
     # and shaped directions are the isotropic ones scaled by sqrt(sigma),
     # so sigma = 1 must reproduce the unshaped run bit for bit, whether the
     # two run in one call or each alone.
-    _, prob = _hinge_problem(8, 64, 12)
+    _, A, b = _hinge_problem(8, 64, 12)
     iso = make_spectrum("isotropic", d=8, sigma1=1.0)
     cfg = SmoothingConfig(radius=1.5, iters=200, batch=4, u=0.5)
-    runs = [rs_lockstep(prob, [RngStream(13)], cfg, [direction], 1e-3)[0][0]
+    runs = [rs_lockstep(A, b, [RngStream(13)], cfg, [direction], 1e-3)[0][0]
             for direction in (None, iso)]
-    runs += rs_lockstep(prob, [RngStream(13)], cfg, [None, iso], 1e-3)[0]
+    runs += rs_lockstep(A, b, [RngStream(13)], cfg, [None, iso], 1e-3)[0]
     for run in runs[1:]:
         assert run.gaps == runs[0].gaps
         np.testing.assert_array_equal(run.x, runs[0].x)
@@ -167,8 +188,8 @@ def test_step_draws_do_not_depend_on_iters():
     # 100 is not a multiple of the block length, so a short last block
     # would change step 100's draws.
     assert 100 % DRAW_BLOCK != 0
-    sp, prob = _hinge_problem(8, 64, 14)
-    short, long = (rs_lockstep(prob, [RngStream(15)],
+    sp, A, b = _hinge_problem(8, 64, 14)
+    short, long = (rs_lockstep(A, b, [RngStream(15)],
                                SmoothingConfig(radius=1.5, iters=iters, batch=4),
                                [sp])[0][0]
                    for iters in (100, 500))
@@ -197,11 +218,11 @@ def test_block_stop_rule_truncates_at_first_crossing():
     # The stop rule is checked once per block: a run stopped by gap_tol
     # must equal the prefix of a run without it, both when the first
     # crossing falls on a block boundary and when it falls inside a block.
-    sp, prob = _hinge_problem(8, 64, 18)
+    sp, A, b = _hinge_problem(8, 64, 18)
 
     def run(iters, gap_tol=None):
         cfg = SmoothingConfig(radius=1.5, iters=iters, batch=4)
-        return rs_lockstep(prob, [RngStream(18)], cfg, [sp], gap_tol)[0][0]
+        return rs_lockstep(A, b, [RngStream(18)], cfg, [sp], gap_tol)[0][0]
 
     ref = run(200)
     assert ref.iters_to_tol is None
@@ -226,15 +247,15 @@ def test_block_stop_rule_truncates_at_first_crossing():
 
 
 def _two_trials():
-    """Two hinge trials of 64 rows each, stacked into one data array; three
-    configs of different radius and width; both directions."""
-    sp, prob_a = _hinge_problem(8, 64, 20)
-    _, prob_b = _hinge_problem(8, 64, 21)
-    data = ErmProblem(np.vstack([prob_a.A, prob_b.A]),
-                      np.concatenate([prob_a.b, prob_b.b]), Loss("hinge"), 0.0)
+    """Two hinge trials of 64 rows each, stacked into (2, 64, 8) rows and
+    (2, 64) labels; three configs of different radius and width; both
+    directions."""
+    sp, A_a, b_a = _hinge_problem(8, 64, 20)
+    _, A_b, b_b = _hinge_problem(8, 64, 21)
+    A, b = np.concatenate([A_a, A_b]), np.concatenate([b_a, b_b])
     cfgs = [SmoothingConfig(radius=radius, iters=300, batch=4, u=u)
             for radius, u in ((3.0, None), (1.0, 1.0), (1.5, 0.2))]
-    return data, [prob_a, prob_b], [RngStream(22), RngStream(23)], cfgs, [None, sp]
+    return A, b, [RngStream(22), RngStream(23)], cfgs, [None, sp]
 
 
 def test_lockstep_equals_step_by_step_reference():
@@ -243,16 +264,16 @@ def test_lockstep_equals_step_by_step_reference():
     # gap_tol.  The iterates follow the reference loop's arithmetic on each
     # trial's rows; a block's gaps come from one matmul, so they may differ
     # in the last bits.
-    data, trials, streams, cfgs, directions = _two_trials()
+    A, b, streams, cfgs, directions = _two_trials()
     stop_blocks = set()
     for cfg in cfgs:
-        out = rs_lockstep(data, streams, cfg, directions, 0.03)
-        assert [len(runs) for runs in out] == [len(directions)] * len(trials)
+        out = rs_lockstep(A, b, streams, cfg, directions, 0.03)
+        assert [len(runs) for runs in out] == [len(directions)] * len(streams)
         stop_blocks |= {(len(run.gaps) - 1) // DRAW_BLOCK
                         for runs in out for run in runs}
-        for prob, rng, runs in zip(trials, streams, out):
+        for A_k, b_k, rng, runs in zip(A, b, streams, out):
             for direction, run in zip(directions, runs):
-                gaps, x = rs_reference(prob, cfg, direction, rng, 0.0, 0.03)
+                gaps, x = rs_reference(A_k, b_k, cfg, direction, rng, 0.03)
                 assert len(run.gaps) == len(gaps)
                 np.testing.assert_allclose(run.gaps, gaps, rtol=1e-12, atol=0.0)
                 np.testing.assert_array_equal(run.x, x)
@@ -264,23 +285,30 @@ def test_lockstep_equals_step_by_step_reference():
 def test_lockstep_run_equals_its_trial_alone():
     # out[k][j] is direction j run by itself on trial k's rows, bit for bit:
     # neither the other trials' rows nor the other runs of the batch change it.
-    data, trials, streams, cfgs, directions = _two_trials()
+    A, b, streams, cfgs, directions = _two_trials()
     for cfg in cfgs:
-        out = rs_lockstep(data, streams, cfg, directions, 0.03)
-        for prob, rng, runs in zip(trials, streams, out):
+        out = rs_lockstep(A, b, streams, cfg, directions, 0.03)
+        for k, (rng, runs) in enumerate(zip(streams, out)):
             for direction, run in zip(directions, runs):
-                alone = rs_lockstep(prob, [rng], cfg, [direction], 0.03)[0][0]
+                alone = rs_lockstep(A[k:k + 1], b[k:k + 1], [rng], cfg,
+                                    [direction], 0.03)[0][0]
                 assert run.gaps == alone.gaps
                 np.testing.assert_array_equal(run.x, alone.x)
 
 
 def test_lockstep_rejects_runs_of_different_shapes():
-    _, prob = _hinge_problem(8, 64, 19)
+    _, A, b = _hinge_problem(8, 64, 19)
     cfg = SmoothingConfig(radius=1.0, iters=5, batch=4)
     with pytest.raises(ValueError):
-        rs_lockstep(prob, [RngStream(0), RngStream(1), RngStream(2)], cfg, [None])
+        rs_lockstep(A, b, [RngStream(0), RngStream(1), RngStream(2)], cfg, [None])
     with pytest.raises(ValueError):
-        rs_lockstep(prob, [RngStream(0)], cfg, [])
+        rs_lockstep(A, b[:, :-1], [RngStream(0)], cfg, [None])
+    with pytest.raises(ValueError):
+        rs_lockstep(A, b, [RngStream(0)], cfg, [])
+    bad = A.copy()
+    bad[0, 3, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        rs_lockstep(bad, b, [RngStream(0)], cfg, [None])
 
 
 @pytest.mark.filterwarnings("error")
@@ -294,13 +322,12 @@ def test_lockstep_takes_row_norms_whose_squares_underflow():
     assert np.all(np.linalg.norm(A, axis=1) == 0)
     L = np.ldexp(np.linalg.norm(np.ldexp(A, 664), axis=1).max(), -664)
     assert L > 0 and _max_row_norm(A) == L
-    prob = ErmProblem(A, A @ np.ones(5), Loss("hinge"), 0.0)
     cfg = SmoothingConfig(radius=1.0, iters=50, batch=4)
-    for run in rs_lockstep(prob, [RngStream(25)], cfg, [None, sp])[0]:
+    for run in rs_lockstep(A[None], (A @ np.ones(5))[None], [RngStream(25)],
+                           cfg, [None, sp])[0]:
         assert all(map(math.isfinite, run.gaps)) and np.isfinite(run.x).all()
-    zero = ErmProblem(np.zeros_like(A), np.ones(8), Loss("hinge"), 0.0)
     with pytest.raises(OverflowError, match="Lipschitz constant .* is 0"):
-        rs_lockstep(zero, [RngStream(25)], cfg, [None, sp])
+        rs_lockstep(np.zeros((1, 8, 5)), np.ones((1, 8)), [RngStream(25)], cfg, [None, sp])
 
 
 def test_config_validation():
