@@ -548,10 +548,11 @@ def run_smooth(config, seed, jobs):
                           u=config.get("u"))
 
     # One engine call advances every run together, each step a few numpy
-    # calls over all active runs; worker threads would hold the GIL in
-    # turn on calls this small, so --jobs does not split the runs.  Every
-    # direction of a trial draws from the trial's stream: common random
-    # numbers for the paired comparison.
+    # calls over all active runs, and --jobs does not split the runs.  Each
+    # run's result equals that of the run alone, so forked workers could
+    # take groups of trials without changing an output.  Every direction of
+    # a trial draws from the trial's stream: common random numbers for the
+    # paired comparison.
     out = rs_lockstep(A, b, streams, cfg,
                       [sp if direction == "data" else None for direction in directions],
                       gap_tol)

@@ -467,9 +467,9 @@ def test_unexpected_error_exits_1_with_traceback(tmp_path, monkeypatch, capsys):
     assert "Traceback" in err and "TypeError: bug in a runner" in err
 
 
-# No CLI import or serial run loads these: numpy is the only runtime
-# dependency, and parallel_map imports concurrent.futures only for threads.
-NOT_ON_RUN_PATH = ("scipy", "jsonschema", "concurrent")
+# No CLI import or run loads these: numpy is the only runtime dependency,
+# and parallel_map forks its workers with os.fork, at any --jobs.
+NOT_ON_RUN_PATH = ("scipy", "jsonschema", "concurrent", "multiprocessing")
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
@@ -692,6 +692,9 @@ def test_cli_runs_leave_scipy_unloaded(tmp_path):
     for name, config in SMALL_CONFIGS.items():
         cfg = write_config(tmp_path, f"{name}.json", config)
         calls.append([name, "--config", cfg, "--out", str(tmp_path / name)])
+    # A --jobs 2 concentration run forks its workers.
+    calls.append(["concentration", "--config", str(tmp_path / "concentration.json"),
+                  "--out", str(tmp_path / "concentration-j2"), "--jobs", "2"])
     code = ("import sys, json; from effdim.cli import main\n"
             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
             "print(json.dumps([codes, sorted(m for m in sys.modules"
@@ -830,16 +833,23 @@ def test_concentration_deterministic_across_jobs_and_reruns(tmp_path):
         assert all(o == outs[0] for o in outs), k
 
 
-def test_concentration_draws_one_reference_per_spectrum(monkeypatch):
+def test_concentration_draws_one_reference_per_spectrum(monkeypatch, tmp_path):
     # A centred relu run draws one MC_REF_ROWS-row reference per spectrum,
     # not one per (n, trial) task, at any job count, and drops each before
     # drawing the next.  Its stream does not depend on trials, so a 31-trial
     # run extends the 30-trial one.  A smaller reference keeps the test fast.
+    # At --jobs 2 the tasks run in forked workers, whose memory dies with
+    # them, so each draw's n is logged to a file: one os.write on an
+    # O_APPEND descriptor per draw, which the workers share.
     ref_rows = 4096
-    draws, live = [], []
+    log, live = tmp_path / "draws", []
 
     def spy(sp, n, rng):
-        draws.append(n)
+        fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        try:
+            os.write(fd, f"{n}\n".encode())
+        finally:
+            os.close(fd)
         out = sample_gaussian(sp, n, rng)
         if n == ref_rows:
             assert all(ref() is None for ref in live)
@@ -854,9 +864,10 @@ def test_concentration_draws_one_reference_per_spectrum(monkeypatch):
               "centered": True, "search": {"restarts": 1, "iters": 1}}
     rows = {}
     for trials, jobs in ((30, 1), (31, 2)):
-        draws.clear()
+        log.write_text("")
         rows[trials] = effdim.cli.run_concentration(
             {**config, "trials": trials}, 7, jobs)[1]["deviations.csv"]
+        draws = [int(n) for n in log.read_text().split()]
         assert draws.count(ref_rows) == 2 and len(draws) == 2 + 2 * trials, jobs
     for sid in "ab":
         assert ([row for row in rows[30] if row["spectrum_id"] == sid]
