@@ -1,8 +1,9 @@
 """Order-preserving parallel map over forked worker processes.
 
 ``parallel_map(fn, items, jobs)`` returns ``[fn(item) for item in items]``.
-With ``jobs > 1`` on Linux it forks ``w = min(jobs, len(items), usable
-CPUs) - 1`` workers: worker i runs ``items[i::w+1]`` and the caller runs
+With ``jobs > 1`` on Linux it runs on ``p = processes(jobs, len(items)) =
+min(jobs, len(items), usable CPUs)`` processes: it forks ``w = p - 1``
+workers, worker i runs ``items[i::w+1]`` and the caller runs
 ``items[0::w+1]``, so tasks sorted by size spread evenly.  A fork copies
 the caller, so each worker inherits ``fn`` with its closure (large shared
 arrays copy-on-write) and the caller's numpy error state
@@ -38,9 +39,15 @@ class _RemoteTraceback(Exception):
         return self.args[0]
 
 
+def processes(jobs: int, n_items: int) -> int:
+    """The number of processes, the caller included, that ``parallel_map``
+    runs ``n_items`` items on at ``jobs``; 1 means a serial map."""
+    return min(jobs, n_items, len(os.sched_getaffinity(0)) if FORK else 1)
+
+
 def parallel_map(fn, items, jobs: int = 1) -> list:
     items = list(items)
-    step = min(jobs, len(items), len(os.sched_getaffinity(0)) if FORK else 1)
+    step = processes(jobs, len(items))
     if step <= 1:
         return [fn(item) for item in items]
     # fds holds every pipe end the caller has open: one read end per worker,

@@ -11,8 +11,9 @@ Runners are pure: ``run_x(config, seed, jobs)`` returns ``(summary,
 {csv_name: rows})``, where the key order of each row dict is the CSV
 header.  ``main`` alone owns ``--out`` and writes every file in it.
 Each runner is its experiment's whole pipeline, from config to rows; only
-``run_concentration`` uses ``jobs``, for its (n, trial) tasks.  A config
-check the schema cannot express is made once, in the runner (ConfigInvalid).
+``run_concentration`` and ``run_smooth`` use ``jobs``, for their (n, trial)
+tasks and their trial groups.  A config check the schema cannot express is
+made once, in the runner (ConfigInvalid).
 
 Exit codes: 0 success, 2 invalid config, 3 declared computational limit
 (``DECLARED_LIMITS``), 1 any other error, with its traceback on stderr.
@@ -39,7 +40,7 @@ import numpy as np
 from . import __version__
 from .entropy import build_cover, eps_entropy_bound, sample_ellipsoid, \
     unit_entropy_bound, verify_cover
-from ._parallel import parallel_map
+from ._parallel import parallel_map, processes
 from .concentration import MC_REF_ROWS, Nonlinearity, SearchConfig, \
     empirical_sup_deviation
 from .linalg import LimitExceeded
@@ -532,30 +533,39 @@ def run_smooth(config, seed, jobs):
     gap_tol = config.get("gap_tol", 1e-2)
     root = RngStream(seed)
 
-    # Trial k owns rows A[k], labels b[k] and one stream.
-    A = np.empty((trials, n, sp.dim))
-    b = np.empty((trials, n))
-    streams = []
-    for trial in range(trials):
-        stream = root.child(trial)
-        A[trial] = sample_gaussian(sp, n, stream.child(0)).rows
-        gen = stream.child(1).generator()
-        x_nat = gen.standard_normal(sp.dim)
-        x_nat *= 0.5 * R / np.linalg.norm(x_nat)
-        b[trial] = A[trial] @ x_nat
-        streams.append(stream.child(2))
     cfg = SmoothingConfig(radius=R, iters=config["iters"], batch=config["batch"],
                           u=config.get("u"))
+    shapes = [sp if direction == "data" else None for direction in directions]
+    # One engine call advances a group's runs together, each step a few
+    # numpy calls over all of them, and each run's result equals that of the
+    # run alone.  So --jobs forks one interleaved group of trials per
+    # process and never more groups, which would run engine calls in turn in
+    # one process; at --jobs 1 one call holds every trial.
+    groups = processes(jobs, trials)
 
-    # One engine call advances every run together, each step a few numpy
-    # calls over all active runs, and --jobs does not split the runs.  Each
-    # run's result equals that of the run alone, so forked workers could
-    # take groups of trials without changing an output.  Every direction of
-    # a trial draws from the trial's stream: common random numbers for the
-    # paired comparison.
-    out = rs_lockstep(A, b, streams, cfg,
-                      [sp if direction == "data" else None for direction in directions],
-                      gap_tol)
+    def run_group(g):
+        """One engine call over trials g, g + groups, g + 2 groups, ...;
+        the i-th of them owns rows A[i], labels b[i] and one stream, built
+        here so that no process holds another group's data.  Every
+        direction of a trial draws from the trial's stream: common random
+        numbers for the paired comparison."""
+        ks = range(g, trials, groups)
+        A = np.empty((len(ks), n, sp.dim))
+        b = np.empty((len(ks), n))
+        streams = []
+        for i, trial in enumerate(ks):
+            stream = root.child(trial)
+            A[i] = sample_gaussian(sp, n, stream.child(0)).rows
+            gen = stream.child(1).generator()
+            x_nat = gen.standard_normal(sp.dim)
+            x_nat *= 0.5 * R / np.linalg.norm(x_nat)
+            b[i] = A[i] @ x_nat
+            streams.append(stream.child(2))
+        return rs_lockstep(A, b, streams, cfg, shapes, gap_tol)
+
+    out = [None] * trials
+    for g, runs in enumerate(parallel_map(run_group, range(groups), jobs)):
+        out[g::groups] = runs
     # hits: iters_to_tol by trial and direction, -1 where unreached
     hits = np.array([[-1 if run.iters_to_tol is None else run.iters_to_tol
                       for run in runs] for runs in out])

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import effdim.cli
+from effdim._parallel import FORK
 from effdim.cli import SCHEMAS, ConfigInvalid, _loglog_slope, main, validate
 from effdim.entropy import kb_mb, unit_entropy_bound
 from effdim.precond import ErmProblem, Loss, kappa_bound, mu_formula
@@ -890,19 +891,86 @@ def test_single_n_concentration_writes_null_slope(tmp_path, capsys):
     assert summary["iso"]["slope"] is None and summary["iso"]["stderr"] is None
 
 
-def test_smooth_deterministic_across_jobs(tmp_path):
-    cfg = write_config(tmp_path, "c.json", {
-        "spectrum": {"kind": "power_law", "d": 8, "sigma1": 1.0, "alpha": 1.0},
-        "n": 32, "radius": 2.0, "iters": 150, "batch": 4, "trials": 3,
-        "gap_tol": 0.05, "directions": ["iso", "data"],
-    })
-    blobs = []
-    for name, jobs in [("a", "1"), ("b", "3")]:
-        out = tmp_path / name
-        assert main(["smooth", "--config", cfg, "--out", str(out),
-                     "--seed", "9", "--jobs", jobs]) == 0
-        blobs.append((out / "smooth.csv").read_bytes())
-    assert blobs[0] == blobs[1]
+SMALL_SMOOTH = {
+    "spectrum": {"kind": "power_law", "d": 8, "sigma1": 1.0, "alpha": 1.0},
+    "n": 32, "radius": 2.0, "iters": 150, "batch": 4, "trials": 3,
+    "gap_tol": 0.05, "directions": ["iso", "data"],
+}
+
+
+def test_smooth_deterministic_across_jobs(tmp_path, monkeypatch):
+    # Four usable CPUs whatever the machine has, so --jobs 3 runs three
+    # trial groups (group g holds trials g, g + 3, ...), and trial counts
+    # that no group count divides.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    for trials in (1, 3, 5, 7):
+        cfg = write_config(tmp_path, "c.json", {**SMALL_SMOOTH, "trials": trials})
+        outputs = []
+        for jobs in ("1", "2", "3"):
+            out = tmp_path / f"{trials}-{jobs}"
+            assert main(["smooth", "--config", cfg, "--out", str(out),
+                         "--seed", "9", "--jobs", jobs]) == 0
+            outputs.append([(out / name).read_bytes()
+                            for name in ("smooth.csv", "summary.json")])
+        assert outputs[0] == outputs[1] == outputs[2], trials
+
+
+def test_smooth_jobs_make_one_engine_call_per_process(tmp_path, monkeypatch):
+    # Each call appends the trials it holds to a file, since a forked
+    # worker's memory dies with it.
+    log = tmp_path / "calls"
+    engine = effdim.cli.rs_lockstep
+    root = RngStream(3)
+    trial_of = {root.child(k).child(2).stream_id: k for k in range(5)}
+
+    def spy(A, b, streams, *args):
+        with open(log, "a") as fh:
+            fh.write(json.dumps([trial_of[s.stream_id] for s in streams]) + "\n")
+        return engine(A, b, streams, *args)
+
+    def calls(jobs):
+        log.write_text("")
+        effdim.cli.run_smooth({**SMALL_SMOOTH, "trials": 5}, 3, jobs)
+        return sorted(json.loads(line) for line in log.read_text().splitlines())
+
+    monkeypatch.setattr(effdim.cli, "rs_lockstep", spy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert calls(1) == [[0, 1, 2, 3, 4]]
+    # Two usable CPUs: two groups, not four, so no process runs two calls.
+    assert calls(4) == ([[0, 2, 4], [1, 3]] if FORK else [[0, 1, 2, 3, 4]])
+
+
+def test_huge_sigma1_smooth_exits_3_alike_at_any_jobs(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", HUGE_SIGMA1["smooth"])
+    firsts = []
+    for jobs in ("1", "2"):
+        out = tmp_path / jobs
+        assert main(["smooth", "--config", cfg, "--out", str(out), "--jobs", jobs]) == 3
+        firsts.append(capsys.readouterr().err.splitlines()[0])
+        assert not out.exists()
+    assert firsts[0] == firsts[1] and firsts[0].startswith(OVERFLOW_ERRORS)
+
+
+@pytest.mark.skipif(not FORK, reason="parallel_map forks on Linux only")
+def test_smooth_failure_in_a_worker_keeps_its_type_at_jobs_2(tmp_path, monkeypatch, capsys):
+    # Only the worker's group (trial 1) fails, so its error crosses the
+    # pipe; it must still name a declared limit and exit 3.
+    engine = effdim.cli.rs_lockstep
+    trial_0 = RngStream(0).child(0).child(2)
+
+    def engine_failing_off_trial_0(A, b, streams, *args):
+        if trial_0 not in streams:
+            raise OverflowError("raised off trial 0")
+        return engine(A, b, streams, *args)
+
+    monkeypatch.setattr(effdim.cli, "rs_lockstep", engine_failing_off_trial_0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    cfg = write_config(tmp_path, "c.json", {**SMALL_SMOOTH, "trials": 2})
+    out = tmp_path / "worker"
+    assert main(["smooth", "--config", cfg, "--out", str(out), "--jobs", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == "runtime error: OverflowError: raised off trial 0"
+    assert not out.exists()
 
 
 def test_smooth_rows_do_not_depend_on_the_batch():

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from effdim._parallel import FORK, parallel_map
+from effdim._parallel import FORK, parallel_map, processes
 from effdim.linalg import LimitExceeded
 
 needs_fork = pytest.mark.skipif(not FORK, reason="parallel_map forks on Linux only")
@@ -121,4 +121,4 @@ def test_workers_are_capped_by_cpus_and_items(monkeypatch, cpus, n_items, forks)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(os, "fork", spy)
     assert parallel_map(lambda i: i, range(n_items), 10**6) == list(range(n_items))
-    assert len(calls) == forks
+    assert len(calls) == forks == processes(10**6, n_items) - 1
