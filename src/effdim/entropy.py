@@ -81,39 +81,38 @@ def unit_entropy_bound(e: CovarianceSpectrum, c: float = 1.0,
     return EntropyBound(kb=kb, mb=mb, correction=correction, c=c)
 
 
-def eps_entropy_bound(s: CovarianceSpectrum, eps_grid, r: int = 1,
+def eps_entropy_bound(s: CovarianceSpectrum, eps_grid, r: float = 1,
                       c: float = 1.0) -> list[tuple[int, float]]:
     """Entropy bounds for covering the unit sphere in the Sigma-metric: one
-    ``(m_eps, bound)`` pair per eps of ``eps_grid``; d_eff(r) is computed
-    once for the grid.
+    ``(m_eps, bound)`` pair per eps of ``eps_grid``.
 
-    Each is :func:`unit_entropy_bound` at t = eps * sigma_1, m_eps its m_b,
-    with K_b lowered to the closed-form d_eff(r) bound where that is less.
-    At d = 1 the sphere is two points of a segment and the bracket is 0, so
-    the bound is ln(1/eps), the right order for covering a segment.  Also
-    checks the companion inequality m_eps <= 1 + (d_eff(r) - 1) *
-    eps^{-2/r} and raises ArithmeticError if it fails.
+    Each is :func:`unit_entropy_bound` at t = eps * sigma_1, m_eps its m_b;
+    at d = 1 the bracket is 0 and the bound is ln(1/eps).  ``r`` only sets
+    the checked companion inequality m_eps <= 1 + (d_eff(r) - 1) *
+    eps^{-2/r}, computed once for the grid; ArithmeticError if it fails.
+    LimitExceeded if sigma_1 / (eps * sigma_1) overflows float64: eps
+    below about 1e-308, or eps * sigma_1 below 5e-324.
     """
     if not all(0 < eps <= 1 for eps in eps_grid):
         raise ValueError("eps must lie in (0, 1]")
     if r < 1:
         raise ValueError("r must be >= 1")
-    d = s.dim
     deff = effective_dimension(s, r)
+    sigma1 = float(s.sigmas[0])
     out = []
     for eps in eps_grid:
-        b = unit_entropy_bound(s, c, radius=eps * s.sigmas[0])
-        cap = 1 + (deff - 1) * eps ** (-2.0 / r)
-        if not b.mb <= cap + 1e-9:
-            raise ArithmeticError(f"m_eps inequality violated: {b.mb} > {cap}")
-        ln_inv_eps = math.log(1.0 / eps)
-        if d == 1:
-            out.append((b.mb, ln_inv_eps + c * b.correction))
-            continue
-        a = eps ** (-2.0 / r) * (deff - 1.0)
-        lead = min(d - 1.0, a / math.e) / (2.0 / r)
-        closed_form = ln_inv_eps + lead * math.log(max(math.e, a / (d - 1.0)))
-        out.append((b.mb, min(b.kb, closed_form) + c * b.correction))
+        t = float(eps) * sigma1
+        if t == 0 or sigma1 / t == math.inf:
+            raise LimitExceeded(f"eps {eps} at sigma_1 {sigma1}: sigma_1 / "
+                                f"(eps * sigma_1) overflows float64")
+        b = unit_entropy_bound(s, c, radius=t)
+        # Multiplied through by eps^{2/r} <= 1, which may underflow but
+        # never overflows.
+        shrink = eps ** (2.0 / r)
+        if not (b.mb - 1) * shrink <= deff - 1 + 1e-9 * shrink:
+            raise ArithmeticError(f"m_eps inequality violated at eps {eps}: "
+                                  f"m_eps {b.mb}, d_eff({r}) {deff}")
+        out.append((b.mb, b.total))
     return out
 
 

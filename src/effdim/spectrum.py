@@ -77,7 +77,7 @@ class SampleMatrix:
         return self.rows.shape[0]
 
 
-def effective_dimension(s: CovarianceSpectrum, r: int) -> float:
+def effective_dimension(s: CovarianceSpectrum, r: float) -> float:
     """d_eff(r) = sum_i (sigma_i / sigma_1)^{2/r}, in [1, d].
 
     Computed in log-space so extreme condition numbers do not underflow to

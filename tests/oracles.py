@@ -17,6 +17,7 @@ from effdim.smoothing import (
     _theta_next,
     grad_estimator,
 )
+from effdim.spectrum import effective_dimension
 
 
 def effective_dimension_whole(s, r):
@@ -36,6 +37,22 @@ def log_sum_whole(x, scale):
 def count_above_whole(x, t):
     """#{i : x_i > t} by a mask the size of x."""
     return int(np.count_nonzero(x > t))
+
+
+def kb_deff_closed_form(s, eps, r):
+    """The d_eff(r) closed form of K at t = eps * sigma_1, for d >= 2.
+
+    With a = (d_eff(r) - 1) eps^{-2/r}, it is ln(1/eps) + (r/2) min(d - 1,
+    a/e) ln(max(e, a/(d - 1))): Jensen's inequality over the at most d - 1
+    axes i >= 2 above t, whose (sigma_i / sigma_1)^{2/r} sum to d_eff(r) - 1,
+    puts K_b below it.
+    """
+    d = s.dim
+    deff = effective_dimension(s, r)
+    ln_inv_eps = math.log(1.0 / eps)
+    a = eps ** (-2.0 / r) * (deff - 1.0)
+    lead = min(d - 1.0, a / math.e) / (2.0 / r)
+    return ln_inv_eps + lead * math.log(max(math.e, a / (d - 1.0)))
 
 
 def theta_sequence(T):

@@ -1,3 +1,5 @@
+import csv
+import json
 import math
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import effdim.entropy
+from effdim.cli import main
 from effdim.entropy import (
     BallCover,
     LimitExceeded,
@@ -23,6 +26,7 @@ from effdim.entropy import (
 )
 from effdim.rng import RngStream
 from effdim.spectrum import CovarianceSpectrum, make_spectrum
+from oracles import kb_deff_closed_form
 
 
 def test_kb_mb_hand_values():
@@ -97,6 +101,70 @@ def test_eps_entropy_bound_at_dim_one_is_ln_inv_eps(tmp_path):
                           env=dict(os.environ, PYTHONPATH=src))
     assert done.returncode == 0
     assert done.stderr == ""
+
+
+def test_kb_never_exceeds_the_deff_closed_form():
+    # The closed form is a Jensen relaxation of K_b, so a min of the two
+    # would always be K_b: r changes no bound, only the checked inequality.
+    gen = RngStream(32).generator()
+    spectra = [make_spectrum("isotropic", d=d) for d in (2, 7, 1000)]
+    spectra += [make_spectrum("power_law", d=d, alpha=alpha)
+                for d in (2, 10, 10**4) for alpha in (0.5, 1.0, 2.0)]
+    for _ in range(20):
+        d = int(gen.integers(2, 60))
+        spectra.append(make_spectrum(
+            "custom", values=np.sort(gen.uniform(0.01, 10.0, d))[::-1]))
+    eps_grid = np.geomspace(1.0, 1e-6, 25)
+    for s in spectra:
+        for r in (1, 1.5, 2, 3, 8):
+            for eps in eps_grid:
+                kb = kb_mb(s, eps * s.sigmas[0])[0]
+                assert kb <= kb_deff_closed_form(s, eps, r) * (1 + 1e-12)
+    s = make_spectrum("power_law", d=50, alpha=1.0)
+    bounds = [eps_entropy_bound(s, eps_grid, r=r) for r in (1, 2, 8)]
+    assert bounds[0] == bounds[1] == bounds[2]
+
+
+def test_eps_entropy_bound_takes_tiny_eps(tmp_path):
+    # eps^{-2/r} overflows float64 at eps 1e-160, r = 1, but the bound is
+    # finite: each row is the unit bound at t = eps * sigma_1.
+    spectrum = {"kind": "power_law", "d": 10, "alpha": 1.0}
+    s = make_spectrum(**spectrum)
+    eps_grid = [1e-160, 0.5]
+    want = []
+    for eps in eps_grid:
+        b = unit_entropy_bound(s, radius=eps * s.sigmas[0])
+        want.append((b.mb, b.total))
+    assert eps_entropy_bound(s, eps_grid, r=1) == want
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"spectrum": spectrum, "eps_grid": eps_grid, "r": 1}))
+    assert main(["entropy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "entropy.csv", newline="") as f:
+        rows = [(float(row["eps"]), int(row["m_eps"]), float(row["bound"]))
+                for row in csv.DictReader(f)]
+    assert sorted(rows) == sorted((eps, *w) for eps, w in zip(eps_grid, want))
+    # d = 1 takes the same path: the bracket is 0, and K_b is ln(1/eps).
+    s = make_spectrum("isotropic", d=1, sigma1=0.3)
+    eps_grid = [0.5, 0.01, 1e-6, 1e-160]
+    for eps, (mb, bound) in zip(eps_grid, eps_entropy_bound(s, eps_grid, c=3.0)):
+        assert mb == 1
+        assert bound == pytest.approx(math.log(1.0 / eps), rel=1e-14)
+
+
+def test_eps_entropy_bound_names_a_radius_it_cannot_divide_by(tmp_path, capsys):
+    # Below about 1e-308, sigma_1 / (eps * sigma_1) overflows; at a small
+    # sigma_1, eps * sigma_1 can underflow to 0 at a larger eps.
+    for sigma1, eps in ((1.0, 5e-324), (1.0, 1e-310), (1e-100, 1e-250)):
+        spectrum = {"kind": "power_law", "d": 10, "alpha": 1.0, "sigma1": sigma1}
+        with pytest.raises(LimitExceeded, match="overflows float64"):
+            eps_entropy_bound(make_spectrum(**spectrum), [0.5, eps])
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"spectrum": spectrum, "eps_grid": [eps]}))
+        assert main(["entropy", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"runtime error: LimitExceeded: eps {eps} at sigma_1")
+        assert not (tmp_path / "o").exists()
 
 
 def test_eps_bound_depends_on_d_only_through_its_bracket():
