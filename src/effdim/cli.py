@@ -378,6 +378,7 @@ def run_concentration(config, seed, jobs):
     if len(fs) != r:
         raise ConfigInvalid("fs must list one nonlinearity per factor")
     centered = config.get("centered", True)
+    mode = "centered" if centered else "uncentered"
     identity = all(f.kind == "identity" for f in fs)
     search = SearchConfig(**config.get("search", {}))
     root = RngStream(seed)
@@ -420,7 +421,7 @@ def run_concentration(config, seed, jobs):
                   "std": _ldexp(float(np.std(v)), k * r, what)}
                  for n, v in zip(n_grid, vals)]
         rows += [{"seed": seed, "trial": trial, "spectrum_id": sid, "n": n,
-                  "value": _ldexp(est.value, k * r, what), "mode": est.mode}
+                  "value": _ldexp(est.value, k * r, what), "mode": mode}
                  for n, col in sorted(zip(n_grid, by_n)) for trial, est in enumerate(col)]
         slope, stderr = _loglog_slope(n_grid, [m["mean"] for m in means])
         summary[sid] = {"slope": slope, "stderr": stderr, "means": means}

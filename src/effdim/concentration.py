@@ -12,10 +12,11 @@ What each route returns:
   D(x_1, ..., ·, ..., x_r) = E_n[a prod_{j != k} (a . x_j)] minus, when
   centered, its Gaussian expectation, the Wick sum
   sum_{m != k} Sigma x_m E[prod_{j != k, m} (a . x_j)] over the Gram
-  entries x_p^T Sigma x_q (:func:`_gaussian_product_moment_grad`).  This
-  is the implicit tensor power iteration of Anandkumar, Ge, Hsu, Kakade &
-  Telgarsky (JMLR 2014); it equals, to rounding, the same ascent run on a
-  dense D with the same starts.  The reference is a
+  entries x_p^T Sigma x_q (:func:`_gaussian_product_moment_grad`, the one
+  Wick engine; zero at odd r).  The estimate is the largest ||g|| over the
+  updates.  This is the implicit tensor power iteration of Anandkumar, Ge,
+  Hsu, Kakade & Telgarsky (JMLR 2014); it equals, to rounding, the same
+  ascent run on a dense D with the same starts.  The reference is a
   :class:`CovarianceSpectrum`.
 - Nonlinear factors (relu, clip) give a *lower estimate* by multistart
   projected gradient ascent over the n rows, against an independent
@@ -98,7 +99,6 @@ class SearchConfig:
 @dataclass(frozen=True)
 class DeviationEstimate:
     value: float
-    mode: str  # "centered" | "uncentered"
 
 
 @functools.lru_cache
@@ -148,7 +148,6 @@ def empirical_sup_deviation(
     if centered and not isinstance(ref, ref_type):
         raise ValueError(f"centered mode with these factors needs a "
                          f"{ref_type.__name__} reference")
-    mode = "centered" if centered else "uncentered"
     A = samples.rows
     d = A.shape[1]
 
@@ -157,11 +156,9 @@ def empirical_sup_deviation(
             dev = A.T @ A / len(A)
             value = tensor_opnorm(dev - ref.covariance() if centered else dev)
         else:
-            # Odd Gaussian moments vanish, so odd r centres against 0.
-            centre = centered and r % 2 == 0
-            value = _identity_block_ascent(A, ref.sigmas**2 if centre else None,
+            value = _identity_block_ascent(A, ref.sigmas**2 if centered else None,
                                            r, search, rng)
-        return DeviationEstimate(value=value, mode=mode)
+        return DeviationEstimate(value=value)
     ref_rows = ref.rows if centered else None
 
     sq_norms = np.einsum("ij,ij->i", A, A)
@@ -196,7 +193,7 @@ def empirical_sup_deviation(
 
     if centered:
         best = max(best, 0.0)
-    return DeviationEstimate(value=best, mode=mode)
+    return DeviationEstimate(value=best)
 
 
 # Rows of the Monte-Carlo reference for nonlinear factors; ``effdim
@@ -257,20 +254,21 @@ def _identity_block_ascent(A: np.ndarray, var: np.ndarray | None, r: int,
     Starts are ``rng.generator().standard_normal((restarts, r, d))``
     normalized per vector.  Each sweep sets, in turn, x_k <- g / ||g|| with
     g = D(x_1, ..., ·, ..., x_r), the exact maximizer over block k with the
-    others fixed, so the value never decreases.  The result is the best of
-    |D| at the starts and every ||g||, so it is non-decreasing in ``iters``
-    (and in ``restarts``) for a fixed ``rng``.  The projections U = X A^T
-    are kept and one block of them is refreshed per update, so each update
-    costs O(restarts * n * d) and no d**r array is formed.
+    others fixed, so the value never decreases.  The result is the largest
+    ||g|| over the updates, so it is non-decreasing in ``iters`` (and in
+    ``restarts``) for a fixed ``rng``.  D is multilinear, so at a start
+    D(x_1, ..., x_r) = x_1 . g for the first update's g, at most ||g|| by
+    Cauchy-Schwarz: the starts need no pass of their own, and with
+    ``iters`` = 0 the result is 0.0, the trivial lower bound.  The
+    projections U = X A^T are kept and one block of them is refreshed per
+    update, so each update costs O(restarts * n * d) and no d**r array is
+    formed.
     """
     n, d = A.shape
     X = rng.generator().standard_normal((search.restarts, r, d))
     X /= np.linalg.norm(X, axis=2, keepdims=True)
     U = X @ A.T  # (restarts, r, n)
-    start = U.prod(axis=1).mean(axis=1)
-    if var is not None:
-        start -= _gaussian_product_moment(X * var @ X.transpose(0, 2, 1))
-    best = float(np.abs(start).max())
+    best = 0.0
     others = [[j for j in range(r) if j != k] for k in range(r)]
     for _ in range(search.iters):
         for k in range(r):
@@ -288,21 +286,12 @@ def _identity_block_ascent(A: np.ndarray, var: np.ndarray | None, r: int,
     return best
 
 
-def _gaussian_product_moment(gram: np.ndarray) -> np.ndarray:
-    """E[prod_p (a . x_p)] for a ~ N(0, Sigma), given the Gram matrices
-    gram[..., p, q] = x_p^T Sigma x_q of shape (..., m, m): the Wick
-    (Isserlis) sum over all pairings of the m factors of products of Gram
-    entries; zero for odd m."""
-    P = _pairings(gram.shape[-1])
-    return gram[..., P[..., 0], P[..., 1]].prod(axis=-1).sum(axis=-1)
-
-
 def _gaussian_product_moment_grad(X: np.ndarray, SX: np.ndarray,
                                   k: int) -> np.ndarray:
     """Gradient in x_k of E[prod_j (a . x_j)] for blocks X (R, r, d) with
     SX[:, m] = Sigma x_m, shape (R, d): E[a prod_{j != k} (a . x_j)], the
     sum over pairings of Sigma x_m, m the partner of k, times the Gram
-    entries of the other pairs."""
+    entries of the other pairs; zero for odd r, which has no pairing."""
     P = _pairings(X.shape[1])
     gram = SX @ X.transpose(0, 2, 1)
     has_k = (P == k).any(axis=-1)  # one pair per pairing holds k
@@ -320,9 +309,8 @@ def bound_curve(theorem: str, s: CovarianceSpectrum, n: int, r: int) -> float:
     power (delta = 1/n truncation device).
     """
     sigma1 = float(s.sigmas[0])
-    d = s.dim
     B = max_norm_bound(s, n, min(1.0 / n, 0.5)) ** (r / 2.0)
-    ln_d = math.log(d) if d > 1 else 0.0
+    ln_d = math.log(s.dim)
     if theorem == "1":
         deff_r = effective_dimension(s, r)
         deff_1 = effective_dimension(s, 1)

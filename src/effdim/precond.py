@@ -190,8 +190,7 @@ def mu_formula(s: CovarianceSpectrum, n: int, n_aux: int,
     each bounded by Theorem 1 at r = 2 (:func:`bound_curve`).
     """
     sigma1 = float(s.sigmas[0])
-    d = s.dim
-    ln_d = math.log(d) if d > 1 else 0.0
+    ln_d = math.log(s.dim)
     ln_inv = math.log(1.0 / _MU_DELTA)
     d1 = effective_dimension(s, 1)
     d3 = effective_dimension(s, 3)

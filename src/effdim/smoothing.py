@@ -123,7 +123,7 @@ def smoothing_bounds(gamma: float, lip: float, d: int,
     sigma1 = float(spectrum.sigmas[0])
     d1 = effective_dimension(spectrum, 1)
     d2 = effective_dimension(spectrum, 2)
-    ln_d = math.log(spectrum.dim) if spectrum.dim > 1 else 0.0
+    ln_d = math.log(spectrum.dim)
     gap = gamma * lip * math.sqrt(sigma1**3 * (d1 + math.log(n / delta)) * d2)
     smooth = (
         lip * math.sqrt(sigma1) * math.sqrt(d2) / (gamma * d1)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from effdim.concentration import _gaussian_product_moment, _pairings
+from effdim.concentration import _gaussian_product_moment_grad, _pairings
 from effdim.linalg import LimitExceeded
 from effdim.smoothing import (
     DRAW_BLOCK,
@@ -208,13 +208,15 @@ def moment_tensor(A, p):
 
 
 def basis_moment_tensor(s, p):
-    """E[a^{⊗p}] for a ~ N(0, Sigma) from the library's Wick contraction
-    :func:`effdim.concentration._gaussian_product_moment`, evaluated at
-    every p-tuple of basis vectors."""
+    """E[a^{⊗p}] for a ~ N(0, Sigma) from the library's Wick gradient
+    :func:`effdim.concentration._gaussian_product_moment_grad`: entry
+    (i_1, ..., i_p) is component i_1 of the gradient in x_1 at
+    (e_{i_2}, ..., e_{i_p})."""
     d = s.dim
-    X = np.eye(d)[np.array(list(itertools.product(range(d), repeat=p)))]  # (d**p, p, d)
-    gram = X * s.sigmas**2 @ X.transpose(0, 2, 1)
-    return _gaussian_product_moment(gram).reshape((d,) * p)
+    X = np.zeros((d ** (p - 1), p, d))  # x_1 stays 0: the gradient ignores it
+    X[:, 1:] = np.eye(d)[np.array(list(itertools.product(range(d), repeat=p - 1)))]
+    g = _gaussian_product_moment_grad(X, X * s.sigmas**2, 0)  # (d**(p-1), d)
+    return np.moveaxis(g.reshape((d,) * p), -1, 0)
 
 
 def gaussian_moment_tensor(s, p):
@@ -245,8 +247,9 @@ def dense_block_ascent(t, restarts, iters, rng):
     """Block ascent for sup |t(x_1, ..., x_p)| on a dense order p >= 3
     tensor, with the starts and updates of the library's tensor-free route:
     ``rng.generator().standard_normal((restarts, p, d))`` normalized per
-    vector, x_k <- t(..., ·, ...) / ||·||, the best of |t| at the starts
-    and every norm."""
+    vector, x_k <- t(..., ·, ...) / ||·||.  Unlike the library it keeps the
+    start pass as the reference: the best of |t| at the starts and every
+    norm."""
     p = t.ndim
     X = rng.generator().standard_normal((restarts, p, t.shape[0]))
     X /= np.linalg.norm(X, axis=2, keepdims=True)

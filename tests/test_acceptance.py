@@ -153,7 +153,7 @@ def test_criterion_6_tensor_moments():
     ok = True
     for p in (3, 4):
         emp, var = empirical_mean_tensor(sm.rows, p)
-        # the library's Wick contraction at every p-tuple of basis vectors
+        # the library's Wick gradient at every tuple of basis vectors
         exact = basis_moment_tensor(sp, p)
         stderr = np.sqrt(var / sm.n) + 1e-12
         worst = float(np.max(np.abs(emp - exact) / stderr))

@@ -83,6 +83,8 @@ def test_tensor_opnorm_non_decreasing_in_iters():
         A = sample_gaussian(sp, 30, RngStream(17, r)).rows
         vals = [identity_opnorm(A, r, ref=sp, restarts=3, iters=k, rng=RngStream(4))
                 for k in range(25)]
+        # no update, no estimate: 0.0 is the trivial lower bound
+        assert vals[0] == 0.0
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 

@@ -59,6 +59,7 @@ def test_tracer_runs_each_layer_without_failures(tmp_path):
 # Tracer targets whose library function is gone: their metrics read 0.  A
 # repaired target leaves this set; a newly stale one fails the test.
 STALE_TARGETS = {
+    "effdim.concentration._gaussian_product_moment",
     "effdim.concentration.tensor_deviation",
     "effdim.linalg.sym_eigh",
     "effdim.precond.GradientServer.full_gradient",
