@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import tensor_opnorm
+from .linalg import LimitExceeded, tensor_opnorm
 from .rng import RngStream
 from .spectrum import CovarianceSpectrum, SampleMatrix, effective_dimension, \
     max_norm_bound
@@ -101,10 +101,19 @@ class DeviationEstimate:
     value: float
 
 
+# Rows of the largest Wick pairing table, (r - 1)!! at r = 12.  Building it
+# takes about 0.05 s and 8 MB; r = 14's 135135 pairings take about 1 s and
+# 110 MB more, in every process that runs a centred identity task, and each
+# ascent update then costs 13 times as much.
+MAX_PAIRINGS = 10395
+
+
 @functools.lru_cache
 def _pairings(m: int) -> np.ndarray:
     """Every pairing of the indices 0..m-1 as an int array of shape
-    (pairings, m // 2, 2): (m - 1)!! pairings for even m, none for odd m."""
+    (pairings, m // 2, 2): (m - 1)!! pairings for even m, none for odd m.
+    Raises :class:`LimitExceeded` naming m and the count, before building
+    anything, when (m - 1)!! exceeds ``MAX_PAIRINGS``."""
     def pairings(items):
         if not items:
             yield []
@@ -114,8 +123,12 @@ def _pairings(m: int) -> np.ndarray:
             for sub in pairings(rest[:i] + rest[i + 1:]):
                 yield [(first, second)] + sub
 
-    out = list(pairings(list(range(m))))
-    out = np.array(out, dtype=int).reshape(len(out), m // 2, 2)
+    count = 0 if m % 2 else math.prod(range(m - 1, 0, -2))
+    if count > MAX_PAIRINGS:
+        raise LimitExceeded(f"Wick pairing table at r {m}: {count} pairings "
+                            f"exceed the cap of {MAX_PAIRINGS}")
+    out = np.array(list(pairings(list(range(m)))) if count else [], dtype=int)
+    out = out.reshape(count, m // 2, 2)
     out.flags.writeable = False  # one cached array is shared by every caller
     return out
 

@@ -112,7 +112,9 @@ def smoothing_bounds(gamma: float, lip: float, d: int,
 
     Isotropic (spectrum None): gap <= gamma * lip * sqrt(d), smoothness
     <= lip / gamma.  Shaped directions use the spectral form in terms of
-    the effective dimensions of the data covariance.
+    the effective dimensions of the data covariance: gap <= gamma * lip *
+    sqrt(sigma_1^3 (d_eff(1) + ln(n / delta)) d_eff(2)).  A sigma_1 whose
+    cube overflows float64 raises OverflowError naming it.
     """
     if gamma <= 0 or lip < 0:
         raise ValueError("gamma must be positive and lip nonnegative")
@@ -124,7 +126,10 @@ def smoothing_bounds(gamma: float, lip: float, d: int,
     d1 = effective_dimension(spectrum, 1)
     d2 = effective_dimension(spectrum, 2)
     ln_d = math.log(spectrum.dim)
-    gap = gamma * lip * math.sqrt(sigma1**3 * (d1 + math.log(n / delta)) * d2)
+    try:
+        gap = gamma * lip * math.sqrt(sigma1**3 * (d1 + math.log(n / delta)) * d2)
+    except OverflowError:
+        raise OverflowError(f"sigma1**3 overflows float64 at sigma1 {sigma1:g}") from None
     smooth = (
         lip * math.sqrt(sigma1) * math.sqrt(d2) / (gamma * d1)
         * (1.0 + math.sqrt((d1 * ln_d + math.log(1.0 / delta)) / n))
@@ -134,16 +139,20 @@ def smoothing_bounds(gamma: float, lip: float, d: int,
 
 def _default_width(radius: float, direction: CovarianceSpectrum | None,
                    n: int, d: int) -> float:
+    """The default smoothing width u = R / sqrt(G), with G the printed gap
+    bound of :func:`smoothing_bounds` per unit width and unit Lipschitz
+    constant, floored at 1e-12.
+
+    Isotropic directions have G = sqrt(d), so u = R d^{-1/4}, the width of
+    Duchi, Bartlett & Wainwright (SIAM J. Optim. 2012); it is written as
+    that power, which can differ from R / sqrt(sqrt(d)) in the last bit.
+    Shaped directions take G from the call at delta = 1, so that
+    ln(n / delta) is ln n, and at max(n, 2), so that n = 1 takes ln 2.
+    """
     if direction is None:
         return radius * d ** (-0.25)
-    sigma1 = float(direction.sigmas[0])
-    d1 = effective_dimension(direction, 1)
-    d2 = effective_dimension(direction, 2)
-    try:
-        shape = math.sqrt(sigma1**3 * (d1 + math.log(max(n, 2))) * d2)
-    except OverflowError:
-        raise OverflowError(f"sigma1**3 overflows float64 at sigma1 {sigma1:g}") from None
-    return radius / math.sqrt(max(shape, 1e-12))
+    gap = smoothing_bounds(1.0, 1.0, d, direction, max(n, 2), delta=1.0)["gap"]
+    return radius / math.sqrt(max(gap, 1e-12))
 
 
 def _max_row_norm(A: np.ndarray) -> float:

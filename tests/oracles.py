@@ -142,6 +142,24 @@ def _sphere_net_rec(dim: int, res: float) -> np.ndarray:
     return np.unique(np.round(pts, 12), axis=0)
 
 
+def default_width_closed_form(radius, direction, n, d):
+    """:func:`effdim.smoothing._default_width` with its gap bound written
+    out by hand rather than read from
+    :func:`effdim.smoothing.smoothing_bounds`: R d^{-1/4} isotropic, else
+    R / sqrt(sqrt(sigma_1^3 (d_eff(1) + ln max(n, 2)) d_eff(2))), floored at
+    1e-12 under the outer root."""
+    if direction is None:
+        return radius * d ** (-0.25)
+    sigma1 = float(direction.sigmas[0])
+    d1 = effective_dimension(direction, 1)
+    d2 = effective_dimension(direction, 2)
+    try:
+        shape = math.sqrt(sigma1**3 * (d1 + math.log(max(n, 2))) * d2)
+    except OverflowError:
+        raise OverflowError(f"sigma1**3 overflows float64 at sigma1 {sigma1:g}") from None
+    return radius / math.sqrt(max(shape, 1e-12))
+
+
 def rs_reference(A, b, cfg, direction, rng, gap_tol=None):
     """Step-by-step loop of :func:`effdim.smoothing.rs_lockstep` for one
     trial, rows A (n, d) and labels b (n,), and one direction (None for

@@ -951,6 +951,42 @@ def test_huge_sigma1_smooth_exits_3_alike_at_any_jobs(tmp_path, capsys):
     assert firsts[0] == firsts[1] and firsts[0].startswith(OVERFLOW_ERRORS)
 
 
+def _identity_run(tmp_path, r, centered, jobs="1"):
+    config = {"spectra": {"p": {"kind": "power_law", "d": 3, "sigma1": 3.0, "alpha": 1.0}},
+              "n_grid": [16], "trials": 30, "r": r, "centered": centered,
+              "search": {"restarts": 1, "iters": 1}}
+    out = tmp_path / f"r{r}-{centered}-{jobs}"
+    code = main(["concentration", "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(out), "--jobs", jobs])
+    return code, out
+
+
+def test_odd_r_wick_term_is_zero(tmp_path):
+    # At odd r the Gaussian moments vanish, so centring changes no value.
+    values = []
+    for centered in (True, False):
+        code, out = _identity_run(tmp_path, 17, centered)
+        assert code == 0
+        with open(out / "deviations.csv") as fh:
+            values.append([row["value"] for row in csv.DictReader(fh)])
+    assert values[0] == values[1] and len(values[0]) == 30
+
+
+def test_centred_identity_above_the_wick_cap_exits_3(tmp_path, capsys):
+    # r = 14, the first even r whose (r - 1)!! pairings exceed the cap,
+    # stops before building the table, alike at any --jobs; uncentred runs
+    # need no table and take any r.
+    firsts = []
+    for jobs in ("1", "2"):
+        code, out = _identity_run(tmp_path, 14, True, jobs)
+        assert code == 3 and not out.exists()
+        firsts.append(capsys.readouterr().err.splitlines()[0])
+    assert firsts[0] == firsts[1] == (
+        "runtime error: LimitExceeded: Wick pairing table at r 14: "
+        "135135 pairings exceed the cap of 10395")
+    assert _identity_run(tmp_path, 14, False)[0] == 0
+
+
 @pytest.mark.skipif(not FORK, reason="parallel_map forks on Linux only")
 def test_smooth_failure_in_a_worker_keeps_its_type_at_jobs_2(tmp_path, monkeypatch, capsys):
     # Only the worker's group (trial 1) fails, so its error crosses the

@@ -7,14 +7,17 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from effdim.concentration import (
+    MAX_PAIRINGS,
     Nonlinearity,
     SearchConfig,
     bound_curve,
     empirical_sup_deviation,
     _gaussian_product_moment_grad,
+    _pairings,
     _product_means,
 )
 import effdim.concentration
+from effdim.linalg import LimitExceeded
 from effdim.rng import RngStream
 from effdim.spectrum import CovarianceSpectrum, SampleMatrix, make_spectrum, \
     sample_gaussian
@@ -101,6 +104,15 @@ def test_isserlis_moment_matches_wick_by_hand():
     # Three factors have no pairing: every gradient is zero.
     for k in range(3):
         assert not np.any(_gaussian_product_moment_grad(X[:, :3], X[:, :3] @ cov, k))
+
+
+def test_pairing_tables_cost_what_they_hold():
+    # An odd count has no pairing: the table is empty without a walk, which
+    # at 21 indices would visit 20!! (about 3.7e9) leaves.
+    assert _pairings(21).shape == (0, 10, 2)
+    assert len(_pairings(12)) == 11 * 9 * 7 * 5 * 3 == MAX_PAIRINGS
+    with pytest.raises(LimitExceeded, match="Wick pairing table at r 14: 135135 pairings"):
+        _pairings(14)
 
 
 def test_centered_r2_matches_operator_norm():

@@ -7,6 +7,7 @@ from effdim.rng import RngStream
 from effdim.smoothing import (
     DRAW_BLOCK,
     SmoothingConfig,
+    _default_width,
     _direction_scale,
     _hinge_values,
     _max_row_norm,
@@ -15,7 +16,8 @@ from effdim.smoothing import (
     smoothing_bounds,
 )
 from effdim.spectrum import CovarianceSpectrum, make_spectrum, sample_gaussian
-from oracles import draw_block, rs_reference, smooth_value_estimate, theta_sequence
+from oracles import default_width_closed_form, draw_block, rs_reference, \
+    smooth_value_estimate, theta_sequence
 
 
 def test_theta_identity_and_envelope():
@@ -128,6 +130,41 @@ def test_smoothing_bounds_shapes():
     assert shaped["gap"] > 0 and shaped["smoothness"] > 0
     with pytest.raises(ValueError):
         smoothing_bounds(0.1, 1.0, 16, spectrum=sp)  # missing n
+
+
+def _width_or_overflow(width, *args):
+    try:
+        return width(*args).hex()
+    except OverflowError as exc:
+        return str(exc)
+
+
+def test_default_width_is_r_over_root_of_the_printed_gap():
+    # The shaped width reads smoothing_bounds' gap bound; its bits equal the
+    # closed form written out by hand, at n = 1 (ln 2), at a sigma_1 whose
+    # gap underflows to 0 (the 1e-12 floor) and at one whose cube overflows.
+    spectra = [make_spectrum(kind, d=d, sigma1=sigma1, alpha=1.5)
+               for kind in ("isotropic", "power_law") for d in (1, 3, 64)
+               for sigma1 in (1e-150, 1e-30, 0.3, 1.0, 7.0, 1e40, 1e150)]
+    spectra.append(CovarianceSpectrum([4.0, 2.5, 2.5, 0.1, 1e-6]))
+    for sp in spectra:
+        for n in (1, 2, 7, 512, 10**12):
+            for radius in (1e-3, 2.0, 1e3):
+                args = (radius, sp, n, sp.dim)
+                assert (_width_or_overflow(_default_width, *args)
+                        == _width_or_overflow(default_width_closed_form, *args)), args
+    tiny, huge = (make_spectrum("power_law", d=3, sigma1=sigma1, alpha=1.5)
+                  for sigma1 in (1e-150, 1e150))
+    assert smoothing_bounds(1.0, 1.0, 3, tiny, 2, delta=1.0)["gap"] == 0.0
+    with pytest.raises(OverflowError, match=r"sigma1\*\*3 overflows float64 at sigma1 1e\+150"):
+        _default_width(2.0, huge, 2, 3)
+    # Isotropic: the same rule at G = sqrt(d), written as R d^{-1/4}.
+    for d in (1, 2, 3, 16, 64, 1000, 4999):
+        for radius in (1e-3, 0.5, 2.0, 1e3):
+            got = _default_width(radius, None, 512, d)
+            assert got == default_width_closed_form(radius, None, 512, d)
+            rule = radius / math.sqrt(smoothing_bounds(1.0, 1.0, d)["gap"])
+            assert abs(got - rule) <= math.ulp(rule), (d, radius)
 
 
 def test_lockstep_reduces_hinge_gap():
