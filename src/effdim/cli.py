@@ -675,6 +675,10 @@ def main(argv=None) -> int:
     created = not out.exists()
     try:
         out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"config error: --out {out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    try:
         started = datetime.datetime.now(datetime.timezone.utc).isoformat()
         with np.errstate(over="raise"):
             summary, tables = RUNNERS[args.subcommand](config, seed, jobs)

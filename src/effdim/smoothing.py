@@ -144,13 +144,10 @@ def _default_width(radius: float, direction: CovarianceSpectrum | None,
     constant, floored at 1e-12.
 
     Isotropic directions have G = sqrt(d), so u = R d^{-1/4}, the width of
-    Duchi, Bartlett & Wainwright (SIAM J. Optim. 2012); it is written as
-    that power, which can differ from R / sqrt(sqrt(d)) in the last bit.
-    Shaped directions take G from the call at delta = 1, so that
-    ln(n / delta) is ln n, and at max(n, 2), so that n = 1 takes ln 2.
+    Duchi, Bartlett & Wainwright (SIAM J. Optim. 2012).  Shaped directions
+    take G from the call at delta = 1, so that ln(n / delta) is ln n, and
+    at max(n, 2), so that n = 1 takes ln 2; isotropic ones ignore both.
     """
-    if direction is None:
-        return radius * d ** (-0.25)
     gap = smoothing_bounds(1.0, 1.0, d, direction, max(n, 2), delta=1.0)["gap"]
     return radius / math.sqrt(max(gap, 1e-12))
 

@@ -145,11 +145,11 @@ def _sphere_net_rec(dim: int, res: float) -> np.ndarray:
 def default_width_closed_form(radius, direction, n, d):
     """:func:`effdim.smoothing._default_width` with its gap bound written
     out by hand rather than read from
-    :func:`effdim.smoothing.smoothing_bounds`: R d^{-1/4} isotropic, else
-    R / sqrt(sqrt(sigma_1^3 (d_eff(1) + ln max(n, 2)) d_eff(2))), floored at
-    1e-12 under the outer root."""
+    :func:`effdim.smoothing.smoothing_bounds`: R / sqrt(sqrt(d)) isotropic,
+    else R / sqrt(sqrt(sigma_1^3 (d_eff(1) + ln max(n, 2)) d_eff(2))),
+    floored at 1e-12 under the outer root."""
     if direction is None:
-        return radius * d ** (-0.25)
+        return radius / math.sqrt(math.sqrt(d))
     sigma1 = float(direction.sigmas[0])
     d1 = effective_dimension(direction, 1)
     d2 = effective_dimension(direction, 2)

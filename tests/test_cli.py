@@ -158,6 +158,17 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert (out / "keep").is_dir()
 
 
+def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", EFFDIM_CFG)
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"keep me")
+    for out in (afile, afile / "sub"):
+        assert main(["effdim", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: --out {out}: ") and err.count("\n") == 1, err
+        assert afile.read_bytes() == b"keep me"
+
+
 def test_runtime_failure_exits_3(tmp_path, capsys):
     # cover construction refuses d > 5 and grids over its cell cap at run
     # time, not validation time
@@ -225,6 +236,25 @@ def test_concentration_below_the_tensor_overflow_runs_clean(sigma1, tmp_path, ca
     assert capsys.readouterr().err == ""
     (cell,) = json.loads((out / "summary.json").read_text())["p"]["means"]
     assert 0 < cell["std"] < cell["mean"] < math.inf
+
+
+def test_concentration_scales_back_past_the_float64_range_of_2_to_the_kr(tmp_path, capsys):
+    # sigma_1 = 3e154 has k = 513, so 2**(k r) = 2**1026 is no float64; the
+    # values scaled back by it still are, and the run finishes clean.
+    config = {"spectra": {"i": {"kind": "isotropic", "d": 5, "sigma1": 3e154}},
+              "n_grid": [65536], "trials": 30, "r": 2,
+              "search": {"restarts": 1, "iters": 1}}
+    assert int(np.frexp(3e154)[1]) - 1 == 513
+    out = tmp_path / "o"
+    assert main(["concentration", "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    with open(out / "deviations.csv") as fh:
+        values = _numbers(summary) + _numbers(list(csv.reader(fh)))
+    assert all(map(math.isfinite, values))
+    (cell,) = summary["i"]["means"]
+    assert cell["mean"] > 0
 
 
 def _ladder_configs(sigma1):

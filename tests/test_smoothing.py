@@ -140,9 +140,10 @@ def _width_or_overflow(width, *args):
 
 
 def test_default_width_is_r_over_root_of_the_printed_gap():
-    # The shaped width reads smoothing_bounds' gap bound; its bits equal the
-    # closed form written out by hand, at n = 1 (ln 2), at a sigma_1 whose
-    # gap underflows to 0 (the 1e-12 floor) and at one whose cube overflows.
+    # Both widths read smoothing_bounds' gap bound; the shaped width's bits
+    # equal the closed form written out by hand, at n = 1 (ln 2), at a
+    # sigma_1 whose gap underflows to 0 (the 1e-12 floor) and at one whose
+    # cube overflows.
     spectra = [make_spectrum(kind, d=d, sigma1=sigma1, alpha=1.5)
                for kind in ("isotropic", "power_law") for d in (1, 3, 64)
                for sigma1 in (1e-150, 1e-30, 0.3, 1.0, 7.0, 1e40, 1e150)]
@@ -158,13 +159,13 @@ def test_default_width_is_r_over_root_of_the_printed_gap():
     assert smoothing_bounds(1.0, 1.0, 3, tiny, 2, delta=1.0)["gap"] == 0.0
     with pytest.raises(OverflowError, match=r"sigma1\*\*3 overflows float64 at sigma1 1e\+150"):
         _default_width(2.0, huge, 2, 3)
-    # Isotropic: the same rule at G = sqrt(d), written as R d^{-1/4}.
+    # Isotropic: the same rule at G = sqrt(d), R / sqrt(sqrt(d)) to the bit.
     for d in (1, 2, 3, 16, 64, 1000, 4999):
         for radius in (1e-3, 0.5, 2.0, 1e3):
             got = _default_width(radius, None, 512, d)
             assert got == default_width_closed_form(radius, None, 512, d)
             rule = radius / math.sqrt(smoothing_bounds(1.0, 1.0, d)["gap"])
-            assert abs(got - rule) <= math.ulp(rule), (d, radius)
+            assert got == rule, (d, radius)
 
 
 def test_lockstep_reduces_hinge_gap():
