@@ -10,12 +10,13 @@ What each route returns:
   from random unit starts (exact maximization is NP-hard for three or more
   factors) that never forms D, so d has no d**r cap: block k moves to
   D(x_1, ..., ·, ..., x_r) = E_n[a prod_{j != k} (a . x_j)] minus, when
-  centered, its Gaussian expectation, the Wick sum
-  sum_{m != k} Sigma x_m E[prod_{j != k, m} (a . x_j)] over the Gram
-  entries x_p^T Sigma x_q (:func:`_gaussian_product_moment_grad`, the one
-  Wick engine; zero at odd r).  The estimate is the largest ||g|| over the
-  updates.  This is the implicit tensor power iteration of Anandkumar, Ge,
-  Hsu, Kakade & Telgarsky (JMLR 2014); it equals, to rounding, the same
+  centered, its Gaussian expectation, the gradient of the hafnian of the
+  Gram matrix X Sigma X^T, a sum over the 2**(r - 1) sign vectors
+  (:func:`_gaussian_product_moment_grad`, the one Wick engine; its cost
+  per update does not depend on d, and odd r, where it is zero, skips
+  it).  The estimate is the largest ||g|| over the updates.  This is the
+  implicit tensor power iteration of Anandkumar, Ge, Hsu, Kakade &
+  Telgarsky (JMLR 2014); it equals, to rounding, the same
   ascent run on a dense D with the same starts.  The reference is a
   :class:`CovarianceSpectrum`.
 - Nonlinear factors (relu, clip) give a *lower estimate* by multistart
@@ -38,7 +39,6 @@ dimension in the tests.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -99,38 +99,6 @@ class SearchConfig:
 @dataclass(frozen=True)
 class DeviationEstimate:
     value: float
-
-
-# Rows of the largest Wick pairing table, (r - 1)!! at r = 12.  Building it
-# takes about 0.05 s and 8 MB; r = 14's 135135 pairings take about 1 s and
-# 110 MB more, in every process that runs a centred identity task, and each
-# ascent update then costs 13 times as much.
-MAX_PAIRINGS = 10395
-
-
-@functools.lru_cache
-def _pairings(m: int) -> np.ndarray:
-    """Every pairing of the indices 0..m-1 as an int array of shape
-    (pairings, m // 2, 2): (m - 1)!! pairings for even m, none for odd m.
-    Raises :class:`LimitExceeded` naming m and the count, before building
-    anything, when (m - 1)!! exceeds ``MAX_PAIRINGS``."""
-    def pairings(items):
-        if not items:
-            yield []
-            return
-        first, rest = items[0], items[1:]
-        for i, second in enumerate(rest):
-            for sub in pairings(rest[:i] + rest[i + 1:]):
-                yield [(first, second)] + sub
-
-    count = 0 if m % 2 else math.prod(range(m - 1, 0, -2))
-    if count > MAX_PAIRINGS:
-        raise LimitExceeded(f"Wick pairing table at r {m}: {count} pairings "
-                            f"exceed the cap of {MAX_PAIRINGS}")
-    out = np.array(list(pairings(list(range(m)))) if count else [], dtype=int)
-    out = out.reshape(count, m // 2, 2)
-    out.flags.writeable = False  # one cached array is shared by every caller
-    return out
 
 
 def empirical_sup_deviation(
@@ -274,8 +242,9 @@ def _identity_block_ascent(A: np.ndarray, var: np.ndarray | None, r: int,
     Cauchy-Schwarz: the starts need no pass of their own, and with
     ``iters`` = 0 the result is 0.0, the trivial lower bound.  The
     projections U = X A^T are kept and one block of them is refreshed per
-    update, so each update costs O(restarts * n * d) and no d**r array is
-    formed.
+    update, so each update costs O(restarts * n * d), plus
+    O(restarts * 2**(r - 1) * r**2) for the Wick term when centred at even
+    r, and no d**r array is formed.
     """
     n, d = A.shape
     X = rng.generator().standard_normal((search.restarts, r, d))
@@ -286,7 +255,7 @@ def _identity_block_ascent(A: np.ndarray, var: np.ndarray | None, r: int,
     for _ in range(search.iters):
         for k in range(r):
             g = U[:, others[k]].prod(axis=1) @ A / n
-            if var is not None:
+            if var is not None and r % 2 == 0:  # odd Gaussian moments vanish
                 g -= _gaussian_product_moment_grad(X, X * var, k)
             norms = np.linalg.norm(g, axis=1)
             moved = norms > 1e-300
@@ -299,18 +268,46 @@ def _identity_block_ascent(A: np.ndarray, var: np.ndarray | None, r: int,
     return best
 
 
+# Rows of the largest Wick sign table, 2**(r - 1) at r = 14.  A centred
+# trial (d = 5, n = 256, default search, one core of a 2-core Xeon) takes
+# about 4 s at r = 14; r = 16's 32768 rows would take about 46 s, so a
+# 30-trial run about 23 minutes at --jobs 1.
+MAX_SIGN_ROWS = 2**13
+
+
 def _gaussian_product_moment_grad(X: np.ndarray, SX: np.ndarray,
                                   k: int) -> np.ndarray:
     """Gradient in x_k of E[prod_j (a . x_j)] for blocks X (R, r, d) with
-    SX[:, m] = Sigma x_m, shape (R, d): E[a prod_{j != k} (a . x_j)], the
-    sum over pairings of Sigma x_m, m the partner of k, times the Gram
-    entries of the other pairs; zero for odd r, which has no pairing."""
-    P = _pairings(X.shape[1])
-    gram = SX @ X.transpose(0, 2, 1)
-    has_k = (P == k).any(axis=-1)  # one pair per pairing holds k
-    partner = P[has_k].sum(axis=-1) - k
-    rest = np.where(has_k, 1.0, gram[:, P[..., 0], P[..., 1]]).prod(axis=-1)
-    return np.einsum("rp,rpd->rd", rest, SX[:, partner])
+    SX[:, m] = Sigma x_m, shape (R, d).
+
+    The moment is the hafnian of the Gram matrix G = X Sigma X^T, the
+    coefficient of t_1...t_r in exp(t^T G t / 2).  Inclusion-exclusion over
+    signs extracts it (Kan, J. Multivariate Anal. 2008): with m = r / 2,
+    haf(G) = sum_s (prod_j s_j) (s^T G s / 2)**m / (2**(r - 1) m!) over the
+    2**(r - 1) sign vectors s with s_1 = 1, so the gradient is
+    SX^T v / (2**(r + m - 2) (m - 1)!) with
+    v = sum_s (prod_{j != k} s_j) (s^T G s)**(m - 1) s.  One call costs
+    O(R 2**(r - 1) r**2) and no d-sized array per sign; it is zero for odd
+    r, where nothing is built.  The sum alternates, so its rounding error
+    grows with r and most where G is near diagonal (unit vectors in large
+    d): the tests hold it to 2**r * 1e-13 relative to ||g|| against the
+    sum over pairings, at r <= 10 and d up to 200.
+    Raises :class:`LimitExceeded` naming r and the row count, before
+    building anything, when 2**(r - 1) exceeds ``MAX_SIGN_ROWS``."""
+    R, r, d = X.shape
+    if r % 2:
+        return np.zeros((R, d))
+    rows = 1 << (r - 1)
+    if rows > MAX_SIGN_ROWS:
+        raise LimitExceeded(f"Wick sign table at r {r}: {rows} rows exceed "
+                            f"the cap of {MAX_SIGN_ROWS}")
+    S = np.ones((r, rows))  # column i: S[j, i] = -1 where bit j - 1 of i is set
+    for j in range(1, r):
+        S[j].reshape(-1, 2, 1 << (j - 1))[:, 1] = -1.0
+    q = np.einsum("rjs,js->rs", (SX @ X.transpose(0, 2, 1)) @ S, S)  # s^T G s
+    m = r // 2
+    v = (S.prod(axis=0) * S[k] * q ** (m - 1)) @ S.T
+    return (v[:, None] @ SX)[:, 0] / (2.0 ** (r + m - 2) * math.factorial(m - 1))
 
 
 def bound_curve(theorem: str, s: CovarianceSpectrum, n: int, r: int) -> float:

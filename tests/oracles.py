@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from effdim.concentration import _gaussian_product_moment_grad, _pairings
+from effdim.concentration import _gaussian_product_moment_grad
 from effdim.linalg import LimitExceeded
 from effdim.smoothing import (
     DRAW_BLOCK,
@@ -237,6 +237,36 @@ def basis_moment_tensor(s, p):
     return np.moveaxis(g.reshape((d,) * p), -1, 0)
 
 
+def pairings(m):
+    """Every pairing of the indices 0..m-1 as an int array of shape
+    (pairings, m // 2, 2): (m - 1)!! pairings for even m, none for odd m."""
+    def walk(items):
+        if not items:
+            yield []
+            return
+        first, rest = items[0], items[1:]
+        for i, second in enumerate(rest):
+            for sub in walk(rest[:i] + rest[i + 1:]):
+                yield [(first, second)] + sub
+
+    count = 0 if m % 2 else math.prod(range(m - 1, 0, -2))
+    out = np.array(list(walk(list(range(m)))) if count else [], dtype=int)
+    return out.reshape(count, m // 2, 2)
+
+
+def wick_grad_by_pairings(X, SX, k):
+    """Reference for :func:`effdim.concentration._gaussian_product_moment_grad`
+    from Isserlis' theorem term by term: the sum over the (r - 1)!!
+    pairings of Sigma x_m, m the partner of k, times the Gram entries
+    x_p^T Sigma x_q of the other pairs; zero for odd r."""
+    P = pairings(X.shape[1])
+    gram = SX @ X.transpose(0, 2, 1)
+    has_k = (P == k).any(axis=-1)  # one pair per pairing holds k
+    partner = P[has_k].sum(axis=-1) - k
+    rest = np.where(has_k, 1.0, gram[:, P[..., 0], P[..., 1]]).prod(axis=-1)
+    return np.einsum("rp,rpd->rd", rest, SX[:, partner])
+
+
 def gaussian_moment_tensor(s, p):
     """Dense E[a^{⊗p}] for a ~ N(0, Sigma): zero for odd p, else one einsum
     per pairing of the p axes over products of Sigma entries."""
@@ -244,7 +274,7 @@ def gaussian_moment_tensor(s, p):
     if p % 2:
         return out
     cov = s.covariance()
-    for pairing in _pairings(p):
+    for pairing in pairings(p):
         operands = []
         for i, j in pairing:
             operands += [cov, [int(i), int(j)]]

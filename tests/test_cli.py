@@ -834,10 +834,11 @@ def test_cover_negative_control_keeps_the_earliest_tied_cells(monkeypatch):
 
 
 def test_concentration_deterministic_across_jobs_and_reruns(tmp_path):
-    # Every route: identity factors at r = 2 (eigensolve) and r = 4 (block
-    # ascent), and relu factors with their Monte-Carlo reference of 10**6
-    # rows, drawn once per spectrum per run and shared by every trial (one
-    # run at each job count, for time).
+    # Every route: identity factors at r = 2 (eigensolve), r = 4 and r = 14
+    # (block ascent; r = 14 fills the largest Wick sign table), and relu
+    # factors with their Monte-Carlo reference of 10**6 rows, drawn once per
+    # spectrum per run and shared by every trial (one run at each job
+    # count, for time).
     runs = [({
         "spectra": {"iso": {"kind": "isotropic", "d": 4, "sigma1": 1.0}},
         "n_grid": [32, 64], "trials": 30, "r": 2,
@@ -847,6 +848,10 @@ def test_concentration_deterministic_across_jobs_and_reruns(tmp_path):
         "n_grid": [64], "trials": 30, "r": 4, "centered": True,
         "search": {"restarts": 2, "iters": 5},
     }, ["1", "2", "1"]), ({
+        "spectra": {"pl": {"kind": "power_law", "d": 3, "sigma1": 1.0, "alpha": 1.0}},
+        "n_grid": [16], "trials": 30, "r": 14, "centered": True,
+        "search": {"restarts": 1, "iters": 1},
+    }, ["1", "2"]), ({
         "spectra": {"iso": {"kind": "isotropic", "d": 1, "sigma1": 1.0}},
         "n_grid": [16], "trials": 30, "r": 2,
         "fs": [{"kind": "relu"}, {"kind": "relu"}], "centered": True,
@@ -1003,18 +1008,18 @@ def test_odd_r_wick_term_is_zero(tmp_path):
 
 
 def test_centred_identity_above_the_wick_cap_exits_3(tmp_path, capsys):
-    # r = 14, the first even r whose (r - 1)!! pairings exceed the cap,
-    # stops before building the table, alike at any --jobs; uncentred runs
-    # need no table and take any r.
+    # r = 16, the first even r whose 2**(r - 1) Wick sign rows exceed the
+    # cap, stops before building the table, alike at any --jobs; uncentred
+    # runs need no table and take any r.
     firsts = []
     for jobs in ("1", "2"):
-        code, out = _identity_run(tmp_path, 14, True, jobs)
+        code, out = _identity_run(tmp_path, 16, True, jobs)
         assert code == 3 and not out.exists()
         firsts.append(capsys.readouterr().err.splitlines()[0])
     assert firsts[0] == firsts[1] == (
-        "runtime error: LimitExceeded: Wick pairing table at r 14: "
-        "135135 pairings exceed the cap of 10395")
-    assert _identity_run(tmp_path, 14, False)[0] == 0
+        "runtime error: LimitExceeded: Wick sign table at r 16: "
+        "32768 rows exceed the cap of 8192")
+    assert _identity_run(tmp_path, 16, False)[0] == 0
 
 
 @pytest.mark.skipif(not FORK, reason="parallel_map forks on Linux only")

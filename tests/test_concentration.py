@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from effdim.concentration import (
-    MAX_PAIRINGS,
+    MAX_SIGN_ROWS,
     Nonlinearity,
     SearchConfig,
     bound_curve,
     empirical_sup_deviation,
     _gaussian_product_moment_grad,
-    _pairings,
     _product_means,
 )
 import effdim.concentration
@@ -22,7 +21,7 @@ from effdim.rng import RngStream
 from effdim.spectrum import CovarianceSpectrum, SampleMatrix, make_spectrum, \
     sample_gaussian
 from oracles import basis_moment_tensor, dense_block_ascent, gaussian_moment_tensor, \
-    moment_tensor, sphere_net
+    moment_tensor, sphere_net, wick_grad_by_pairings
 
 
 SP5 = make_spectrum("isotropic", d=5, sigma1=1.0)
@@ -106,13 +105,48 @@ def test_isserlis_moment_matches_wick_by_hand():
         assert not np.any(_gaussian_product_moment_grad(X[:, :3], X[:, :3] @ cov, k))
 
 
-def test_pairing_tables_cost_what_they_hold():
-    # An odd count has no pairing: the table is empty without a walk, which
-    # at 21 indices would visit 20!! (about 3.7e9) leaves.
-    assert _pairings(21).shape == (0, 10, 2)
-    assert len(_pairings(12)) == 11 * 9 * 7 * 5 * 3 == MAX_PAIRINGS
-    with pytest.raises(LimitExceeded, match="Wick pairing table at r 14: 135135 pairings"):
-        _pairings(14)
+def test_wick_sign_tables_cost_what_they_hold():
+    # r copies of one unit vector x and Sigma = I: G is all ones, and the
+    # gradient is (r - 1)!! x.
+    def grad(r):
+        X = np.full((2, r, 3), 1 / math.sqrt(3))
+        return _gaussian_product_moment_grad(X, X, 0)
+
+    # Odd r has no pairing: zeros without a table, which at r = 41 would
+    # hold 2**40 rows.
+    assert grad(41).shape == (2, 3) and not np.any(grad(41))
+    assert 2**13 == MAX_SIGN_ROWS  # r = 14 runs
+    assert grad(14) == pytest.approx(np.full((2, 3), 13 * 11 * 9 * 7 * 5 * 3 / math.sqrt(3)),
+                                     rel=1e-12)
+    # The refusal comes before the table: r = 64 would need 2**63 rows.
+    for r, rows in ((16, 32768), (64, 2**63)):
+        with pytest.raises(LimitExceeded, match=f"Wick sign table at r {r}: {rows} rows "
+                           f"exceed the cap of 8192"):
+            grad(r)
+
+
+@pytest.mark.parametrize("d", [5, 200])
+@pytest.mark.parametrize("r", [2, 4, 6, 8, 10])
+def test_wick_sign_sum_agrees_with_the_pairing_sum(r, d):
+    # The sign sum alternates over 2**(r - 1) rows, so its rounding error
+    # may grow with r; the engine's docstring states the same tolerance,
+    # 2**r * 1e-13 relative to ||g||, per restart and block.
+    gen = np.random.default_rng(1000 * r + d)
+    X = gen.standard_normal((8, r, d))
+    X /= np.linalg.norm(X, axis=2, keepdims=True)
+    SX = X * gen.uniform(0.1, 2.0, d)
+    rtol = 2**r * 1e-13
+    full = []
+    for k in range(r):
+        g = _gaussian_product_moment_grad(X, SX, k)
+        want = wick_grad_by_pairings(X, SX, k)
+        scale = np.linalg.norm(want, axis=1)
+        assert np.all(np.linalg.norm(g - want, axis=1) <= rtol * scale), k
+        # E[prod_j (a . x_j)] is linear in x_k: x_k . g_k is the full moment.
+        full.append((np.einsum("rd,rd->r", X[:, k], g), scale))
+    moment = np.einsum("rd,rd->r", X[:, 0], wick_grad_by_pairings(X, SX, 0))
+    for value, scale in full:
+        assert np.all(np.abs(value - moment) <= rtol * scale)
 
 
 def test_centered_r2_matches_operator_norm():
