@@ -240,7 +240,16 @@ def validate(schema: dict, value, path: str = "$") -> None:
                 validate(sub, item, f"{path}.{key}")
 
 
+# The keys each spectrum kind reads; the schema cannot tie keys to kinds.
+_SPECTRUM_KEYS = {"custom": {"kind", "values"},
+                  "isotropic": {"kind", "d", "sigma1"},
+                  "power_law": {"kind", "d", "sigma1", "alpha"}}
+
+
 def _spectrum(cfg: dict) -> CovarianceSpectrum:
+    unread = sorted(set(cfg) - _SPECTRUM_KEYS[cfg["kind"]])
+    if unread:
+        raise ConfigInvalid(f"spectrum: {cfg['kind']} takes no {', '.join(unread)}")
     try:
         return make_spectrum(
             cfg["kind"], d=cfg.get("d"), sigma1=cfg.get("sigma1", 1.0),

@@ -1,6 +1,9 @@
 """Estimation of uniform deviation suprema and bound curves.
 
-What each route returns:
+Every route estimates one quantity: the supremum over x_1, ..., x_r in the
+unit ball of |E_n[prod_k f_k(a . x_k)] - E[prod_k f_k(a . x_k)]|, with
+E = 0 when uncentered.  For identity factors the form is multilinear, so
+the ball and the sphere give the same value.
 
 - Identity factors depend on the data only through the deviation tensor
   D = E_n[a^{⊗r}] - E[a^{⊗r}] (just E_n[a^{⊗r}] when uncentered), and the
@@ -20,11 +23,15 @@ What each route returns:
   ascent run on a dense D with the same starts.  The reference is a
   :class:`CovarianceSpectrum`.
 - Nonlinear factors (relu, clip) give a *lower estimate* by multistart
-  projected gradient ascent over the n rows, against an independent
-  Monte-Carlo reference sample of N rows.  Restart 0 starts every factor
-  at a_i / ||a_i|| for the data row a_i of largest norm, where an
-  uncentered relu x relu product mean is already at least
-  max_i ||a_i||**2 / n; the other restarts start at random unit vectors.
+  projected gradient ascent of |dev| over the n rows, against an
+  independent Monte-Carlo reference sample of N rows: each step moves
+  along sign(dev) times the gradient of dev and projects onto the unit
+  ball, and the estimate is the largest |dev| seen.  Restart 0 starts
+  every factor at a_i / ||a_i|| for the data row a_i of largest norm,
+  where an uncentered relu x relu product mean is already at least
+  max_i ||a_i||**2 / n; restart 1 starts at its negation, so at d = 1
+  the starts hold every factor at +1 and at -1; the other restarts start
+  at random unit vectors.
   ``effdim concentration`` draws the reference once per spectrum per run
   and every trial reads that one array, so the trials share its error:
   its stderr 1/sqrt(N) is not reported, no output carries it, and the std
@@ -34,7 +41,8 @@ What each route returns:
   reference; the final evaluation takes means only.
 
 Both routes are cross-checked against a sphere-net oracle at low
-dimension in the tests.
+dimension in the tests, and the nonlinear route against exact and grid
+maxima over the ball at d = 1.
 """
 
 from __future__ import annotations
@@ -55,13 +63,15 @@ class Nonlinearity:
     """1-Lipschitz scalar function with f(0) = 0: identity, relu, or clip(B)."""
 
     kind: str
-    bound: float | None = None  # clip level B, required for kind="clip"
+    bound: float | None = None  # clip level B, for kind="clip" only
 
     def __post_init__(self):
         if self.kind not in ("identity", "relu", "clip"):
             raise ValueError(f"unknown nonlinearity {self.kind!r}")
         if self.kind == "clip" and (self.bound is None or self.bound <= 0):
             raise ValueError("clip requires a positive bound")
+        if self.kind != "clip" and self.bound is not None:
+            raise ValueError(f"{self.kind} takes no bound")
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         if self.kind == "identity":
@@ -82,10 +92,12 @@ class Nonlinearity:
 class SearchConfig:
     """Multistart projected gradient ascent budget.
 
-    For nonlinear factors restart 0 starts every factor at the data row of
-    largest norm, normalised, and restarts 1..R-1 at random unit vectors
-    (one ``standard_normal((R, r, d))`` draw, whose row 0 is replaced), so
-    the restarts of a smaller budget are a prefix of those of a larger one.
+    For nonlinear factors, which the ascent searches over the unit ball,
+    restart 0 starts every factor at the data row of largest norm,
+    normalised, restart 1 at its negation, and restarts 2..R-1 at random
+    unit vectors (one ``standard_normal((R, r, d))`` draw, whose rows 0 and
+    1 are replaced), so the restarts of a smaller budget are a prefix of
+    those of a larger one.
     """
 
     restarts: int = 8
@@ -110,8 +122,9 @@ def empirical_sup_deviation(
     search: SearchConfig = SearchConfig(),
     rng: RngStream = RngStream(0),
 ) -> DeviationEstimate:
-    """Supremum over unit x_1..x_r of the empirical (centered) product mean
-    of f_1(a . x_1)...f_r(a . x_r), with ``fs`` listing the r factors.
+    """Supremum over x_1..x_r in the unit ball of |E_n[prod_k f_k(a . x_k)]
+    - E[prod_k f_k(a . x_k)]|, with ``fs`` listing the r factors and E = 0
+    when uncentered.
 
     ``ref`` supplies the expectation terms for centered mode: identity
     factors take a :class:`CovarianceSpectrum` (exact Gaussian moments),
@@ -120,7 +133,9 @@ def empirical_sup_deviation(
     ValueError.  Identity factors are exact at r = 2 and at r >= 3 a
     block-ascent lower estimate that never forms the d**r deviation tensor,
     so d is not capped; nonlinear factors are a projected-ascent lower
-    estimate (see the module docstring).
+    estimate of |dev| whose restart 1 starts at the negation of restart
+    0's longest-row start (see the module docstring).  A deviation that
+    is not finite raises OverflowError on either route.
     """
     if r < 2:
         raise ValueError("r must be >= 2")
@@ -144,6 +159,8 @@ def empirical_sup_deviation(
 
     sq_norms = np.einsum("ij,ij->i", A, A)
     sigma1 = math.sqrt(float(sq_norms.mean()))
+    if not math.isfinite(sigma1):  # the starts would normalise to 0
+        raise OverflowError("the mean squared norm of the data rows overflows float64")
     step = search.step if search.step is not None else 0.1 / sigma1**r
     gen = rng.generator()
     R = search.restarts
@@ -151,6 +168,7 @@ def empirical_sup_deviation(
     top = int(np.argmax(sq_norms))
     if sq_norms[top] > 0:
         X[0] = A[top]
+        X[1:2] = -A[top]  # restart 1, when R >= 2
     X /= np.linalg.norm(X, axis=2, keepdims=True)
 
     def value_and_grads(X, grads=True):
@@ -162,18 +180,18 @@ def empirical_sup_deviation(
                 g -= ref_g
         return vals, g
 
-    best = -math.inf
+    # NaN propagates through np.max, so the check below sees it
+    best = 0.0
     for _ in range(search.iters):
         vals, grads = value_and_grads(X)
-        best = max(best, float(vals.max()))
-        X = X + step * grads
+        best = float(np.max(np.abs(vals), initial=best))
+        X = X + step * np.where(vals < 0, -1.0, 1.0)[:, None, None] * grads
         norms = np.linalg.norm(X, axis=2, keepdims=True)
         X = np.where(norms > 1.0, X / norms, X)
     vals, _ = value_and_grads(X, grads=False)
-    best = max(best, float(vals.max()))
-
-    if centered:
-        best = max(best, 0.0)
+    best = float(np.max(np.abs(vals), initial=best))
+    if not math.isfinite(best):
+        raise OverflowError("the deviation overflows float64")
     return DeviationEstimate(value=best)
 
 

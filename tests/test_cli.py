@@ -169,6 +169,42 @@ def test_out_that_cannot_be_a_directory_exits_2(tmp_path, capsys):
         assert afile.read_bytes() == b"keep me"
 
 
+# Each passes the schema, which cannot tie keys to kinds, but sets a key
+# that its kind does not read.
+UNREAD_KEYS = [
+    ("effdim", {"spectrum": {"kind": "custom", "values": [2, 1], "d": 7}, "r_values": [1]},
+     "spectrum: custom takes no d"),
+    ("effdim", {"spectrum": {"kind": "custom", "values": [2, 1], "sigma1": 2.0},
+                "r_values": [1]}, "spectrum: custom takes no sigma1"),
+    ("entropy", {"spectrum": {"kind": "isotropic", "d": 3, "alpha": 1.0},
+                 "eps_grid": [0.5]}, "spectrum: isotropic takes no alpha"),
+    ("effdim", {"spectrum": {"kind": "power_law", "d": 3, "alpha": 1.0,
+                             "values": [2, 1, 0.5]}, "r_values": [1]},
+     "spectrum: power_law takes no values"),
+    ("concentration", {"spectra": {"iso": {"kind": "isotropic", "d": 2}},
+                       "n_grid": [8], "trials": 30, "r": 2,
+                       "fs": [{"kind": "clip", "bound": 1.0},
+                              {"kind": "relu", "bound": 1.0}]}, "fs: relu takes no bound"),
+    ("concentration", {"spectra": {"iso": {"kind": "isotropic", "d": 2}},
+                       "n_grid": [8], "trials": 30, "r": 2,
+                       "fs": [{"kind": "identity", "bound": 1.0}] * 2},
+     "fs: identity takes no bound"),
+]
+
+
+@pytest.mark.parametrize("subcommand, config, error", UNREAD_KEYS,
+                         ids=[error for _, _, error in UNREAD_KEYS])
+def test_config_key_its_kind_does_not_read_exits_2(subcommand, config, error,
+                                                     tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", config)
+    out = tmp_path / "o"
+    assert main([subcommand, "--config", cfg, "--out", str(out), "--validate-only"]) == 0
+    capsys.readouterr()
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {error}\n"
+    assert not out.exists()
+
+
 def test_runtime_failure_exits_3(tmp_path, capsys):
     # cover construction refuses d > 5 and grids over its cell cap at run
     # time, not validation time
@@ -442,7 +478,8 @@ def test_concentration_is_homogeneous_of_degree_r_in_sigma(label, r, fs):
                   "search": search}
         if fs is not None:
             config["centered"] = False
-            config["fs"] = [{"kind": f, "bound": math.ldexp(0.5, k)} for f in fs]
+            config["fs"] = [{"kind": f, "bound": math.ldexp(0.5, k)} if f == "clip"
+                            else {"kind": f} for f in fs]
         summary, tables = effdim.cli.run_concentration(config, 3, 1)
         cells = [(m["mean"], m["std"]) for m in summary["p"]["means"]]
         return [row["value"] for row in tables["deviations.csv"]], cells

@@ -33,7 +33,8 @@ def identity_fs(r):
 
 def net_sup_deviation(samples: SampleMatrix, fs, r, centered, ref,
                       net: np.ndarray) -> float:
-    """Brute-force supremum over all r-tuples of net points (oracle, d <= 3)."""
+    """Brute-force supremum of |E_n - E| over all r-tuples of net points
+    (oracle, d <= 3), with E = 0 when uncentered."""
     A = samples.rows
     F = [f(A @ net.T) for f in fs]  # (n, N) each
     ref_mean = None  # reference expectation at every r-tuple of net points
@@ -47,7 +48,7 @@ def net_sup_deviation(samples: SampleMatrix, fs, r, centered, ref,
             Fref = [f(ref.rows @ net.T) for f in fs]
         else:
             raise ValueError("centered net oracle needs a reference")
-    best = -np.inf
+    best = 0.0
     N = net.shape[0]
     # The last factor is vectorized: one (n,) @ (n, N) product per head tuple.
     for head in itertools.product(range(N), repeat=r - 1):
@@ -58,9 +59,7 @@ def net_sup_deviation(samples: SampleMatrix, fs, r, centered, ref,
         elif Fref is not None:
             wref = np.prod([Fref[k][:, c] for k, c in enumerate(head)], axis=0)
             vals = vals - wref @ Fref[-1] / len(Fref[-1])
-        best = max(best, float(vals.max()))
-    if centered:
-        best = max(best, 0.0)
+        best = max(best, float(np.abs(vals).max()))
     return best
 
 
@@ -180,6 +179,81 @@ def test_net_oracle_agrees_at_low_dimension():
     # net undershoots by O(resolution * Lipschitz); ascent can land either side
     assert est.value >= oracle - 0.05
     assert est.value <= oracle + 0.05
+
+
+SP1 = make_spectrum("isotropic", d=1, sigma1=1.0)
+
+
+def product_mean_at(rows, fs, x):
+    """Mean over ``rows`` of prod_k f_k(a . x_k) at d = 1, for each x_k."""
+    return float(np.mean(np.prod([f(rows[:, 0] * xk) for f, xk in zip(fs, x)], axis=0)))
+
+
+@pytest.mark.parametrize("restarts", [2, 4])
+def test_relu_at_d1_is_the_exact_sup_of_the_absolute_deviation(restarts):
+    # At d = 1 the unit ball is [-1, 1]**2 and relu x relu is positively
+    # homogeneous in each factor, so the supremum of |E_n - E_ref| sits at
+    # one of the four sign patterns.  Restarts 0 and 1 start at (s, s) and
+    # (-s, -s); the mixed patterns are 0, as relu(a) relu(-a) = 0.
+    fs = [Nonlinearity("relu")] * 2
+    ref = sample_gaussian(SP1, 4096, RngStream(52))
+    search = SearchConfig(restarts=restarts, iters=20)
+    for trial in range(30):
+        sm = sample_gaussian(SP1, 64, RngStream(51, trial))
+        want = max(abs(product_mean_at(sm.rows, fs, x) - product_mean_at(ref.rows, fs, x))
+                   for x in itertools.product((1.0, -1.0), repeat=2))
+        est = empirical_sup_deviation(sm, fs, 2, centered=True, ref=ref, search=search,
+                                      rng=RngStream(53, trial))
+        assert est.value == pytest.approx(want, rel=1e-12, abs=0), trial
+        # Swapping the data and the reference negates the deviation.
+        swapped = empirical_sup_deviation(ref, fs, 2, centered=True, ref=sm,
+                                          search=search, rng=RngStream(53, trial))
+        assert swapped.value == pytest.approx(want, rel=1e-12, abs=0), trial
+
+
+def test_clip_at_d1_searches_the_ball_not_the_sphere():
+    # Clip is not homogeneous, so |E_n - E_ref| can peak inside the ball
+    # [-1, 1]**2, above every corner (the sphere at d = 1).  dev moves by
+    # at most L = B (E_n|a| + E_ref|a|) per unit of each coordinate, so the
+    # supremum over the ball lies within L * h of the max over a grid of
+    # spacing h.  Every d = 1 start is a corner, and the search is a lower
+    # estimate: with n = 32 and B = 0.5 the data's kinks make corners local
+    # maxima, and on 13 of these 30 trials it ends more than L * h below
+    # the grid maximum.  At n = 1024 and B = 1 it does not.
+    f = Nonlinearity("clip", 1.0)
+    ref = sample_gaussian(SP1, 4096, RngStream(62))
+    grid = np.linspace(-1.0, 1.0, 401)
+    Fref = f(ref.rows @ grid[None])
+    corners = ([0, 0, -1, -1], [0, -1, 0, -1])
+    above_corners = 0
+    for trial in range(30):
+        sm = sample_gaussian(SP1, 1024, RngStream(61, trial))
+        F = f(sm.rows @ grid[None])
+        dev = np.abs(F.T @ F / sm.n - Fref.T @ Fref / ref.n)
+        err = f.bound * (np.abs(sm.rows).mean() + np.abs(ref.rows).mean()) * (grid[1] - grid[0])
+        est = empirical_sup_deviation(sm, [f, f], 2, centered=True, ref=ref,
+                                      rng=RngStream(63, trial))
+        assert abs(est.value - dev.max()) <= err, trial
+        above_corners += est.value > dev[corners].max()
+    assert above_corners >= 1
+
+
+@pytest.mark.parametrize("centered", [True, False], ids=["centred", "uncentred"])
+@pytest.mark.parametrize("kinds", [("relu", "relu", "relu"), ("identity", "relu", "relu")])
+@pytest.mark.parametrize("scale, r", [(1e160, 2), (1e110, 3)])
+def test_nonlinear_deviation_that_is_not_finite_raises(scale, r, kinds, centered):
+    # At 1e160 the squared row norms overflow, so the longest-row starts
+    # would normalise to 0; at 1e110 they do not, but the product means of
+    # three factors are inf or NaN (and so is the default step's
+    # sigma_1**3).  Each raises, whatever the budget.
+    fs = [Nonlinearity(kind) for kind in kinds[:r]]
+    sm = SampleMatrix(sample_gaussian(SP5, 16, RngStream(71)).rows * scale)
+    ref = sample_gaussian(SP5, 64, RngStream(72)) if centered else None
+    for restarts, step in itertools.product((1, 2, 8), (None, 0.1)):
+        with np.errstate(all="ignore"), pytest.raises(OverflowError):
+            empirical_sup_deviation(sm, fs, r, centered=centered, ref=ref,
+                                    search=SearchConfig(restarts, 3, step),
+                                    rng=RngStream(73))
 
 
 def direct_product_means(rows, X, fs):
